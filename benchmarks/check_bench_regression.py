@@ -15,8 +15,8 @@ Every *other* numeric metric shared by the two files is printed as a
 trajectory::
 
     python benchmarks/check_bench_regression.py \
-        --baseline /tmp/bench_baseline.json \
-        --current BENCH_serving.json \
+        --baseline BENCH_serving.json \
+        --current .bench/BENCH_serving.json \
         --key events_per_sec.microbatched_ingest \
         --key bytes_per_entity.memmap_int8=lower \
         --tolerance 0.30

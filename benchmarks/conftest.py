@@ -5,9 +5,11 @@ paper-vs-measured comparison.  Experiments are deterministic and heavy, so
 each runs exactly once (``pedantic`` with one round).
 
 Perf benchmarks additionally persist their telemetry through the
-``bench_record`` fixture: one ``BENCH_<name>.json`` per benchmark at the
-repo root, committed as the baseline that CI's ``bench`` job gates
-against (see ``benchmarks/check_bench_regression.py``).
+``bench_record`` fixture: one ``BENCH_<name>.json`` per benchmark in the
+git-ignored ``.bench/`` directory.  CI's ``bench`` job gates those fresh
+files against the committed baselines at the repo root (see
+``benchmarks/check_bench_regression.py``), so a test run never rewrites
+a committed baseline.
 """
 
 import json
@@ -19,6 +21,9 @@ import pytest
 from repro.runtime.engine import DEFAULT_PRECISION
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Where bench runs write their telemetry (git-ignored; never the
+#: committed baselines at the repo root).
+BENCH_DIR = os.path.join(REPO_ROOT, ".bench")
 
 
 def _blas_vendor():
@@ -65,7 +70,7 @@ def run_once(benchmark):
 
 @pytest.fixture
 def bench_record():
-    """Write one benchmark's results to ``BENCH_<name>.json`` at repo root.
+    """Write one benchmark's results to ``.bench/BENCH_<name>.json``.
 
     The single write path for perf telemetry: stable key order and layout,
     so committed baselines diff cleanly across PRs and CI's regression
@@ -73,7 +78,8 @@ def bench_record():
     """
 
     def record(name, results):
-        path = os.path.join(REPO_ROOT, "BENCH_%s.json" % name)
+        os.makedirs(BENCH_DIR, exist_ok=True)
+        path = os.path.join(BENCH_DIR, "BENCH_%s.json" % name)
         payload = dict(results)
         payload.setdefault("context", bench_context())
         with open(path, "w") as handle:

@@ -20,8 +20,8 @@ refactor —
 
 — plus the per-event cost of incremental refresh through the
 :class:`~repro.runtime.EmbeddingStore`.  Results are recorded through the
-``bench_record`` fixture to ``BENCH_inference.json`` at the repo root so
-the perf trajectory is tracked across PRs (and gated by CI's bench job).
+``bench_record`` fixture to ``.bench/BENCH_inference.json``, which CI's
+bench job gates against the committed root baseline.
 
 The workload is deliberately length-skewed (light/medium/heavy user
 cohorts): that is what production transaction populations look like, and
@@ -176,7 +176,6 @@ def test_inference_throughput(run_once, bench_record):
                 # The default policy (float32 + packed plans) — the
                 # primary gated key.
                 "fused_bucketed": events / fused_s,
-                "fused_bucketed_f32": events / fused_s,
                 # The float64 parity-reference path, still tracked.
                 "fused_bucketed_f64": events / fused64_s,
                 "incremental_store": incremental_events / incremental_s,

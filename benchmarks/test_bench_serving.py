@@ -15,7 +15,7 @@ recurrent states.  Two implementations of the same contract:
 A third path re-runs the micro-batched ingest with ``workers=2`` shard
 flushes (the bucket-parallel execution policy) and is recorded as
 ``events_per_sec.parallel_flush``.  A fourth serves the same stream
-**out-of-core**: per-shard :class:`~repro.runtime.MemmapStateBackend`
+**out-of-core**: per-shard on-disk :class:`~repro.runtime.StateBackend`
 storage (shard capacity 16, LRU of 2 hot shards — small enough that the
 stream forces evictions) with the ``int8`` state codec, recorded as
 ``events_per_sec.out_of_core_ingest``.
@@ -29,9 +29,10 @@ eviction; observed drift on this workload is ~1e-3, asserted at 0.05),
 and the parallel flush must be *bit-identical* to the serial service.
 
 The at-rest state footprint is recorded under ``bytes_per_entity``:
-the float64 in-RAM dict baseline, the float32 policy dict, and the
-memmap + int8 layout — whose >= 4x reduction vs the float64 baseline is
-asserted here and gated (lower-is-better) in CI.  Speedups are recorded
+the float64 identity-codec baseline, the float32 policy, and the on-disk
+int8 layout — whose >= 4x reduction vs the float64 baseline is asserted
+here and gated (lower-is-better) in CI.  The ``dict_*``/``memmap_int8``
+key names are kept so the committed baselines stay comparable.  Speedups are recorded
 via ``bench_record`` to ``BENCH_serving.json``; CI gates
 ``events_per_sec.microbatched_ingest``, ``events_per_sec.parallel_flush``
 and ``bytes_per_entity.memmap_int8`` at the 30% budget, and the >= 2x
@@ -67,7 +68,7 @@ from repro.data.synthetic import (make_churn_dataset, make_stress_history,
                                   make_stress_stream)
 from repro.encoders import build_encoder
 from repro.eval import ComparisonTable
-from repro.runtime import DictStateBackend, EmbeddingStore, MemmapStateBackend
+from repro.runtime import EmbeddingStore, StateBackend
 from repro.serving import AsyncIngestPipeline, EmbeddingService, build_event_log
 
 # Out-of-core knobs: shard capacity and LRU size are deliberately tiny
@@ -182,13 +183,13 @@ def test_serving_ingest_throughput(run_once, bench_record, tmp_path):
         runs = iter(range(100))
 
         def out_of_core_ingest():
-            # A fresh directory per run: the memmap backend adopts any
+            # A fresh directory per run: an on-disk backend adopts any
             # state bundle already present in its directory.
             root = tmp_path / ("ooc_run%02d" % next(runs))
             service = EmbeddingService(
                 encoder, schema, num_shards=4, flush_events=1024,
                 cache_capacity=0, codec="int8",
-                backend=lambda index: MemmapStateBackend(
+                backend=lambda index: StateBackend(
                     root / ("state_%04d" % index),
                     shard_capacity=OOC_SHARD_CAPACITY,
                     cache_shards=OOC_CACHE_SHARDS))
@@ -227,12 +228,12 @@ def test_serving_ingest_throughput(run_once, bench_record, tmp_path):
                                    atol=OOC_INT8_ATOL)
 
         # At-rest footprint: the acceptance ratio of the out-of-core
-        # redesign — int8 memmap states are >= 4x smaller per entity
-        # than the float64 in-RAM dict baseline.
+        # redesign — int8 on-disk states are >= 4x smaller per entity
+        # than the float64 identity-codec baseline.
         dim = encoder.output_dim
-        dict_f64 = DictStateBackend().attach(
+        dict_f64 = StateBackend().attach(
             dim, "gru", np.float64, "identity").bytes_per_entity()
-        dict_f32 = DictStateBackend().attach(
+        dict_f32 = StateBackend().attach(
             dim, "gru", np.float32, "identity").bytes_per_entity()
         memmap_int8 = ooc_service.store.bytes_per_entity()
         assert dict_f64 / memmap_int8 >= 4.0
@@ -251,7 +252,7 @@ def test_serving_ingest_throughput(run_once, bench_record, tmp_path):
                 # Micro-batched ingest with workers=2 shard flushes —
                 # bit-identical output, gated alongside the serial key.
                 "parallel_flush": stream_events / parallel_s,
-                # Same stream through memmap shards + the int8 codec
+                # Same stream through on-disk shards + the int8 codec
                 # (trend-only: paging cost depends on runner disk).
                 "out_of_core_ingest": stream_events / ooc_s,
             },

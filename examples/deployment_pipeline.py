@@ -14,10 +14,10 @@ Shows the serving properties the paper engineered for scale (90M+ cards):
    restarted worker resumes streaming without recomputation.
 4. **uint4 quantization** — embeddings compress 8x (a 256-dim float32
    vector: 1KB -> 128 bytes) with bounded reconstruction error.
-5. **Out-of-core state** — the same bundle loads into a
-   :class:`~repro.runtime.MemmapStateBackend` with the ``int8`` state
-   codec: states page through disk-backed shards at a fraction of the
-   in-RAM footprint, within a documented drift bound.
+5. **Out-of-core state** — the same bundle loads into an on-disk
+   :class:`~repro.runtime.StateBackend` with the ``int8`` state codec:
+   states page through disk-backed shards at a fraction of the in-RAM
+   footprint, within a documented drift bound.
 6. **Online serving** — an :class:`~repro.serving.EmbeddingService`
    (sharded state, micro-batched ingestion, LRU cache) replays an
    interleaved event log and serves query traffic that always matches a
@@ -42,7 +42,7 @@ from repro.core import (
 from repro.core.inference import serve
 from repro.data.sequences import SequenceDataset
 from repro.data.synthetic import make_retail_customers_dataset
-from repro.runtime import EmbeddingStore, MemmapStateBackend
+from repro.runtime import EmbeddingStore, StateBackend
 from repro.serving import build_event_log, replay_event_log
 
 
@@ -76,7 +76,7 @@ def main():
     # ------------------------------------------------------------------
     # Overnight: persist the store; a fresh worker picks it up.  save()
     # writes a manifest-driven state bundle (mmap-loadable .npy blocks)
-    # that any backend/codec combination can load.
+    # that a store in RAM or on disk, with any codec, can load.
     # ------------------------------------------------------------------
     bundle_dir = os.path.join(tempfile.mkdtemp(), "store_state")
     store.save(bundle_dir)
@@ -126,7 +126,7 @@ def main():
         encoder, codec="int8",
         # Tiny shards + a 2-shard LRU so even 120 clients page through
         # disk (production would keep the 1024-row default).
-        backend=MemmapStateBackend(
+        backend=StateBackend(
             os.path.join(tempfile.mkdtemp(), "ooc_state"),
             shard_capacity=16, cache_shards=2))
     ooc.load(bundle_dir)
@@ -135,8 +135,8 @@ def main():
                    clients.schema)
     drift = np.abs(np.stack([ooc.embedding(seq.seq_id)
                              for seq in clients]) - full).max()
-    print("out-of-core store (memmap shards + int8 codec): %.0f bytes "
-          "per entity at rest vs %.0f for the in-RAM dict backend "
+    print("out-of-core store (on-disk shards + int8 codec): %.0f bytes "
+          "per entity at rest vs %.0f for the in-RAM identity store "
           "(%.1fx smaller), %d shard evictions, max drift %.2e"
           % (ooc.bytes_per_entity(), store.bytes_per_entity(),
              store.bytes_per_entity() / ooc.bytes_per_entity(),

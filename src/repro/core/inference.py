@@ -91,11 +91,12 @@ def serve(encoder, dataset=None, schema=None, **service_kwargs):
 
     ``schema`` defaults to ``dataset.schema``; keyword arguments
     (``num_shards``, ``cache_capacity``, ``flush_events``, ``batch_size``,
-    ``precision``, ``workers``, and the storage knobs ``backend``,
-    ``codec``, ``backend_dir``) pass through to
-    :class:`~repro.serving.EmbeddingService` — e.g.
-    ``serve(encoder, dataset, backend="memmap", backend_dir=path,
-    codec="int8")`` stands up an out-of-core, quantized-at-rest service.
+    ``precision``, ``workers``, and the storage knobs ``backend_dir``,
+    ``codec`` and ``backend``) pass through to
+    :class:`~repro.serving.EmbeddingService`.  States live in RAM unless
+    ``backend_dir`` names a directory: ``serve(encoder, dataset,
+    backend_dir=path, codec="int8")`` stands up an out-of-core,
+    quantized-at-rest service.
     """
     if schema is None:
         if dataset is None:

@@ -19,8 +19,8 @@ The execution-path split of the codebase:
   :func:`softmax_head_gradient`;
 - **serving** — the same forward kernels driven by a
   :class:`FusedEncoderRuntime`, with per-entity state owned by an
-  :class:`EmbeddingStore` over a pluggable :class:`StateBackend`
-  (in-RAM dicts or out-of-core memmap shards) and an at-rest
+  :class:`EmbeddingStore` over a :class:`StateBackend` (row shards in
+  RAM, or out-of-core in memory-mapped files) and an at-rest
   :class:`StateCodec` (identity / float16 / int8 / uint4).
 
 All paths share one weight layout per encoder family
@@ -34,9 +34,8 @@ equivalence < 1e-8, asserted property-style by ``tests/runtime/``.
 from . import attention, kernels
 from .attention import (TransformerPlan, build_transformer_plan,
                         transformer_plan_matches)
-from .backends import (DictStateBackend, Float16Codec, IdentityCodec,
-                       MemmapStateBackend, QuantizedCodec, StateBackend,
-                       StateCodec, resolve_backend, resolve_codec)
+from .backends import (Float16Codec, IdentityCodec, QuantizedCodec,
+                       StateBackend, StateCodec, resolve_codec)
 from .engine import FusedEncoderRuntime
 from .store import (AdvanceResult, EmbeddingStore, advance_entities,
                     bulk_load_states)
@@ -50,6 +49,5 @@ __all__ = ["kernels", "attention", "TransformerPlan",
            "advance_entities", "bulk_load_states", "FusedTrainStep",
            "FusedForwardCache", "loss_gradient", "softmax_head_gradient",
            "softmax_head_probabilities", "resolve_engine",
-           "StateBackend", "DictStateBackend", "MemmapStateBackend",
-           "StateCodec", "IdentityCodec", "Float16Codec", "QuantizedCodec",
-           "resolve_backend", "resolve_codec"]
+           "StateBackend", "StateCodec", "IdentityCodec", "Float16Codec",
+           "QuantizedCodec", "resolve_codec"]

@@ -1,18 +1,18 @@
-"""Pluggable state storage for the embedding stores: backends and codecs.
+"""State storage for the embedding stores: the row-shard backend and codecs.
 
 The out-of-core redesign of the serving state layer: the paper targets a
 90M-card population (Section 4.3.1), which does not fit per-entity float
-dicts in RAM.  Two orthogonal contracts split the problem:
+dicts in RAM.  Two orthogonal pieces split the problem:
 
-- a :class:`StateBackend` owns **where** per-entity recurrent state
-  lives (``get`` / ``put`` / ``update_many`` / ``snapshot`` /
-  ``restore`` / ``bytes_per_entity``).  :class:`DictStateBackend` keeps
-  policy-dtype arrays in RAM — the historical behaviour and the default.
-  :class:`MemmapStateBackend` keeps fixed-capacity ``.npy`` shards on
-  disk, opened via ``np.load(..., mmap_mode="r")``, promotes an LRU of
-  hot shards into RAM and writes dirty shards back on eviction and
-  flush, so resident memory is bounded by ``cache_shards *
-  shard_capacity`` states regardless of entity count;
+- :class:`StateBackend` owns **where** per-entity recurrent state lives
+  (``get`` / ``put`` / ``snapshot`` / ``restore`` /
+  ``bytes_per_entity``): fixed-capacity row shards behind an
+  entity→(shard, row) index.  With ``directory=None`` every shard stays
+  in RAM; with a directory the shards are ``.npy`` files opened via
+  ``np.load(..., mmap_mode="r")``, an LRU of hot shards is promoted
+  into RAM and dirty shards are written back on eviction and flush, so
+  resident memory is bounded by ``cache_shards * shard_capacity``
+  states regardless of entity count;
 - a :class:`StateCodec` owns **how** state blocks are encoded at rest.
   :class:`IdentityCodec` stores raw policy-dtype arrays (lossless),
   :class:`Float16Codec` halves them, and :class:`QuantizedCodec` wires
@@ -22,12 +22,12 @@ dicts in RAM.  Two orthogonal contracts split the problem:
 
 Codecs apply **at rest** (shard files, snapshots); the runtime's
 ``precision`` policy applies at compute.  The identity codec preserves
-the 1e-10 replay-vs-recompute contract on both backends; quantized
+the 1e-10 replay-vs-recompute contract in both modes; quantized
 codecs carry an explicit per-encode drift bound — ``scales / 2`` per
 dimension (:meth:`~repro.core.quantization.QuantizedEmbeddings.quantization_error`)
 — property-tested in ``tests/runtime/test_backends.py``.
 
-Both backends persist through one manifest-driven directory layout::
+Both modes persist through one manifest-driven directory layout::
 
     <dir>/
       state_manifest.json          format, kind, dim, codec, shard count
@@ -35,8 +35,8 @@ Both backends persist through one manifest-driven directory layout::
       shard_0000.cell.npy          LSTM only
       shard_0000.meta.npz          entity ids, last-event times, codec meta
 
-which doubles as the :class:`MemmapStateBackend`'s live storage — a
-memmap directory can be reopened in place by a fresh backend.
+which doubles as the disk mode's live storage — a state directory can
+be reopened in place by a fresh backend.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -58,19 +57,12 @@ __all__ = [
     "QuantizedCodec",
     "resolve_codec",
     "StateBackend",
-    "DictStateBackend",
-    "MemmapStateBackend",
-    "resolve_backend",
 ]
 
 #: Format tag written into every state bundle manifest.
 STATE_FORMAT = "repro-state-v1"
 
 _MANIFEST_NAME = "state_manifest.json"
-
-#: Rows per on-disk shard when the dict backend snapshots (the block over
-#: which quantized codecs compute their minimum/scale metadata).
-SNAPSHOT_SHARD_ENTITIES = 4096
 
 
 def _quantization():
@@ -95,7 +87,7 @@ class StateCodec:
     A codec turns a float state block into the arrays persisted on disk
     and back.  ``encode`` returns a dict that always contains
     :attr:`data_key` — the per-row data array, stored as a standalone
-    ``.npy`` so the memmap backend can open it lazily — plus any
+    ``.npy`` so a disk-mode backend can open it lazily — plus any
     per-block metadata arrays (quantization minimums/scales).
     ``decode`` consumes the same dict.  Codecs are stateless and
     shareable across backends and threads.
@@ -365,235 +357,10 @@ def read_state_manifest(directory):
 
 
 # ----------------------------------------------------------------------
-# backends: where per-entity state lives
+# the backend: where per-entity state lives
 # ----------------------------------------------------------------------
-class StateBackend:
-    """Where per-entity recurrent state lives — the storage protocol.
-
-    A backend stores ``(hidden, cell, last_time)`` triples keyed by
-    entity id on behalf of an :class:`~repro.runtime.EmbeddingStore`.
-    Lifecycle: construct (storage knobs only) → :meth:`attach` (the
-    owning store provides the state geometry, compute dtype and at-rest
-    codec) → ``get``/``put`` traffic → :meth:`snapshot` /
-    :meth:`restore` / :meth:`flush`.
-
-    Required overrides: :meth:`get`, :meth:`put`, :meth:`entity_ids`,
-    ``__len__``, ``__contains__``, :meth:`last_time`, :meth:`clear` and
-    :meth:`_snapshot_shards`.  ``update_many``, ``snapshot``,
-    ``restore``, ``flush`` and ``bytes_per_entity`` have shared default
-    implementations.
-    """
-
-    def __init__(self):
-        self.dim = None
-        self.kind = None
-        self.dtype = None
-        self.codec = None
-
-    # -- lifecycle ------------------------------------------------------
-    def attach(self, dim, kind, dtype, codec):
-        """Bind the backend to a store's state geometry and codec.
-
-        ``kind`` names the state family: recurrent ``"gru"``/``"lstm"``
-        states (``"lstm"`` adds a cell buffer per entity) or
-        ``"transformer"`` pooled-embedding states (hidden buffer only,
-        like GRU).
-        """
-        if kind not in ("gru", "lstm", "transformer"):
-            raise ValueError(
-                "kind must be 'gru', 'lstm' or 'transformer' (got %r)"
-                % kind)
-        self.dim = int(dim)
-        self.kind = kind
-        self.dtype = np.dtype(dtype)
-        self.codec = resolve_codec(codec)
-        return self
-
-    @property
-    def is_lstm(self):
-        """Whether stored states carry a cell buffer."""
-        return self.kind == "lstm"
-
-    # -- required storage primitives -------------------------------------
-    def get(self, entity_id):
-        """``(hidden, cell, last_time)`` of an entity, or ``None``."""
-        raise NotImplementedError
-
-    def put(self, entity_id, hidden, cell, last_time):
-        """Store one entity's state (buffers owned by the backend)."""
-        raise NotImplementedError
-
-    def entity_ids(self):
-        """Iterable of every stored entity id (unordered)."""
-        raise NotImplementedError
-
-    def last_time(self, entity_id):
-        """Timestamp of the entity's last folded event, or ``None``."""
-        raise NotImplementedError
-
-    def clear(self):
-        """Drop all stored state."""
-        raise NotImplementedError
-
-    def __len__(self):
-        raise NotImplementedError
-
-    def __contains__(self, entity_id):
-        raise NotImplementedError
-
-    def _snapshot_shards(self):
-        """Yield ``(entity_ids, hidden, cell, last_times)`` blocks."""
-        raise NotImplementedError
-
-    # -- shared default implementations -----------------------------------
-    def update_many(self, items):
-        """Store a batch of ``(entity_id, hidden, cell, last_time)``."""
-        for entity_id, hidden, cell, last_time in items:
-            self.put(entity_id, hidden, cell, last_time)
-
-    def flush(self):
-        """Make pending writes durable (no-op for in-RAM backends)."""
-
-    def close(self):
-        """Release background resources (no-op for most backends)."""
-
-    def snapshot(self, directory):
-        """Write the full state bundle to ``directory``."""
-        directory = str(directory)
-        os.makedirs(directory, exist_ok=True)
-        count = 0
-        for ids, hidden, cell, last_times in self._snapshot_shards():
-            write_state_shard(directory, count, ids, hidden, cell,
-                              last_times, self.codec)
-            count += 1
-        write_state_manifest(directory, self.kind, self.dim, self.codec,
-                             count, len(self))
-
-    def restore(self, directory):
-        """Replace all state with a bundle written by :meth:`snapshot`.
-
-        The bundle decodes through **its own** recorded codec, then
-        re-encodes at rest through this backend's codec — so bundles
-        restore across codecs (and across backends; the layout is
-        shared).  Kind and state width must match.
-        """
-        manifest = read_state_manifest(directory)
-        if manifest.get("kind") != self.kind:
-            raise ValueError(
-                "snapshot holds %s states but the runtime encoder is %s"
-                % (manifest.get("kind"), self.kind)
-            )
-        if int(manifest.get("dim", -1)) != self.dim:
-            raise ValueError(
-                "snapshot state width (%s,) does not match encoder hidden "
-                "size %d" % (manifest.get("dim"), self.dim)
-            )
-        codec = resolve_codec(manifest.get("codec"))
-        self.clear()
-        for index in range(int(manifest.get("shards", 0))):
-            ids, hidden, cell, last_times = read_state_shard(
-                directory, index, codec, self.dim, self.dtype,
-                with_cell=self.is_lstm, mmap=False,
-            )
-            self.update_many(
-                (entity_id, hidden[row].copy(),
-                 cell[row].copy() if cell is not None else None,
-                 float(last_times[row]))
-                for row, entity_id in enumerate(ids)
-            )
-        self.flush()
-        return self
-
-    def _meta_block_entities(self):
-        """Entities per at-rest block (amortises codec metadata)."""
-        return SNAPSHOT_SHARD_ENTITIES
-
-    def bytes_per_entity(self):
-        """At-rest bytes per entity under this backend's codec + layout.
-
-        Counts the encoded state values, the per-shard codec metadata
-        amortised over the shard size, and the 8-byte last-event
-        timestamp.  The float64 in-RAM dict baseline is
-        ``dim * 8 + 8`` (``2 * dim * 8 + 8`` for LSTM); this is the
-        number recorded as ``bytes_per_entity`` in
-        ``BENCH_serving.json``.
-        """
-        block = max(1, self._meta_block_entities())
-        per_state = (self.codec.values_nbytes(1, self.dim, self.dtype)
-                     + self.codec.meta_nbytes(self.dim, self.dtype) / block)
-        if self.is_lstm:
-            per_state *= 2
-        return float(per_state + 8.0)
-
-    def stats(self):
-        """Backend telemetry (entity count; subclasses add their own)."""
-        return {"entities": len(self)}
-
-
-class DictStateBackend(StateBackend):
-    """In-RAM per-entity dicts — the historical default backend.
-
-    Live state is raw policy-dtype arrays (reads return the stored
-    buffers; callers must not mutate them).  The codec applies to
-    snapshots only: blocks of :data:`SNAPSHOT_SHARD_ENTITIES` entities
-    encode per block on :meth:`snapshot` and decode on :meth:`restore`.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._hidden = {}
-        self._cell = {}
-        self._last = {}
-
-    def get(self, entity_id):
-        """The live stored buffers (do not mutate), or ``None``."""
-        hidden = self._hidden.get(entity_id)
-        if hidden is None:
-            return None
-        return hidden, self._cell.get(entity_id), self._last.get(entity_id)
-
-    def put(self, entity_id, hidden, cell, last_time):
-        """Store the given buffers (the backend takes ownership)."""
-        self._hidden[entity_id] = hidden
-        if cell is not None:
-            self._cell[entity_id] = cell
-        self._last[entity_id] = float(last_time)
-
-    def entity_ids(self):
-        """All stored entity ids."""
-        return list(self._hidden)
-
-    def last_time(self, entity_id):
-        """Last folded-event timestamp without touching the state."""
-        return self._last.get(entity_id)
-
-    def clear(self):
-        """Drop all stored state."""
-        self._hidden = {}
-        self._cell = {}
-        self._last = {}
-
-    def __len__(self):
-        return len(self._hidden)
-
-    def __contains__(self, entity_id):
-        return entity_id in self._hidden
-
-    def _snapshot_shards(self):
-        """Sorted ids in blocks of :data:`SNAPSHOT_SHARD_ENTITIES`."""
-        ids = sorted(self._hidden)
-        for start in range(0, len(ids), SNAPSHOT_SHARD_ENTITIES):
-            chunk = ids[start:start + SNAPSHOT_SHARD_ENTITIES]
-            hidden = np.stack([self._hidden[e] for e in chunk])
-            cell = (np.stack([self._cell[e] for e in chunk])
-                    if self.is_lstm else None)
-            last_times = np.asarray([self._last[e] for e in chunk],
-                            dtype=np.float64)
-            yield chunk, hidden, cell, last_times
-
-
 class _HotShard:
-    """One memmap shard promoted to RAM: decoded buffers + dirty flag."""
+    """One decoded in-RAM shard: row buffers + dirty flag."""
 
     __slots__ = ("hidden", "cell", "dirty")
 
@@ -603,80 +370,82 @@ class _HotShard:
         self.dirty = dirty
 
 
-class MemmapStateBackend(StateBackend):
-    """Out-of-core state: ``.npy`` memmap shards + an LRU of hot shards.
+class StateBackend:
+    """Per-entity recurrent state in fixed-capacity row shards.
 
-    Entities append to fixed-capacity shards in arrival order (the
-    entity→(shard, row) index and last-event timestamps stay in RAM —
-    a few dozen bytes per entity; the *states* live on disk).  A read or
-    write promotes the owning shard into an LRU of at most
-    ``cache_shards`` decoded in-RAM shards; evicting a dirty shard
-    encodes it through the codec and writes it back.  :meth:`flush`
-    writes back every dirty hot shard and the manifest, after which the
-    directory is a complete state bundle that a fresh backend reopens in
-    place (construct with the same ``directory`` and attach).
+    A backend stores ``(hidden, cell, last_time)`` triples keyed by
+    entity id on behalf of an :class:`~repro.runtime.EmbeddingStore`.
+    Lifecycle: construct (storage knobs only) → :meth:`attach` (the
+    owning store provides the state geometry, compute dtype and at-rest
+    codec) → ``get``/``put`` traffic → :meth:`snapshot` /
+    :meth:`restore` / :meth:`flush`.
 
-    Resident state memory is bounded by ``cache_shards * shard_capacity``
-    rows; everything else pages through the memmaps shard-by-shard.
+    Entities append to shards of ``shard_capacity`` rows in arrival
+    order; the entity→(shard, row) index and the last-event timestamps
+    stay in RAM (a few dozen bytes per entity).  ``directory`` says where
+    the shards live:
 
-    ``writeback="sync"`` (the default) encodes + writes a dirty shard on
-    the evicting thread — the historical behaviour, where the ingest
-    path pays for quantization and disk I/O inline.
-    ``writeback="async"`` hands evicted dirty shards to one background
-    writer thread instead: the ingest path only snapshots the shard's
-    row metadata and enqueues, and :meth:`flush` remains the durability
-    barrier (it waits for the writer to finish every queued eviction —
-    re-raising any deferred write error — before writing the manifest).
-    A queued-but-unwritten shard that is read again is reclaimed from
-    the queue without touching disk, so reads never observe stale
-    files.  Both modes store bit-identical bytes; async only moves
-    *when* they are written.
+    - ``None`` (the default): every shard stays in RAM, with no LRU and
+      no disk access until :meth:`snapshot` encodes the shards through
+      the codec.
+    - a path: shards live in ``.npy`` files under ``directory``.  A read
+      or write promotes the owning shard into an LRU of at most
+      ``cache_shards`` decoded shards; evicting a dirty shard encodes it
+      through the codec and writes it back.  :meth:`flush` writes back
+      every dirty hot shard and the manifest, after which the directory
+      is a complete state bundle that a fresh backend reopens in place
+      (construct with the same ``directory`` and attach).  Resident
+      state memory is bounded by ``cache_shards * shard_capacity`` rows
+      regardless of entity count.
+
+    :meth:`get` returns copies in both modes, so a later :meth:`put`
+    never changes a state that was already read.
     """
 
-    def __init__(self, directory, shard_capacity=1024, cache_shards=4,
-                 writeback="sync"):
-        super().__init__()
+    def __init__(self, directory=None, shard_capacity=1024, cache_shards=4):
         if shard_capacity < 1:
             raise ValueError("shard_capacity must be >= 1")
         if cache_shards < 1:
             raise ValueError("cache_shards must be >= 1")
-        if writeback not in ("sync", "async"):
-            raise ValueError("writeback must be 'sync' or 'async' (got %r)"
-                             % (writeback,))
-        self.directory = str(directory)
+        self.directory = None if directory is None else str(directory)
         self.shard_capacity = int(shard_capacity)
         self.cache_shards = int(cache_shards)
-        self.writeback = writeback
-        self._index = {}        # entity id -> (shard, row)
-        self._last = {}         # entity id -> float timestamp
-        self._shard_ids = []    # shard -> [entity ids in row order]
-        self._hot = OrderedDict()  # shard -> _HotShard (LRU order)
+        self.dim = None
+        self.kind = None
+        self.dtype = None
+        self.codec = None
         self.evictions = 0
         self.shard_loads = 0
-        self.async_writebacks = 0
-        # Background write-back machinery (writeback="async" only): one
-        # condition guards the job queue, the in-flight marker and the
-        # deferred-error list; the writer is a plain daemon thread.
-        self._wb_cond = threading.Condition()
-        self._wb_jobs = OrderedDict()  # shard -> (hot, ids, last_times)
-        self._wb_inflight = None       # shard currently being written
-        self._wb_errors = []
-        self._wb_closed = False
-        self._writer = None
-        if writeback == "async":
-            self._writer = threading.Thread(target=self._writeback_loop,
-                                            name="repro-memmap-writeback",
-                                            daemon=True)
-            self._writer.start()
+        self.clear()
 
     # -- lifecycle ------------------------------------------------------
     def attach(self, dim, kind, dtype, codec):
-        """Bind geometry/codec; reopen the directory if it holds state."""
-        super().attach(dim, kind, dtype, codec)
-        os.makedirs(self.directory, exist_ok=True)
-        if os.path.exists(os.path.join(self.directory, _MANIFEST_NAME)):
-            self._reopen()
+        """Bind the backend to a store's state geometry and codec.
+
+        ``kind`` names the state family: recurrent ``"gru"``/``"lstm"``
+        states (``"lstm"`` adds a cell buffer per entity) or
+        ``"transformer"`` pooled-embedding states (hidden buffer only,
+        like GRU).  On disk, a directory that already holds a state
+        bundle is reopened as the live state.
+        """
+        if kind not in ("gru", "lstm", "transformer"):
+            raise ValueError(
+                "kind must be 'gru', 'lstm' or 'transformer' (got %r)"
+                % kind)
+        self.dim = int(dim)
+        self.kind = kind
+        self.dtype = np.dtype(dtype)
+        self.codec = resolve_codec(codec)
+        if self.directory is not None:
+            os.makedirs(self.directory, exist_ok=True)
+            if os.path.exists(os.path.join(self.directory, _MANIFEST_NAME)):
+                self._reopen()
         return self
+
+    @property
+    def is_lstm(self):
+        """Whether stored states carry a cell buffer."""
+        return self.kind == "lstm"
 
     def _reopen(self):
         """Adopt an existing state bundle in ``directory`` as live state."""
@@ -699,10 +468,7 @@ class MemmapStateBackend(StateBackend):
                 "(or restore() through a snapshot to transcode)"
                 % (self.directory, manifest.get("codec"), self.codec.spec())
             )
-        self._index = {}
-        self._last = {}
-        self._shard_ids = []
-        self._hot = OrderedDict()
+        self.clear()
         for shard in range(int(manifest.get("shards", 0))):
             meta = load_arrays(_shard_files(self.directory, shard)[2])
             ids = meta["entity_ids"].tolist()
@@ -720,102 +486,20 @@ class MemmapStateBackend(StateBackend):
         return _HotShard(hidden, cell, dirty)
 
     def _admit(self, shard, hot):
-        """Insert a shard into the LRU, evicting (and writing back) LRUs."""
+        """Insert a shard into the disk LRU, evicting (and writing back) LRUs."""
         self._hot[shard] = hot
         self._hot.move_to_end(shard)
         while len(self._hot) > self.cache_shards:
             old_shard, old_hot = self._hot.popitem(last=False)
             if old_hot.dirty:
-                if self._writer is None:
-                    self._write_shard(old_shard, old_hot)
-                else:
-                    self._enqueue_writeback(old_shard, old_hot)
+                self._write_shard(self.directory, old_shard, old_hot)
             self.evictions += 1
 
-    def _enqueue_writeback(self, shard, hot):
-        """Queue an evicted dirty shard for the background writer.
-
-        The shard's entity-id row map and last-event times are
-        snapshotted *now*: the calling (ingest) thread keeps mutating
-        ``_shard_ids``/``_last`` after this returns.  The state buffers
-        themselves transfer safely — an evicted ``hot`` is no longer
-        reachable from the LRU, so nothing mutates it until a reclaim
-        pulls it back under the same condition lock.
-        """
-        ids = list(self._shard_ids[shard])
-        last_times = np.asarray([self._last[e] for e in ids],
-                                dtype=np.float64)
-        with self._wb_cond:
-            # A re-eviction of the same shard supersedes its queued job.
-            self._wb_jobs[shard] = (hot, ids, last_times)
-            self._wb_cond.notify_all()
-
-    def _writeback_loop(self):
-        """Writer thread: encode + persist queued shards, FIFO order."""
-        while True:
-            with self._wb_cond:
-                while not self._wb_jobs and not self._wb_closed:
-                    self._wb_cond.wait()
-                if not self._wb_jobs:
-                    return  # closed and drained
-                shard, (hot, ids, last_times) = self._wb_jobs.popitem(
-                    last=False)
-                self._wb_inflight = shard
-            try:
-                write_state_shard(
-                    self.directory, shard, ids, hot.hidden[:len(ids)],
-                    hot.cell[:len(ids)] if self.is_lstm else None,
-                    last_times, self.codec,
-                )
-                hot.dirty = False
-                with self._wb_cond:
-                    self.async_writebacks += 1
-            except Exception as error:  # deferred, surfaced at flush()
-                with self._wb_cond:
-                    self._wb_errors.append(error)
-            finally:
-                with self._wb_cond:
-                    self._wb_inflight = None
-                    self._wb_cond.notify_all()
-
-    def _reclaim_writeback(self, shard):
-        """Pull a queued (unwritten) eviction back as the hot buffer.
-
-        Returns the shard's still-dirty buffer if its write-back had not
-        started, else ``None`` — after waiting out an in-flight write of
-        this very shard, so the subsequent disk read sees the complete,
-        current file.
-        """
-        if self._writer is None:
-            return None
-        with self._wb_cond:
-            job = self._wb_jobs.pop(shard, None)
-            if job is not None:
-                return job[0]  # still dirty; never handed to the writer
-            while self._wb_inflight == shard:
-                self._wb_cond.wait()
-        return None
-
-    def _drain_writebacks(self):
-        """Wait until the writer queue is empty; re-raise deferred errors."""
-        if self._writer is None:
-            return
-        with self._wb_cond:
-            while self._wb_jobs or self._wb_inflight is not None:
-                self._wb_cond.wait()
-            errors, self._wb_errors = self._wb_errors, []
-        if errors:
-            raise errors[0]
-
     def _load_shard(self, shard):
-        """The hot buffer of ``shard``, promoting it from disk if cold."""
+        """Disk mode: the hot buffer of ``shard``, promoted from disk if cold."""
         hot = self._hot.get(shard)
         if hot is not None:
             self._hot.move_to_end(shard)
-            return hot
-        hot = self._reclaim_writeback(shard)
-        if hot is not None:
-            self._admit(shard, hot)
             return hot
         hot = self._new_hot(dirty=False)
         meta_path = _shard_files(self.directory, shard)[2]
@@ -831,78 +515,75 @@ class MemmapStateBackend(StateBackend):
         self._admit(shard, hot)
         return hot
 
-    def _write_shard(self, shard, hot):
-        """Encode and persist one shard's used rows."""
+    def _write_shard(self, directory, shard, hot):
+        """Encode and persist one shard's used rows under ``directory``."""
         ids = self._shard_ids[shard]
         rows = len(ids)
         last_times = np.asarray([self._last[e] for e in ids],
                                 dtype=np.float64)
         write_state_shard(
-            self.directory, shard, ids, hot.hidden[:rows],
+            directory, shard, ids, hot.hidden[:rows],
             hot.cell[:rows] if self.is_lstm else None, last_times,
             self.codec,
         )
         hot.dirty = False
 
+    def _write_manifest(self, directory):
+        """The bundle manifest describing every live shard."""
+        write_state_manifest(directory, self.kind, self.dim, self.codec,
+                             len(self._shard_ids), len(self),
+                             shard_capacity=self.shard_capacity)
+
     def _reserve(self, entity_id):
         """Assign a (shard, row) slot to a new entity (no data write)."""
-        if (not self._shard_ids
-                or len(self._shard_ids[-1]) >= self.shard_capacity):
-            self._shard_ids.append([])
-            self._admit(len(self._shard_ids) - 1, self._new_hot(dirty=True))
         shard = len(self._shard_ids) - 1
-        row = len(self._shard_ids[shard])
-        self._shard_ids[shard].append(entity_id)
-        self._index[entity_id] = (shard, row)
-        return shard, row
+        if shard < 0 or len(self._shard_ids[shard]) >= self.shard_capacity:
+            shard += 1
+            self._shard_ids.append([])
+            hot = self._new_hot(dirty=True)
+            if self.directory is None:
+                self._hot[shard] = hot
+            else:
+                self._admit(shard, hot)
+        ids = self._shard_ids[shard]
+        location = (shard, len(ids))
+        ids.append(entity_id)
+        self._index[entity_id] = location
+        return location
 
-    # -- the storage protocol ----------------------------------------------
+    # -- per-entity access -------------------------------------------------
     def get(self, entity_id):
-        """Decode one entity's state (fresh copies), or ``None``."""
+        """``(hidden, cell, last_time)`` as fresh copies, or ``None``."""
         location = self._index.get(entity_id)
         if location is None:
             return None
         shard, row = location
-        hot = self._load_shard(shard)
-        hidden = hot.hidden[row].copy()
-        cell = hot.cell[row].copy() if self.is_lstm else None
-        return hidden, cell, self._last.get(entity_id)
+        hot = (self._hot[shard] if self.directory is None
+               else self._load_shard(shard))
+        cell = hot.cell[row].copy() if hot.cell is not None else None
+        return hot.hidden[row].copy(), cell, self._last[entity_id]
 
     def put(self, entity_id, hidden, cell, last_time):
         """Write one entity's state into its (possibly new) shard row.
 
-        ``hidden`` (and ``cell`` for LSTM states) are ``(H,)`` buffers in
-        the backend's policy dtype; the shard row copies them.
+        ``hidden`` (and ``cell`` for LSTM states; ignored otherwise) are
+        ``(H,)`` buffers; the row assignment casts them to the backend's
+        dtype and copies them, so the caller keeps ownership of its
+        buffers.
         """
         location = self._index.get(entity_id)
         if location is None:
             location = self._reserve(entity_id)
         shard, row = location
-        hot = self._load_shard(shard)
+        if self.directory is None:
+            hot = self._hot[shard]
+        else:
+            hot = self._load_shard(shard)
+            hot.dirty = True
         hot.hidden[row] = hidden
-        if self.is_lstm:
+        if hot.cell is not None:
             hot.cell[row] = cell
-        hot.dirty = True
         self._last[entity_id] = float(last_time)
-
-    def update_many(self, items):
-        """Batched put with shard-local write order.
-
-        New entities reserve rows in input order (allocation stays
-        deterministic), then writes group by shard so a batch touching
-        many shards promotes each one once instead of ping-ponging
-        through the LRU.
-        """
-        items = list(items)
-        for entity_id, _, _, last_time in items:
-            if entity_id not in self._index:
-                self._reserve(entity_id)
-                # A reserved row's shard can be evicted (and written back)
-                # before its put below — give it a timestamp already.
-                self._last[entity_id] = float(last_time)
-        items.sort(key=lambda item: self._index[item[0]])
-        for entity_id, hidden, cell, last_time in items:
-            self.put(entity_id, hidden, cell, last_time)
 
     def entity_ids(self):
         """All stored entity ids."""
@@ -913,18 +594,11 @@ class MemmapStateBackend(StateBackend):
         return self._last.get(entity_id)
 
     def clear(self):
-        """Forget all live state (stale files are overwritten lazily)."""
-        if self._writer is not None:
-            with self._wb_cond:
-                # Queued write-backs describe state being dropped.
-                self._wb_jobs.clear()
-                while self._wb_inflight is not None:
-                    self._wb_cond.wait()
-                self._wb_errors = []
-        self._index = {}
-        self._last = {}
-        self._shard_ids = []
-        self._hot = OrderedDict()
+        """Forget all live state (stale disk files are overwritten lazily)."""
+        self._index = {}           # entity id -> (shard, row)
+        self._last = {}            # entity id -> float timestamp
+        self._shard_ids = []       # shard -> [entity ids in row order]
+        self._hot = OrderedDict()  # shard -> _HotShard (LRU order on disk)
 
     def __len__(self):
         return len(self._index)
@@ -932,129 +606,105 @@ class MemmapStateBackend(StateBackend):
     def __contains__(self, entity_id):
         return entity_id in self._index
 
-    # -- durability ---------------------------------------------------------
+    # -- persistence --------------------------------------------------------
     def flush(self):
-        """Write back every dirty shard + the bundle manifest.
+        """Write back every dirty hot shard + the bundle manifest.
 
-        With ``writeback="async"`` this is the durability barrier: it
-        first waits for the background writer to finish every queued
-        eviction (re-raising the oldest deferred write error, if any),
-        then writes the remaining dirty hot shards and the manifest on
-        the calling thread.
+        A no-op in RAM mode, which touches disk only in :meth:`snapshot`.
         """
-        self._drain_writebacks()
+        if self.directory is None:
+            return
         for shard, hot in self._hot.items():
             if hot.dirty:
-                self._write_shard(shard, hot)
-        write_state_manifest(self.directory, self.kind, self.dim, self.codec,
-                             len(self._shard_ids), len(self),
-                             shard_capacity=self.shard_capacity)
-
-    def close(self):
-        """Stop the background writer; idempotent.
-
-        Queued evictions are still written before the thread exits
-        (nothing is discarded) and deferred write errors are re-raised.
-        The backend stays usable afterwards — write-back just degrades
-        to synchronous.
-        """
-        if self._writer is None:
-            return
-        with self._wb_cond:
-            self._wb_closed = True
-            self._wb_cond.notify_all()
-        self._writer.join()
-        self._writer = None
-        errors, self._wb_errors = self._wb_errors, []
-        if errors:
-            raise errors[0]
+                self._write_shard(self.directory, shard, hot)
+        self._write_manifest(self.directory)
 
     def snapshot(self, directory):
-        """Flush, then copy the encoded shard files verbatim.
+        """Write the full state bundle to ``directory``.
 
-        Verbatim copies keep quantized snapshots **lossless relative to
-        the live files** — no decode/re-encode cycle, so snapshotting
-        never adds drift.  Snapshotting into the live directory is just
-        a flush.
+        RAM mode encodes every shard through the codec.  Disk mode
+        flushes, then copies the encoded shard files verbatim: no
+        decode/re-encode cycle, so a quantized snapshot is lossless
+        relative to the live files.  Snapshotting into the live
+        directory is just a flush.
         """
-        self.flush()
         target = os.path.abspath(str(directory))
-        if target == os.path.abspath(self.directory):
-            return
-        os.makedirs(target, exist_ok=True)
-        for shard in range(len(self._shard_ids)):
-            sources = _shard_files(self.directory, shard)
-            destinations = _shard_files(target, shard)
-            for source, destination in zip(sources, destinations):
-                if os.path.exists(source):
-                    shutil.copyfile(source, destination)
-        write_state_manifest(target, self.kind, self.dim, self.codec,
-                             len(self._shard_ids), len(self),
-                             shard_capacity=self.shard_capacity)
+        if self.directory is None:
+            os.makedirs(target, exist_ok=True)
+            for shard, hot in self._hot.items():
+                self._write_shard(target, shard, hot)
+        else:
+            self.flush()
+            if target == os.path.abspath(self.directory):
+                return
+            os.makedirs(target, exist_ok=True)
+            for shard in range(len(self._shard_ids)):
+                for source, destination in zip(
+                        _shard_files(self.directory, shard),
+                        _shard_files(target, shard)):
+                    if os.path.exists(source):
+                        shutil.copyfile(source, destination)
+        self._write_manifest(target)
 
-    def _meta_block_entities(self):
-        """Codec metadata amortises over one shard's capacity."""
-        return self.shard_capacity
+    def restore(self, directory):
+        """Replace all state with a bundle written by :meth:`snapshot`.
 
-    def _snapshot_shards(self):
-        """Decoded shard blocks (used only by cross-backend copies)."""
-        for shard, ids in enumerate(self._shard_ids):
-            hot = self._load_shard(shard)
-            rows = len(ids)
-            yield (list(ids), hot.hidden[:rows].copy(),
-                   hot.cell[:rows].copy() if self.is_lstm else None,
-                   np.asarray([self._last[e] for e in ids],
-                              dtype=np.float64))
+        The bundle decodes through **its own** recorded codec, then
+        re-encodes at rest through this backend's codec — so bundles
+        restore across codecs, shard sizes and modes.  Kind and state
+        width must match.
+        """
+        manifest = read_state_manifest(directory)
+        if manifest.get("kind") != self.kind:
+            raise ValueError(
+                "snapshot holds %s states but the runtime encoder is %s"
+                % (manifest.get("kind"), self.kind)
+            )
+        if int(manifest.get("dim", -1)) != self.dim:
+            raise ValueError(
+                "snapshot state width (%s,) does not match encoder hidden "
+                "size %d" % (manifest.get("dim"), self.dim)
+            )
+        codec = resolve_codec(manifest.get("codec"))
+        self.clear()
+        for index in range(int(manifest.get("shards", 0))):
+            ids, hidden, cell, last_times = read_state_shard(
+                directory, index, codec, self.dim, self.dtype,
+                with_cell=self.is_lstm, mmap=False,
+            )
+            for row, entity_id in enumerate(ids):
+                self.put(entity_id, hidden[row],
+                         cell[row] if cell is not None else None,
+                         last_times[row])
+        self.flush()
+        return self
+
+    # -- telemetry -----------------------------------------------------------
+    def bytes_per_entity(self):
+        """At-rest bytes per entity under this backend's codec + layout.
+
+        Counts the encoded state values, the per-shard codec metadata
+        amortised over the shard capacity, and the 8-byte last-event
+        timestamp.  With the identity codec this is ``dim * itemsize +
+        8`` (``2 * dim * itemsize + 8`` for LSTM); it is the number
+        recorded as ``bytes_per_entity`` in ``BENCH_serving.json``.
+        """
+        per_state = (self.codec.values_nbytes(1, self.dim, self.dtype)
+                     + self.codec.meta_nbytes(self.dim, self.dtype)
+                     / self.shard_capacity)
+        if self.is_lstm:
+            per_state *= 2
+        return float(per_state + 8.0)
 
     def stats(self):
-        """Shard/LRU telemetry on top of the base entity count."""
-        stats = super().stats()
-        with self._wb_cond:
-            queued = len(self._wb_jobs) + (self._wb_inflight is not None)
-        stats.update({
+        """Entity count plus shard and LRU telemetry."""
+        return {
+            "entities": len(self),
             "shards": len(self._shard_ids),
             "hot_shards": len(self._hot),
             "shard_capacity": self.shard_capacity,
             "cache_shards": self.cache_shards,
             "evictions": self.evictions,
             "shard_loads": self.shard_loads,
-            "writeback": self.writeback,
-            "queued_writebacks": queued,
-            "async_writebacks": self.async_writebacks,
-        })
-        return stats
+        }
 
-
-def resolve_backend(backend, backend_dir=None):
-    """Canonicalise a backend knob to a :class:`StateBackend` instance.
-
-    Accepts ``None``/``"dict"`` (a fresh :class:`DictStateBackend`),
-    ``"memmap"`` (a :class:`MemmapStateBackend` rooted at
-    ``backend_dir``, which is then required), a zero-arg callable
-    factory, or an existing instance (``backend_dir`` must be ``None``).
-    """
-    if isinstance(backend, StateBackend):
-        if backend_dir is not None:
-            raise ValueError(
-                "backend_dir conflicts with an explicit StateBackend "
-                "instance — the instance already owns its directory"
-            )
-        return backend
-    if callable(backend):
-        backend = backend()
-        if not isinstance(backend, StateBackend):
-            raise TypeError("backend factory must return a StateBackend")
-        return backend
-    if backend is None or backend == "dict":
-        return DictStateBackend()
-    if backend == "memmap":
-        if backend_dir is None:
-            raise ValueError(
-                "backend='memmap' needs a directory: pass backend_dir=... "
-                "(or construct MemmapStateBackend(directory) yourself)"
-            )
-        return MemmapStateBackend(backend_dir)
-    raise ValueError(
-        "unknown state backend %r (use 'dict', 'memmap', a factory, or a "
-        "StateBackend instance)" % (backend,)
-    )

@@ -15,21 +15,17 @@ state:
   entities at once through :func:`advance_entities` — the micro-batched
   ingestion path of :mod:`repro.serving`;
 - :meth:`save` / :meth:`load` persist the store between ETL runs as a
-  manifest-driven state bundle (``snapshot``/``restore`` remain as
-  deprecated aliases; :meth:`load` still reads the legacy flat ``.npz``).
+  manifest-driven state bundle.
 
 *Where* the states live — and how they are encoded at rest — is delegated
-to a pluggable :class:`~repro.runtime.StateBackend` +
+to a :class:`~repro.runtime.StateBackend` +
 :class:`~repro.runtime.StateCodec` pair (:mod:`repro.runtime.backends`):
-the default in-RAM dict backend preserves the historical behaviour, while
-the memmap backend pages fixed-capacity shards from disk so entity count
-is no longer bounded by RAM.
+row shards stay in RAM by default, while ``backend_dir`` pages them from
+disk so entity count is no longer bounded by RAM.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -37,8 +33,7 @@ import numpy as np
 
 from ..data.batches import collate
 from ..data.bucketing import plan_batches
-from ..nn.serialization import load_arrays
-from .backends import resolve_backend
+from .backends import StateBackend
 from .engine import FusedEncoderRuntime
 
 __all__ = ["EmbeddingStore", "AdvanceResult", "advance_entities",
@@ -120,8 +115,7 @@ def advance_entities(runtime, sequences, schema, state_of, put_state,
         Callable ``(entity_id, hidden, cell, last_time)`` — the state
         sink.  The two callables let one routine serve both a flat
         :class:`EmbeddingStore` and the shard-routed store of
-        :mod:`repro.serving` — over any
-        :class:`~repro.runtime.StateBackend`.
+        :mod:`repro.serving`.
     batch_size:
         Rows per fused batch (the bucketed plan's batch size).
     workers:
@@ -199,7 +193,7 @@ class EmbeddingStore:
 
     States are stored in the runtime's policy dtype (float32 halves the
     per-entity footprint; float64 is the parity reference) inside a
-    pluggable :class:`~repro.runtime.StateBackend`; a
+    :class:`~repro.runtime.StateBackend`; a
     :class:`~repro.runtime.StateCodec` controls the at-rest encoding
     (shard files and state bundles) independently of the compute
     precision.
@@ -223,16 +217,16 @@ class EmbeddingStore:
     workers:
         Bucket-parallel worker count forwarded to the runtime.
     backend:
-        Where state lives: ``"dict"``/None (in-RAM, the default),
-        ``"memmap"`` (out-of-core shards rooted at ``backend_dir``), a
-        zero-arg factory, or a :class:`~repro.runtime.StateBackend`
-        instance.
+        An injected :class:`~repro.runtime.StateBackend` instance (for
+        example one with small shards); None builds one from
+        ``backend_dir``.
     codec:
         At-rest encoding: ``"identity"``/None (lossless, the default),
         ``"float16"``, ``"int8"``, ``"uint4"``, or a
         :class:`~repro.runtime.StateCodec` instance.
     backend_dir:
-        Root directory of the ``"memmap"`` backend's live shards.
+        Where states live: None keeps them in RAM, a path keeps them in
+        memory-mapped shard files under it (out-of-core).
     """
 
     def __init__(self, encoder, precision=None, workers=None, backend=None,
@@ -254,7 +248,17 @@ class EmbeddingStore:
             if workers is not None:
                 kwargs["workers"] = workers
             self.runtime = FusedEncoderRuntime(encoder, **kwargs)
-        self.backend = resolve_backend(backend, backend_dir).attach(
+        if backend is None:
+            backend = StateBackend(backend_dir)
+        elif not isinstance(backend, StateBackend):
+            raise TypeError("backend must be a StateBackend instance "
+                            "(got %s)" % type(backend).__name__)
+        elif backend_dir is not None:
+            raise ValueError(
+                "backend_dir conflicts with an explicit StateBackend "
+                "instance — the instance already owns its directory"
+            )
+        self.backend = backend.attach(
             self.runtime.output_dim, self.runtime.state_kind,
             self.runtime.dtype, codec,
         )
@@ -286,9 +290,8 @@ class EmbeddingStore:
     def state_of(self, entity_id):
         """``(hidden, cell, last_time)`` of a known entity, else None.
 
-        ``cell`` is None for GRU runtimes.  The buffers are backend-owned
-        (the dict backend hands out its live arrays) — callers must not
-        mutate them.
+        ``cell`` is None for GRU runtimes.  The buffers are fresh
+        copies, so a later :meth:`put_state` never changes them.
         """
         return self.backend.get(entity_id)
 
@@ -296,7 +299,8 @@ class EmbeddingStore:
         """Record an entity's recurrent state (copies the buffers).
 
         ``hidden`` (and ``cell`` for LSTM runtimes) are ``(H,)`` buffers,
-        copied into the store's policy dtype on the way in.  ``last_time`` — the timestamp of the entity's latest folded event
+        copied into the store's policy dtype by the backend's row write.
+        ``last_time`` — the timestamp of the entity's latest folded event
         — is mandatory: without it the boundary time-delta of the next
         incremental update (and the state bundle format) would be
         undefined.
@@ -304,14 +308,9 @@ class EmbeddingStore:
         if last_time is None:
             raise ValueError("put_state requires the entity's last event "
                              "timestamp (last_time)")
-        hidden = np.array(hidden, dtype=self.runtime.dtype, copy=True)
-        if self.runtime.is_lstm:
-            if cell is None:
-                raise ValueError("LSTM states require a cell buffer")
-            cell = np.array(cell, dtype=self.runtime.dtype, copy=True)
-        else:
-            cell = None
-        self.backend.put(entity_id, hidden, cell, float(last_time))
+        if cell is None and self.backend.is_lstm:
+            raise ValueError("LSTM states require a cell buffer")
+        self.backend.put(entity_id, hidden, cell, last_time)
 
     # ------------------------------------------------------------------
     # bulk path
@@ -403,12 +402,8 @@ class EmbeddingStore:
     # persistence
     # ------------------------------------------------------------------
     def flush(self):
-        """Make pending backend writes durable (memmap write-back)."""
+        """Make pending backend writes durable (disk write-back)."""
         self.backend.flush()
-
-    def close(self):
-        """Release backend background resources (async write-back)."""
-        self.backend.close()
 
     def save(self, path):
         """Write the store's state bundle to directory ``path``.
@@ -416,60 +411,11 @@ class EmbeddingStore:
         The bundle is the manifest-driven layout of
         :mod:`repro.runtime.backends` (``state_manifest.json`` plus
         per-shard ``.npy``/``.npz`` files), encoded through the store's
-        codec.  Any backend can :meth:`load` a bundle written by any
-        other.
+        codec.  A store in either mode can :meth:`load` it.
         """
         self.backend.snapshot(path)
 
     def load(self, path):
-        """Load a state bundle (or legacy flat ``.npz``); returns self.
-
-        ``path`` is either a bundle directory written by :meth:`save` or
-        a flat ``.npz`` file written by the pre-backend ``snapshot()`` —
-        the legacy format stays readable so existing snapshots survive
-        the API change.
-        """
-        if os.path.isfile(str(path)):
-            return self._load_legacy_npz(path)
+        """Load a state bundle directory written by :meth:`save`; returns self."""
         self.backend.restore(path)
-        return self
-
-    def snapshot(self, path):
-        """Deprecated alias of :meth:`save` (kept for API stability)."""
-        warnings.warn("EmbeddingStore.snapshot() is deprecated; use "
-                      "save(path)", DeprecationWarning, stacklevel=2)
-        self.save(path)
-
-    def restore(self, path):
-        """Deprecated alias of :meth:`load` (kept for API stability)."""
-        warnings.warn("EmbeddingStore.restore() is deprecated; use "
-                      "load(path)", DeprecationWarning, stacklevel=2)
-        return self.load(path)
-
-    def _load_legacy_npz(self, path):
-        """Read the pre-backend single-``.npz`` snapshot format."""
-        arrays = load_arrays(path)
-        kind = str(arrays["kind"])
-        expected = self.runtime.state_kind
-        if kind != expected:
-            raise ValueError(
-                "snapshot holds %s states but the runtime encoder is %s"
-                % (kind, expected)
-            )
-        hidden = arrays["hidden"]
-        if hidden.shape[1:] != (self.runtime.output_dim,):
-            raise ValueError(
-                "snapshot state width %s does not match encoder hidden size %d"
-                % (hidden.shape[1:], self.runtime.output_dim)
-            )
-        dtype = self.runtime.dtype
-        self.backend.clear()
-        self.backend.update_many(
-            (entity_id, np.asarray(hidden[row], dtype=dtype),
-             (np.asarray(arrays["cell"][row], dtype=dtype)
-              if self.runtime.is_lstm else None),
-             float(arrays["last_times"][row]))
-            for row, entity_id in enumerate(arrays["entity_ids"].tolist())
-        )
-        self.backend.flush()
         return self

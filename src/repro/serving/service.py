@@ -13,12 +13,11 @@ serving stack:
 - **query(entity_ids)** serves embeddings through an LRU
   :class:`~repro.serving.EmbeddingCache`, flushing first whenever a
   requested entity has buffered events so a read is never stale;
-- **save(dir)/load(dir)** persist the sharded state between workers
-  (``snapshot``/``restore`` remain as deprecated aliases).
+- **save(dir)/load(dir)** persist the sharded state between workers.
 
-Where state lives is a construction knob: ``backend="memmap"`` (with
-``backend_dir=...``) pages per-shard states from disk instead of RAM,
-and ``codec="int8"``/``"uint4"``/``"float16"`` compresses them at rest —
+Where state lives is a construction knob: ``backend_dir=...`` pages
+per-shard states from disk instead of RAM, and
+``codec="int8"``/``"uint4"``/``"float16"`` compresses them at rest —
 see :mod:`repro.runtime.backends`.
 
 The service is **thread-safe**: one reentrant lock serialises every
@@ -37,7 +36,6 @@ full history to < 1e-10 — asserted by ``tests/serving/``.
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 
@@ -77,16 +75,16 @@ class EmbeddingService:
         Bucket-parallel worker count for flushes and bulk loads (None:
         the runtime default, serial; any value is bit-identical).
     backend:
-        Per-shard state storage forwarded to the sharded store:
-        ``"dict"``/None (in-RAM, the default), ``"memmap"`` (out-of-core
-        shards under ``backend_dir``), or a one-arg factory
-        ``index -> StateBackend``.
+        A one-arg factory ``index -> StateBackend`` forwarded to the
+        sharded store (for example with small shards); None builds each
+        shard's backend from ``backend_dir``.
     codec:
         At-rest :class:`~repro.runtime.StateCodec` (``"identity"``/None,
         ``"float16"``, ``"int8"``, ``"uint4"``); applies to shard files
         and state bundles, orthogonal to ``precision``.
     backend_dir:
-        Root directory of the ``"memmap"`` backend's per-shard state.
+        Where states live: None keeps them in RAM, a path keeps them in
+        memory-mapped per-shard files under it (out-of-core).
     """
 
     def __init__(self, encoder, schema, num_shards=8, cache_capacity=1024,
@@ -271,18 +269,6 @@ class EmbeddingService:
             self.store.load(directory)
             self.cache.clear()
         return self
-
-    def snapshot(self, directory):
-        """Deprecated alias of :meth:`save` (kept for API stability)."""
-        warnings.warn("EmbeddingService.snapshot() is deprecated; use "
-                      "save(directory)", DeprecationWarning, stacklevel=2)
-        self.save(directory)
-
-    def restore(self, directory):
-        """Deprecated alias of :meth:`load` (kept for API stability)."""
-        warnings.warn("EmbeddingService.restore() is deprecated; use "
-                      "load(directory)", DeprecationWarning, stacklevel=2)
-        return self.load(directory)
 
     # ------------------------------------------------------------------
     def stats(self):

@@ -13,12 +13,11 @@ partitioned:
   Python's salted ``hash``), so a snapshot written by one worker restores
   into any other;
 - each routing shard owns its own :class:`~repro.runtime.StateBackend`
-  (in-RAM dicts by default; ``backend="memmap"`` pages each shard's
-  states from its own directory under ``backend_dir``) and encodes at
-  rest through a shared :class:`~repro.runtime.StateCodec`;
+  (in RAM by default; ``backend_dir`` pages each shard's states from its
+  own directory under it) and encodes at rest through a shared
+  :class:`~repro.runtime.StateCodec`;
 - state bundles are one sub-directory per shard plus a JSON manifest
-  (:meth:`~ShardedEmbeddingStore.save` / :meth:`~ShardedEmbeddingStore.load`;
-  the legacy per-shard ``.npz`` snapshots stay readable);
+  (:meth:`~ShardedEmbeddingStore.save` / :meth:`~ShardedEmbeddingStore.load`);
 - bulk loads and micro-batched updates batch *across* shards — the fused
   kernels see the global length-bucketed plan, and final states scatter to
   their owning shards.
@@ -28,20 +27,16 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 import zlib
 
 import numpy as np
 
-from ..nn.serialization import load_arrays
 from ..runtime import EmbeddingStore, FusedEncoderRuntime
-from ..runtime.backends import (MemmapStateBackend, StateBackend,
-                                resolve_backend)
+from ..runtime.backends import StateBackend
 from ..runtime.store import advance_entities, bulk_load_states
 
 __all__ = ["ShardedEmbeddingStore", "route_entity"]
 
-_LEGACY_MANIFEST = "manifest.npz"
 _MANIFEST = "manifest.json"
 
 #: Format tag of the sharded state bundle manifest.
@@ -71,35 +66,35 @@ def route_entity(entity_id, num_shards):
 def _shard_backends(backend, backend_dir, num_shards):
     """One :class:`StateBackend` per routing shard.
 
-    ``backend`` may be ``None``/``"dict"`` (fresh dict backends),
-    ``"memmap"`` (per-shard :class:`MemmapStateBackend` directories
-    ``state_%04d`` under ``backend_dir``), or a one-arg callable
+    ``backend`` is None (one backend per shard: in RAM, or in directory
+    ``state_%04d`` under ``backend_dir`` when given) or a one-arg factory
     ``index -> StateBackend``.  A single shared instance is rejected:
     shards own disjoint state and cannot alias one backend.
     """
+    if backend is None:
+        return [StateBackend(None if backend_dir is None
+                             else os.path.join(str(backend_dir),
+                                               "state_%04d" % index))
+                for index in range(num_shards)]
     if isinstance(backend, StateBackend):
         raise ValueError(
             "a sharded store needs one backend per shard — pass a factory "
             "callable (index -> StateBackend) instead of a single instance"
         )
-    if backend == "memmap":
-        if backend_dir is None:
-            raise ValueError(
-                "backend='memmap' needs a directory: pass backend_dir=..."
-            )
-        return [MemmapStateBackend(os.path.join(str(backend_dir),
-                                                "state_%04d" % index))
-                for index in range(num_shards)]
-    if callable(backend):
-        backends = [backend(index) for index in range(num_shards)]
-        for candidate in backends:
-            if not isinstance(candidate, StateBackend):
-                raise TypeError("backend factory must return a StateBackend")
-        if len(set(map(id, backends))) != num_shards:
-            raise ValueError("backend factory returned the same instance "
-                             "for multiple shards")
-        return backends
-    return [resolve_backend(backend) for _ in range(num_shards)]
+    if not callable(backend):
+        raise TypeError("backend must be a factory index -> StateBackend "
+                        "(got %s)" % type(backend).__name__)
+    if backend_dir is not None:
+        raise ValueError("backend_dir conflicts with a backend factory — "
+                         "the factory chooses each shard's directory")
+    backends = [backend(index) for index in range(num_shards)]
+    for candidate in backends:
+        if not isinstance(candidate, StateBackend):
+            raise TypeError("backend factory must return a StateBackend")
+    if len(set(map(id, backends))) != num_shards:
+        raise ValueError("backend factory returned the same instance "
+                         "for multiple shards")
+    return backends
 
 
 class ShardedEmbeddingStore:
@@ -121,12 +116,14 @@ class ShardedEmbeddingStore:
     precision, workers:
         Runtime policy knobs, as on :class:`~repro.runtime.EmbeddingStore`.
     backend:
-        Per-shard state storage: ``"dict"``/None, ``"memmap"`` (rooted at
-        ``backend_dir``), or a one-arg factory ``index -> StateBackend``.
+        A one-arg factory ``index -> StateBackend`` building each shard's
+        backend (for example with small shards); None builds them from
+        ``backend_dir``.
     codec:
         At-rest :class:`~repro.runtime.StateCodec` shared by all shards.
     backend_dir:
-        Root directory of the ``"memmap"`` backend's per-shard state.
+        Where states live: None keeps them in RAM, a path keeps each
+        shard's states in memory-mapped files under ``state_%04d/``.
     """
 
     def __init__(self, encoder, num_shards=8, precision=None, workers=None,
@@ -266,18 +263,10 @@ class ShardedEmbeddingStore:
     def _shard_dir(self, directory, index):
         return os.path.join(str(directory), "shard_%04d" % index)
 
-    def _legacy_shard_path(self, directory, index):
-        return os.path.join(str(directory), "shard_%04d.npz" % index)
-
     def flush(self):
         """Make every shard backend's pending writes durable."""
         for shard in self.shards:
             shard.flush()
-
-    def close(self):
-        """Release every shard backend's background resources."""
-        for shard in self.shards:
-            shard.close()
 
     def save(self, directory):
         """Write every shard's state bundle under ``directory``.
@@ -290,7 +279,7 @@ class ShardedEmbeddingStore:
         directory = str(directory)
         os.makedirs(directory, exist_ok=True)
         manifest = {"format": SHARDED_FORMAT, "num_shards": self.num_shards,
-                    "kind": "lstm" if self.runtime.is_lstm else "gru"}
+                    "kind": self.runtime.state_kind}
         with open(os.path.join(directory, _MANIFEST), "w") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -298,48 +287,25 @@ class ShardedEmbeddingStore:
             shard.save(self._shard_dir(directory, index))
 
     def load(self, directory):
-        """Load a sharded bundle (or legacy snapshot); returns self.
+        """Load a sharded bundle written by :meth:`save`; returns self.
 
         The bundle's shard count must match this store's — routing is a
         function of ``num_shards``, so loading across a reshard would
-        silently misroute every lookup.  Directories written by the
-        pre-backend ``snapshot()`` (``manifest.npz`` + per-shard ``.npz``)
-        load transparently.
+        silently misroute every lookup.
         """
-        directory = str(directory)
-        manifest_path = os.path.join(directory, _MANIFEST)
-        legacy_path = os.path.join(directory, _LEGACY_MANIFEST)
-        if os.path.exists(manifest_path):
-            with open(manifest_path) as handle:
-                snapshot_shards = int(json.load(handle)["num_shards"])
-            shard_paths = [self._shard_dir(directory, index)
-                           for index in range(self.num_shards)]
-        elif os.path.exists(legacy_path):
-            snapshot_shards = int(load_arrays(legacy_path)["num_shards"])
-            shard_paths = [self._legacy_shard_path(directory, index)
-                           for index in range(self.num_shards)]
-        else:
+        manifest_path = os.path.join(str(directory), _MANIFEST)
+        if not os.path.exists(manifest_path):
             raise FileNotFoundError(
                 "no sharded snapshot manifest at %r" % manifest_path
             )
+        with open(manifest_path) as handle:
+            snapshot_shards = int(json.load(handle)["num_shards"])
         if snapshot_shards != self.num_shards:
             raise ValueError(
                 "snapshot holds %d shards but this store routes over %d; "
                 "construct the store with num_shards=%d to restore it"
                 % (snapshot_shards, self.num_shards, snapshot_shards)
             )
-        for shard, path in zip(self.shards, shard_paths):
-            shard.load(path)
+        for index, shard in enumerate(self.shards):
+            shard.load(self._shard_dir(directory, index))
         return self
-
-    def snapshot(self, directory):
-        """Deprecated alias of :meth:`save` (kept for API stability)."""
-        warnings.warn("ShardedEmbeddingStore.snapshot() is deprecated; use "
-                      "save(directory)", DeprecationWarning, stacklevel=2)
-        self.save(directory)
-
-    def restore(self, directory):
-        """Deprecated alias of :meth:`load` (kept for API stability)."""
-        warnings.warn("ShardedEmbeddingStore.restore() is deprecated; use "
-                      "load(directory)", DeprecationWarning, stacklevel=2)
-        return self.load(directory)

@@ -20,9 +20,8 @@ this module.
 from __future__ import annotations
 
 import os
+import tomllib
 from dataclasses import dataclass, field
-
-from ._toml import load_toml
 
 __all__ = ["Config", "load_config", "find_pyproject"]
 
@@ -66,7 +65,8 @@ def load_config(pyproject=None, start="."):
     path = pyproject or find_pyproject(start)
     if path is None:
         return Config()
-    table = load_toml(path).get("tool", {}).get("reprolint", {})
+    with open(path, "rb") as handle:
+        table = tomllib.load(handle).get("tool", {}).get("reprolint", {})
     if not isinstance(table, dict):
         return Config(source=path)
     rules = {

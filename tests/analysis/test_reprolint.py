@@ -237,29 +237,6 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
 
 
-def test_toml_fallback_parser_covers_config_subset():
-    # The 3.9 leg has no tomllib; the fallback must read our config shape.
-    from reprolint._toml import _parse
-    parsed = _parse(
-        '[tool.reprolint]\n'
-        'baseline = ".reprolint-baseline.json"\n'
-        'exclude = []\n'
-        '[tool.reprolint.rules.RP001]\n'
-        'enabled = true\n'
-        'scope = [\n'
-        '    "src/repro/runtime/",\n'
-        '    "src/repro/serving/",\n'
-        ']\n'
-    )
-    table = parsed["tool"]["reprolint"]
-    assert table["baseline"] == ".reprolint-baseline.json"
-    assert table["exclude"] == []
-    assert table["rules"]["RP001"] == {
-        "enabled": True,
-        "scope": ["src/repro/runtime/", "src/repro/serving/"],
-    }
-
-
 def test_run_skips_out_of_scope_files(tmp_path):
     pyproject, bad = _write_project(tmp_path)
     config = tmp_path / "scoped.toml"

@@ -7,13 +7,15 @@ Contracts under test:
   (property-tested across levels {4, 16, 256} and float32/float64
   inputs, exercising the precision-policy alignment of
   ``core/quantization.py``);
-- state bundles round-trip across backends and codecs — identity-codec
-  bundles exactly, quantized bundles within the codec's error bound —
-  and the memmap backend's LRU pages evicted shards back from disk
-  losslessly (identity) or within the bound (quantized);
-- serving through the memmap backend matches serving through the dict
-  backend: identity codec at 1e-10 against a cold recompute, quantized
-  codecs within an explicit measured drift bound.
+- the backend behaves the same in RAM (``directory=None``) and on disk:
+  reads are copies, identity-codec bundles round-trip exactly between
+  the two modes, and bundles in the earlier one-big-shard layout load;
+- state bundles round-trip across codecs — identity-codec bundles
+  exactly, quantized bundles within the codec's error bound — and the
+  disk mode's LRU pages evicted shards back losslessly (identity) or
+  within the bound (quantized);
+- serving from disk matches a cold recompute: identity codec at 1e-10,
+  quantized codecs within an explicit measured drift bound.
 """
 
 import numpy as np
@@ -22,14 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.inference import embed_dataset
+from repro.core.inference import embed_dataset, serve
 from repro.core.quantization import (pack_uint4, quantize_embeddings,
                                      unpack_uint4)
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
-from repro.runtime import (DictStateBackend, EmbeddingStore, Float16Codec,
-                           IdentityCodec, MemmapStateBackend, QuantizedCodec,
-                           StateBackend, resolve_backend, resolve_codec)
+from repro.runtime import (EmbeddingStore, Float16Codec, IdentityCodec,
+                           QuantizedCodec, StateBackend, resolve_codec)
+from repro.runtime.backends import write_state_manifest, write_state_shard
 
 
 @pytest.fixture(scope="module")
@@ -173,56 +175,173 @@ class TestCodecs:
 # backend resolution + bytes_per_entity
 # ----------------------------------------------------------------------
 class TestBackendResolution:
-    def test_resolve_backend(self, tmp_path):
-        assert isinstance(resolve_backend(None), DictStateBackend)
-        assert isinstance(resolve_backend("dict"), DictStateBackend)
-        memmap = resolve_backend("memmap", tmp_path / "state")
-        assert isinstance(memmap, MemmapStateBackend)
-        with pytest.raises(ValueError, match="backend_dir"):
-            resolve_backend("memmap")
-        instance = DictStateBackend()
-        assert resolve_backend(instance) is instance
+    def test_resolve_backend(self, dataset, tmp_path):
+        """States live in RAM unless ``backend_dir`` names a directory; an
+        injected instance is used as-is and already owns its directory."""
+        encoder = _encoder(dataset, "gru")
+        assert EmbeddingStore(encoder).backend.directory is None
+        flat = EmbeddingStore(encoder, backend_dir=tmp_path / "flat")
+        assert flat.backend.directory == str(tmp_path / "flat")
+        flat.bulk_load(dataset)
+        flat.flush()
+        assert (tmp_path / "flat" / "state_manifest.json").exists()
+
+        instance = StateBackend(shard_capacity=4)
+        assert EmbeddingStore(encoder, backend=instance).backend is instance
         with pytest.raises(ValueError, match="owns its directory"):
-            resolve_backend(instance, tmp_path / "other")
-        with pytest.raises(ValueError, match="unknown state backend"):
-            resolve_backend("redis")
-        factory = resolve_backend(DictStateBackend)
-        assert isinstance(factory, StateBackend)
+            EmbeddingStore(encoder, backend=StateBackend(),
+                           backend_dir=tmp_path / "other")
+        with pytest.raises(TypeError, match="StateBackend"):
+            EmbeddingStore(encoder, backend="memmap")
+
+        in_ram = serve(encoder, dataset=dataset, num_shards=2)
+        assert all(shard.backend.directory is None
+                   for shard in in_ram.store.shards)
+        on_disk = serve(encoder, dataset=dataset, num_shards=2,
+                        backend_dir=tmp_path / "svc")
+        directories = [shard.backend.directory
+                       for shard in on_disk.store.shards]
+        assert directories == [str(tmp_path / "svc" / "state_0000"),
+                               str(tmp_path / "svc" / "state_0001")]
+        on_disk.store.flush()
+        assert (tmp_path / "svc" / "state_0001"
+                / "state_manifest.json").exists()
+        with pytest.raises(ValueError, match="factory"):
+            serve(encoder, schema=dataset.schema, num_shards=2,
+                  backend=lambda index: StateBackend(),
+                  backend_dir=tmp_path / "both")
 
     def test_bytes_per_entity_reduction(self, tmp_path):
-        """int8 at-rest states are >= 4x smaller than the float64 dict
-        baseline — the BENCH_serving.json acceptance ratio."""
+        """int8 at-rest states are >= 4x smaller than the float64
+        identity baseline — the BENCH_serving.json acceptance ratio."""
         dim = 48
-        baseline = DictStateBackend().attach(dim, "gru", np.float64,
-                                             "identity")
+        baseline = StateBackend().attach(dim, "gru", np.float64, "identity")
         assert baseline.bytes_per_entity() == dim * 8 + 8
-        quantized = MemmapStateBackend(tmp_path / "s", shard_capacity=16)
+        quantized = StateBackend(tmp_path / "s", shard_capacity=16)
         quantized.attach(dim, "gru", np.float32, "int8")
         ratio = baseline.bytes_per_entity() / quantized.bytes_per_entity()
         assert ratio >= 4.0
 
-    def test_lstm_counts_both_buffers(self):
-        gru = DictStateBackend().attach(8, "gru", np.float64, None)
-        lstm = DictStateBackend().attach(8, "lstm", np.float64, None)
-        assert lstm.bytes_per_entity() == 2 * (gru.bytes_per_entity() - 8) + 8
+
+# ----------------------------------------------------------------------
+# behaviour shared by both modes: RAM (directory=None) and disk
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["ram", "disk"])
+def make_backend(request, tmp_path):
+    """Build backends in one mode: in RAM, or under ``tmp_path / name``."""
+    def make(name="state", **knobs):
+        directory = None if request.param == "ram" else tmp_path / name
+        return StateBackend(directory, **knobs)
+    return make
+
+
+class TestBothModes:
+    def test_get_returns_copies(self, make_backend):
+        backend = make_backend(shard_capacity=8)
+        backend.attach(6, "gru", np.float64, "identity")
+        hidden = np.arange(6.0)
+        backend.put(0, hidden, None, 1.0)
+        hidden[:] = -1.0  # the caller keeps ownership of its buffer
+        first, _, _ = backend.get(0)
+        first[:] = 1e9
+        np.testing.assert_array_equal(backend.get(0)[0], np.arange(6.0))
+
+    def test_read_unchanged_by_later_put(self, make_backend):
+        backend = make_backend(shard_capacity=4)
+        backend.attach(5, "lstm", np.float64, "identity")
+        backend.put(7, np.ones(5), np.full(5, 2.0), 1.0)
+        hidden, cell, last_time = backend.get(7)
+        backend.put(7, np.zeros(5), np.zeros(5), 2.0)
+        np.testing.assert_array_equal(hidden, np.ones(5))
+        np.testing.assert_array_equal(cell, np.full(5, 2.0))
+        assert last_time == 1.0
+        assert backend.get(7)[2] == 2.0
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_identity_bytes_per_entity(self, make_backend, dtype):
+        """Values at the state dtype plus the 8-byte timestamp; LSTM
+        states count both buffers."""
+        dim, itemsize = 8, np.dtype(dtype).itemsize
+        gru = make_backend("gru").attach(dim, "gru", dtype, None)
+        lstm = make_backend("lstm").attach(dim, "lstm", dtype, None)
+        assert gru.bytes_per_entity() == dim * itemsize + 8
+        assert lstm.bytes_per_entity() == 2 * dim * itemsize + 8
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_snapshot_roundtrip_across_modes(self, make_backend, kind,
+                                             tmp_path):
+        """Identity-codec bundles move between the modes bit-identically:
+        RAM → disk → RAM, and disk → RAM → disk."""
+        rng = np.random.default_rng(5)
+        states = {entity_id: (rng.normal(size=6),
+                              rng.normal(size=6) if kind == "lstm" else None,
+                              float(entity_id) / 3)
+                  for entity_id in range(30)}
+        source = make_backend("source", shard_capacity=8, cache_shards=2)
+        source.attach(6, kind, np.float64, "identity")
+        for entity_id, (hidden, cell, last_time) in states.items():
+            source.put(entity_id, hidden, cell, last_time)
+        source.snapshot(tmp_path / "bundle")
+
+        other = StateBackend(tmp_path / "other" if source.directory is None
+                             else None, shard_capacity=5, cache_shards=2)
+        other.attach(6, kind, np.float64, "identity")
+        other.restore(tmp_path / "bundle")
+        other.snapshot(tmp_path / "bundle2")
+        back = make_backend("back", shard_capacity=8, cache_shards=2)
+        back.attach(6, kind, np.float64, "identity")
+        back.restore(tmp_path / "bundle2")
+
+        for backend in (other, back):
+            assert len(backend) == len(states)
+            for entity_id, (hidden, cell, last_time) in states.items():
+                got_hidden, got_cell, got_last = backend.get(entity_id)
+                np.testing.assert_array_equal(got_hidden, hidden)
+                if kind == "lstm":
+                    np.testing.assert_array_equal(got_cell, cell)
+                assert got_last == last_time
+
+    def test_loads_one_big_shard_bundle(self, make_backend, tmp_path):
+        """A bundle in the earlier in-RAM snapshot layout — one 4096-row
+        shard with sorted ids and no recorded shard capacity — loads
+        exactly into 1024-row shards."""
+        rng = np.random.default_rng(3)
+        ids = np.sort(rng.choice(100_000, size=4096, replace=False))
+        hidden = rng.normal(size=(4096, 3))
+        last_times = rng.uniform(0, 100, size=4096)
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        write_state_shard(bundle, 0, ids, hidden, None, last_times,
+                          IdentityCodec())
+        write_state_manifest(bundle, "gru", 3, IdentityCodec(), 1, len(ids))
+
+        backend = make_backend(cache_shards=2)
+        backend.attach(3, "gru", np.float64, "identity")
+        backend.restore(bundle)
+        assert len(backend) == 4096
+        assert backend.stats()["shards"] == 4
+        for row, entity_id in enumerate(ids.tolist()):
+            got_hidden, _, got_last = backend.get(entity_id)
+            np.testing.assert_array_equal(got_hidden, hidden[row])
+            assert got_last == last_times[row]
 
 
 # ----------------------------------------------------------------------
-# memmap backend mechanics: LRU, eviction, reopen
+# disk mode mechanics: LRU, eviction, reopen
 # ----------------------------------------------------------------------
 class TestMemmapBackend:
     def _filled(self, tmp_path, codec="identity", entities=40,
                 shard_capacity=8, cache_shards=2, dim=6, rng_seed=0):
-        backend = MemmapStateBackend(tmp_path / "state",
-                                     shard_capacity=shard_capacity,
-                                     cache_shards=cache_shards)
+        backend = StateBackend(tmp_path / "state",
+                               shard_capacity=shard_capacity,
+                               cache_shards=cache_shards)
         backend.attach(dim, "gru", np.float64, codec)
         rng = np.random.default_rng(rng_seed)
         states = {}
         for entity_id in range(entities):
             hidden = rng.normal(size=dim)
             states[entity_id] = hidden
-            backend.put(entity_id, hidden.copy(), None, float(entity_id))
+            backend.put(entity_id, hidden, None, float(entity_id))
         return backend, states
 
     def test_eviction_then_readback_identity_is_lossless(self, tmp_path):
@@ -245,18 +364,11 @@ class TestMemmapBackend:
             got_hidden, _, _ = backend.get(entity_id)
             assert np.all(np.abs(got_hidden - hidden) <= bound)
 
-    def test_get_returns_copies(self, tmp_path):
-        backend, states = self._filled(tmp_path, entities=4)
-        first, _, _ = backend.get(0)
-        first[:] = 1e9
-        again, _, _ = backend.get(0)
-        np.testing.assert_array_equal(again, states[0])
-
     def test_flush_then_reopen_in_place(self, tmp_path):
         backend, states = self._filled(tmp_path)
         backend.flush()
-        reopened = MemmapStateBackend(tmp_path / "state", shard_capacity=8,
-                                      cache_shards=2)
+        reopened = StateBackend(tmp_path / "state", shard_capacity=8,
+                                cache_shards=2)
         reopened.attach(6, "gru", np.float64, "identity")
         assert len(reopened) == len(states)
         for entity_id, hidden in states.items():
@@ -266,40 +378,19 @@ class TestMemmapBackend:
         backend, _ = self._filled(tmp_path)
         backend.flush()
         with pytest.raises(ValueError, match="hidden size"):
-            MemmapStateBackend(tmp_path / "state").attach(
+            StateBackend(tmp_path / "state").attach(
                 9, "gru", np.float64, "identity")
         with pytest.raises(ValueError, match="gru"):
-            MemmapStateBackend(tmp_path / "state").attach(
+            StateBackend(tmp_path / "state").attach(
                 6, "lstm", np.float64, "identity")
         with pytest.raises(ValueError, match="codec"):
-            MemmapStateBackend(tmp_path / "state").attach(
+            StateBackend(tmp_path / "state").attach(
                 6, "gru", np.float64, "int8")
-
-    def test_snapshot_roundtrip_across_backends(self, tmp_path):
-        """A memmap bundle loads into a dict backend and vice versa —
-        the on-disk layout is backend-agnostic."""
-        backend, states = self._filled(tmp_path)
-        backend.snapshot(tmp_path / "bundle")
-
-        into_dict = DictStateBackend().attach(6, "gru", np.float64,
-                                              "identity")
-        into_dict.restore(tmp_path / "bundle")
-        assert len(into_dict) == len(states)
-        for entity_id, hidden in states.items():
-            np.testing.assert_array_equal(into_dict.get(entity_id)[0],
-                                          hidden)
-
-        into_dict.snapshot(tmp_path / "bundle2")
-        back = MemmapStateBackend(tmp_path / "state2", shard_capacity=8)
-        back.attach(6, "gru", np.float64, "identity")
-        back.restore(tmp_path / "bundle2")
-        for entity_id, hidden in states.items():
-            np.testing.assert_array_equal(back.get(entity_id)[0], hidden)
 
     def test_snapshot_into_live_directory_is_flush(self, tmp_path):
         backend, states = self._filled(tmp_path, entities=4)
         backend.snapshot(tmp_path / "state")
-        reopened = MemmapStateBackend(tmp_path / "state", shard_capacity=8)
+        reopened = StateBackend(tmp_path / "state", shard_capacity=8)
         reopened.attach(6, "gru", np.float64, "identity")
         assert len(reopened) == len(states)
 
@@ -313,20 +404,20 @@ class TestMemmapBackend:
 
 
 # ----------------------------------------------------------------------
-# store-level: serving through each backend/codec
+# store-level: serving from disk through each codec
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 class TestStoreOverBackends:
     def test_memmap_identity_matches_cold_recompute(self, dataset, cell,
                                                     tmp_path):
         """The PR 2 contract holds out-of-core: streaming through a
-        memmap-backed store with the identity codec lands within 1e-10 of
+        disk-mode store with the identity codec lands within 1e-10 of
         a cold full recompute, even with an LRU small enough to evict."""
         encoder = _encoder(dataset, cell)
         store = EmbeddingStore(
             encoder, precision="float64",
-            backend=MemmapStateBackend(tmp_path / "state", shard_capacity=4,
-                                       cache_shards=2),
+            backend=StateBackend(tmp_path / "state", shard_capacity=4,
+                                 cache_shards=2),
         )
         heads = [seq.slice(0, len(seq) // 2) for seq in dataset]
         tails = [seq.slice(len(seq) // 2, len(seq)) for seq in dataset]
@@ -346,8 +437,8 @@ class TestStoreOverBackends:
         encoder = _encoder(dataset, cell)
         store = EmbeddingStore(
             encoder, precision="float64", codec="int8",
-            backend=MemmapStateBackend(tmp_path / "state", shard_capacity=4,
-                                       cache_shards=2),
+            backend=StateBackend(tmp_path / "state", shard_capacity=4,
+                                 cache_shards=2),
         )
         heads = [seq.slice(0, len(seq) // 2) for seq in dataset]
         tails = [seq.slice(len(seq) // 2, len(seq)) for seq in dataset]
@@ -374,8 +465,8 @@ class TestStoreOverBackends:
 
         quantized = EmbeddingStore(
             encoder, precision="float64", codec="uint4",
-            backend=MemmapStateBackend(tmp_path / "qstate",
-                                       shard_capacity=4, cache_shards=2),
+            backend=StateBackend(tmp_path / "qstate",
+                                 shard_capacity=4, cache_shards=2),
         ).load(tmp_path / "exact")
         assert quantized.known_entities() == exact.known_entities()
         ids = exact.known_entities()
@@ -397,13 +488,11 @@ class TestStoreOverBackends:
 
     def test_sharded_memmap_service_roundtrip(self, dataset, cell,
                                               tmp_path):
-        """The full stack — serve() with backend='memmap' + int8 codec —
+        """The full stack — serve() with backend_dir + int8 codec —
         ingests, persists, and reloads."""
-        from repro.core.inference import serve
         encoder = _encoder(dataset, cell)
         service = serve(encoder, dataset=dataset, num_shards=2,
-                        backend="memmap", codec="int8",
-                        backend_dir=tmp_path / "live")
+                        codec="int8", backend_dir=tmp_path / "live")
         ids = [seq.seq_id for seq in dataset]
         served = service.query(ids)
         reference = embed_dataset(encoder, dataset, runtime="tensor")
@@ -411,167 +500,9 @@ class TestStoreOverBackends:
 
         service.save(tmp_path / "bundle")
         clone = serve(encoder, schema=dataset.schema, num_shards=2,
-                      backend="memmap", codec="int8",
-                      backend_dir=tmp_path / "live2")
+                      codec="int8", backend_dir=tmp_path / "live2")
         clone.load(tmp_path / "bundle")
         # the clone's states passed through one int8 encode at save time,
         # so they drift from the live (still hot, unquantized) states by
         # at most the codec bound.
         np.testing.assert_allclose(clone.query(ids), served, atol=0.05)
-
-
-# ----------------------------------------------------------------------
-# memmap backend: background (async) write-back of evicted shards
-# ----------------------------------------------------------------------
-class TestAsyncWriteback:
-    def _pair(self, tmp_path, entities=60, shard_capacity=8, cache_shards=2,
-              codec="identity", dim=6, seed=0):
-        """A sync and an async backend fed the identical put stream."""
-        sync = MemmapStateBackend(tmp_path / "sync",
-                                  shard_capacity=shard_capacity,
-                                  cache_shards=cache_shards)
-        kw = dict(shard_capacity=shard_capacity, cache_shards=cache_shards,
-                  writeback="async")
-        async_ = MemmapStateBackend(tmp_path / "async", **kw)
-        sync.attach(dim, "gru", np.float64, codec)
-        async_.attach(dim, "gru", np.float64, codec)
-        rng = np.random.default_rng(seed)
-        states = {}
-        for entity_id in range(entities):
-            hidden = rng.normal(size=dim)
-            states[entity_id] = hidden
-            sync.put(entity_id, hidden.copy(), None, float(entity_id))
-            async_.put(entity_id, hidden.copy(), None, float(entity_id))
-        return sync, async_, states
-
-    def test_writeback_knob_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="writeback"):
-            MemmapStateBackend(tmp_path / "state", writeback="eager")
-
-    def test_async_matches_sync_bit_identical(self, tmp_path):
-        """Same puts, same evictions — async read-back is bit-identical
-        to the sync backend with the identity codec."""
-        sync, async_, states = self._pair(tmp_path)
-        assert async_.evictions > 0
-        try:
-            for entity_id, hidden in states.items():
-                got_sync = sync.get(entity_id)
-                got_async = async_.get(entity_id)
-                np.testing.assert_array_equal(got_async[0], got_sync[0])
-                np.testing.assert_array_equal(got_async[0], hidden)
-                assert got_async[2] == got_sync[2] == float(entity_id)
-        finally:
-            async_.close()
-
-    def test_flush_is_durability_barrier(self, tmp_path):
-        """flush() drains the writer; a fresh backend on the directory
-        then sees every entity exactly."""
-        _, async_, states = self._pair(tmp_path)
-        async_.flush()
-        async_.close()
-        reopened = MemmapStateBackend(tmp_path / "async", shard_capacity=8,
-                                      cache_shards=2)
-        reopened.attach(6, "gru", np.float64, "identity")
-        assert len(reopened) == len(states)
-        for entity_id, hidden in states.items():
-            np.testing.assert_array_equal(reopened.get(entity_id)[0], hidden)
-
-    def test_reclaim_of_queued_shard_is_fresh(self, tmp_path):
-        """A shard read back while its write-back is still queued (or in
-        flight) returns current state — gated writer version."""
-        import threading
-
-        gate = threading.Event()
-
-        class Gated(MemmapStateBackend):
-            def _writeback_loop(inner):
-                gate.wait()
-                MemmapStateBackend._writeback_loop(inner)
-
-        backend = Gated(tmp_path / "state", shard_capacity=4,
-                        cache_shards=1, writeback="async")
-        backend.attach(3, "gru", np.float64, "identity")
-        rng = np.random.default_rng(1)
-        states = {}
-        # 16 entities over capacity-4 shards with a 1-shard LRU: every
-        # new shard evicts the previous; the writer is parked on `gate`,
-        # so evictions pile up in the queue.
-        for entity_id in range(16):
-            hidden = rng.normal(size=3)
-            states[entity_id] = hidden
-            backend.put(entity_id, hidden.copy(), None, float(entity_id))
-        assert backend.stats()["queued_writebacks"] > 0
-        try:
-            # Reads of queued-but-unwritten shards must reclaim the hot
-            # buffer (nothing is on disk yet for them).
-            for entity_id, hidden in states.items():
-                np.testing.assert_array_equal(backend.get(entity_id)[0],
-                                              hidden)
-        finally:
-            gate.set()
-            backend.close()
-        # After close, everything queued was still written (no loss).
-        backend.flush()
-        reopened = MemmapStateBackend(tmp_path / "state", shard_capacity=4,
-                                      cache_shards=1)
-        reopened.attach(3, "gru", np.float64, "identity")
-        for entity_id, hidden in states.items():
-            np.testing.assert_array_equal(reopened.get(entity_id)[0], hidden)
-
-    def test_close_is_idempotent_and_degrades_to_sync(self, tmp_path):
-        _, async_, _ = self._pair(tmp_path, entities=20)
-        async_.close()
-        async_.close()
-        assert async_._writer is None
-        # Still usable: further evictions just write synchronously.
-        rng = np.random.default_rng(7)
-        hidden = rng.normal(size=6)
-        async_.put(999, hidden.copy(), None, 999.0)
-        np.testing.assert_array_equal(async_.get(999)[0], hidden)
-
-    def test_clear_discards_queued_writebacks(self, tmp_path):
-        _, async_, _ = self._pair(tmp_path, entities=40)
-        try:
-            async_.clear()
-            assert len(async_) == 0
-            assert async_.stats()["queued_writebacks"] == 0
-        finally:
-            async_.close()
-
-    def test_stats_report_writeback_telemetry(self, tmp_path):
-        sync, async_, _ = self._pair(tmp_path)
-        try:
-            assert sync.stats()["writeback"] == "sync"
-            assert sync.stats()["async_writebacks"] == 0
-            stats = async_.stats()
-            assert stats["writeback"] == "async"
-            assert stats["queued_writebacks"] >= 0
-            async_.flush()
-            drained = async_.stats()
-            assert drained["queued_writebacks"] == 0
-            # every eviction was queued, and flush() drains the queue
-            assert drained["async_writebacks"] > 0
-        finally:
-            async_.close()
-
-    @pytest.mark.parametrize("cell", ["gru", "lstm"])
-    def test_store_over_async_backend_matches_dict(self, dataset, cell,
-                                                   tmp_path):
-        """End-to-end: an EmbeddingStore over the async memmap backend
-        matches the dict backend at 1e-10 with the identity codec."""
-        encoder = _encoder(dataset, cell)
-        backend = MemmapStateBackend(tmp_path / "state", shard_capacity=4,
-                                     cache_shards=2, writeback="async")
-        store = EmbeddingStore(encoder, precision="float64", backend=backend)
-        reference = EmbeddingStore(encoder, precision="float64",
-                                   backend=DictStateBackend())
-        store.update_many(list(dataset), dataset.schema, batch_size=5)
-        reference.update_many(list(dataset), dataset.schema, batch_size=5)
-        assert backend.evictions > 0
-        try:
-            for seq in dataset:
-                np.testing.assert_allclose(store.embedding(seq.seq_id),
-                                           reference.embedding(seq.seq_id),
-                                           rtol=0, atol=1e-10)
-        finally:
-            store.close()

@@ -3,8 +3,7 @@
 The serving guarantees under test: incremental refresh is bit-equal to a
 full recompute (the paper's Section 4.3.1 ETL property), bulk loading
 through the bucketed batch planner changes nothing, and a store survives
-a save/load round-trip mid-stream (including the legacy flat-npz format
-and the deprecated ``snapshot``/``restore`` aliases).
+a save/load round-trip mid-stream.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.core.inference import IncrementalEmbedder, embed_dataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
-from repro.nn.serialization import save_arrays
 from repro.runtime import EmbeddingStore
 
 
@@ -149,38 +147,6 @@ class TestStoreApi:
         wide = EmbeddingStore(_encoder(dataset, "gru", hidden=14))
         with pytest.raises(ValueError, match="width"):
             wide.load(path)
-
-    def test_deprecated_snapshot_restore_aliases(self, dataset, tmp_path):
-        """The pre-backend method names keep working, with a warning."""
-        encoder = _encoder(dataset, "gru")
-        store = EmbeddingStore(encoder)
-        store.update(3, dataset[0].slice(0, 10), dataset.schema)
-        path = tmp_path / "alias_state"
-        with pytest.warns(DeprecationWarning, match="save"):
-            store.snapshot(path)
-        fresh = EmbeddingStore(encoder)
-        with pytest.warns(DeprecationWarning, match="load"):
-            fresh.restore(path)
-        np.testing.assert_array_equal(fresh.embedding(3), store.embedding(3))
-
-    def test_load_reads_legacy_flat_npz(self, dataset, tmp_path):
-        """Snapshots written by the pre-backend format stay loadable."""
-        encoder = _encoder(dataset, "gru")
-        store = EmbeddingStore(encoder, precision="float64")
-        store.bulk_load(dataset)
-        ids = store.known_entities()
-        path = tmp_path / "legacy.npz"
-        save_arrays(path, {
-            "entity_ids": np.asarray(ids),
-            "hidden": np.stack([store.state_of(e)[0] for e in ids]),
-            "last_times": np.asarray([store.last_time(e) for e in ids]),
-            "kind": np.asarray("gru"),
-        })
-        loaded = EmbeddingStore(encoder, precision="float64").load(path)
-        assert loaded.known_entities() == ids
-        for entity_id in ids:
-            np.testing.assert_array_equal(loaded.embedding(entity_id),
-                                          store.embedding(entity_id))
 
 
 class TestIncrementalEmbedderFacade:

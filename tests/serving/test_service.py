@@ -247,18 +247,6 @@ class TestServicePersistence:
         with pytest.raises(RuntimeError, match="buffered events"):
             service.load(tmp_path / "svc")
 
-    def test_deprecated_snapshot_restore_aliases(self, dataset, tmp_path):
-        """The pre-backend method names keep working, with a warning."""
-        encoder = _encoder(dataset, "gru")
-        service = serve(encoder, dataset=dataset, num_shards=2)
-        with pytest.warns(DeprecationWarning, match="save"):
-            service.snapshot(tmp_path / "svc")
-        clone = serve(encoder, schema=dataset.schema, num_shards=2)
-        with pytest.warns(DeprecationWarning, match="load"):
-            clone.restore(tmp_path / "svc")
-        ids = [s.seq_id for s in dataset]
-        np.testing.assert_array_equal(clone.query(ids), service.query(ids))
-
     def test_serve_requires_schema_or_dataset(self, dataset):
         with pytest.raises(ValueError):
             serve(_encoder(dataset, "gru"))

@@ -6,13 +6,14 @@ The sharding guarantees under test: routing is deterministic and total
 and a per-shard snapshot survives a round-trip into a fresh store.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.inference import embed_dataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
-from repro.nn.serialization import save_arrays
 from repro.runtime import EmbeddingStore
 from repro.serving import ShardedEmbeddingStore, route_entity
 
@@ -186,48 +187,18 @@ class TestShardedPersistence:
         with pytest.raises(FileNotFoundError):
             store.load(tmp_path / "nowhere")
 
-    def test_deprecated_snapshot_restore_aliases(self, dataset, cell,
-                                                 tmp_path):
-        """The pre-backend method names keep working, with a warning."""
-        encoder = _encoder(dataset, cell)
-        store = ShardedEmbeddingStore(encoder, num_shards=3)
-        store.bulk_load(dataset)
-        with pytest.warns(DeprecationWarning, match="save"):
-            store.snapshot(tmp_path / "snap")
-        fresh = ShardedEmbeddingStore(encoder, num_shards=3)
-        with pytest.warns(DeprecationWarning, match="load"):
-            fresh.restore(tmp_path / "snap")
-        assert fresh.known_entities() == store.known_entities()
 
-    def test_load_reads_legacy_npz_snapshot(self, dataset, cell, tmp_path):
-        """Directories written by the pre-backend per-shard ``.npz``
-        snapshot format stay loadable."""
-        encoder = _encoder(dataset, cell)
-        store = ShardedEmbeddingStore(encoder, num_shards=2,
-                                      precision="float64")
-        store.bulk_load(dataset)
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        save_arrays(legacy_dir / "manifest.npz", {
-            "num_shards": np.asarray(2),
-            "kind": np.asarray(cell),
-        })
-        for index, shard in enumerate(store.shards):
-            ids = shard.known_entities()
-            arrays = {
-                "entity_ids": np.asarray(ids),
-                "hidden": np.stack([shard.state_of(e)[0] for e in ids]),
-                "last_times": np.asarray([shard.last_time(e) for e in ids]),
-                "kind": np.asarray(cell),
-            }
-            if cell == "lstm":
-                arrays["cell"] = np.stack([shard.state_of(e)[1]
-                                           for e in ids])
-            save_arrays(legacy_dir / ("shard_%04d.npz" % index), arrays)
-        loaded = ShardedEmbeddingStore(encoder, num_shards=2,
-                                       precision="float64")
-        loaded.load(legacy_dir)
-        assert loaded.known_entities() == store.known_entities()
-        for seq in dataset:
-            np.testing.assert_array_equal(loaded.embedding(seq.seq_id),
-                                          store.embedding(seq.seq_id))
+
+@pytest.mark.parametrize("cell", ["gru", "lstm", "transformer"])
+def test_save_manifest_kind_matches_shard_bundles(dataset, cell, tmp_path):
+    """The top-level manifest records the same state kind as every
+    per-shard bundle manifest (transformer bundles included)."""
+    store = ShardedEmbeddingStore(_encoder(dataset, cell), num_shards=2)
+    store.bulk_load(dataset)
+    store.save(tmp_path / "snap")
+    top = json.loads((tmp_path / "snap" / "manifest.json").read_text())
+    assert top["kind"] == store.runtime.state_kind
+    for index in range(2):
+        shard = json.loads((tmp_path / "snap" / ("shard_%04d" % index)
+                            / "state_manifest.json").read_text())
+        assert shard["kind"] == top["kind"]
