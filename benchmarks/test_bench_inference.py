@@ -2,21 +2,16 @@
 
 The deployment story of Section 4.3.1 is a hot bulk-embedding path: all
 entities are embedded once, then refreshed incrementally.  This bench
-measures ``embed_dataset`` throughput along both axes of the runtime
-refactor —
+measures the fused runtime's ``embed_dataset`` throughput along three
+axes —
 
-- execution path: autograd ``Tensor`` graph (the seed implementation)
-  vs the fused graph-free kernels of :mod:`repro.runtime`;
 - batch order: naive collation order (pads every batch to its random
   max) vs the length-bucketed planner of :mod:`repro.data.bucketing`;
-- precision policy: the float64 parity-reference path (bit-compatible
-  with the tensor graph, asserted at 1e-10) vs the default float32
-  policy on packed weight plans (drift-bounded against the same
-  reference);
-- encoder family: the fused attention kernels
-  (:mod:`repro.runtime.attention`) vs the autograd transformer graph —
-  the graph-free rewrite matters most here, since the Tensor path builds
-  one node per op across every ``(B, heads, T, T)`` attention map;
+- precision policy: the float64 parity-reference path vs the default
+  float32 policy on packed weight plans (drift-bounded against the
+  float64 run);
+- encoder family: the recurrent kernels and the fused attention
+  kernels (:mod:`repro.runtime.attention`);
 
 — plus the per-event cost of incremental refresh through the
 :class:`~repro.runtime.EmbeddingStore`.  Results are recorded through the
@@ -71,38 +66,24 @@ def _best_of(func, repeats=3):
 
 
 def _transformer_axis(dataset, events):
-    """Fused attention kernels vs the autograd transformer graph.
+    """Fused attention kernels; returns the float32 rate in events/s.
 
-    The tensor transformer is ~50x slower than the fused kernels on this
-    workload, so its reference rate is measured on a 1-in-4 subsample
-    (same cohort mix — the stride preserves the length distribution) and
-    compared per event; the fused rate is measured on the full dataset.
-    Returns ``(fused_rate, tensor_rate)`` in events/s.
+    The served float32 policy is drift-bounded against the float64
+    reference, checked on a 1-in-4 subsample (same cohort mix — the
+    stride preserves the length distribution).
     """
     transformer = build_encoder(dataset.schema, 48, "transformer",
                                 rng=np.random.default_rng(1))
     transformer.eval()
     sample = SequenceDataset(dataset.sequences[::4], dataset.schema,
                              name="longtail-sample")
-    sample_events = int(sample.lengths().sum())
-    reference, tensor_s = _best_of(
-        lambda: embed_dataset(dataset=sample, encoder=transformer,
-                              batch_size=64, runtime="tensor"), repeats=1)
-    sample64, _ = _best_of(
-        lambda: embed_dataset(dataset=sample, encoder=transformer,
-                              batch_size=64, runtime="fused",
-                              precision="float64"), repeats=1)
-    sample32, _ = _best_of(
-        lambda: embed_dataset(dataset=sample, encoder=transformer,
-                              batch_size=64, runtime="fused"), repeats=1)
-    # float64 is the 1e-10 parity reference; the served float32 policy is
-    # drift-bounded like the recurrent path.
-    np.testing.assert_allclose(sample64, reference, atol=1e-10)
-    np.testing.assert_allclose(sample32, reference, atol=1e-5)
+    reference = embed_dataset(transformer, sample, precision="float64")
+    np.testing.assert_allclose(embed_dataset(transformer, sample),
+                               reference, atol=1e-5)
     _, fused_s = _best_of(
         lambda: embed_dataset(dataset=dataset, encoder=transformer,
-                              batch_size=64, runtime="fused"))
-    return events / fused_s, sample_events / tensor_s
+                              batch_size=64))
+    return events / fused_s
 
 
 def test_inference_throughput(run_once, bench_record):
@@ -113,9 +94,9 @@ def test_inference_throughput(run_once, bench_record):
                                 rng=np.random.default_rng(0))
         encoder.eval()
         # float64 pins the historical op order exactly, so this runtime
-        # is the 1e-10 parity reference against the tensor graph; the
-        # default (float32) policy run below is bounded by the drift
-        # property instead.
+        # is the 1e-10 parity reference (tested against autograd in
+        # tests/runtime/); the default (float32) policy run below is
+        # bounded by the drift property instead.
         runtime_f64 = FusedEncoderRuntime(encoder, precision="float64")
 
         def fused_naive():
@@ -133,25 +114,21 @@ def test_inference_throughput(run_once, bench_record):
                 store.update(seq.seq_id, seq, dataset.schema)
             return store
 
-        reference, tensor_s = _best_of(
-            lambda: embed_dataset(dataset=dataset, encoder=encoder,
-                                  batch_size=64, runtime="tensor"))
         naive_out, fused_naive_s = _best_of(fused_naive)
-        fused64_out, fused64_s = _best_of(
+        reference, fused64_s = _best_of(
             lambda: embed_dataset(dataset=dataset, encoder=encoder,
-                                  batch_size=64, runtime="fused",
-                                  precision="float64"))
+                                  batch_size=64, precision="float64"))
         # The default serving policy: float32 compute on packed plans.
         fused_out, fused_s = _best_of(
             lambda: embed_dataset(dataset=dataset, encoder=encoder,
-                                  batch_size=64, runtime="fused"))
+                                  batch_size=64))
         _, incremental_s = _best_of(incremental_refresh)
         incremental_events = int(sum(len(seq)
                                      for seq in dataset.sequences[:60]))
-        trx_fused_rate, trx_tensor_rate = _transformer_axis(dataset, events)
+        trx_fused_rate = _transformer_axis(dataset, events)
 
+        # The bucketed plan changes nothing at float64.
         np.testing.assert_allclose(naive_out, reference, atol=1e-10)
-        np.testing.assert_allclose(fused64_out, reference, atol=1e-10)
         # float32 drift bound (property-tested in tests/runtime/
         # test_precision.py); observed drift is ~1e-7.
         np.testing.assert_allclose(fused_out, reference, atol=1e-5)
@@ -171,7 +148,6 @@ def test_inference_throughput(run_once, bench_record):
                     lengths, plan_batches(lengths, 64)),
             },
             "events_per_sec": {
-                "tensor_naive_seed": events / tensor_s,
                 "fused_naive": events / fused_naive_s,
                 # The default policy (float32 + packed plans) — the
                 # primary gated key.
@@ -180,57 +156,28 @@ def test_inference_throughput(run_once, bench_record):
                 "fused_bucketed_f64": events / fused64_s,
                 "incremental_store": incremental_events / incremental_s,
                 # The fused attention kernels (gated like the recurrent
-                # serving key); its tensor reference lives under
-                # baselines, not here, so the gate never tracks it.
+                # serving key).
                 "fused_transformer": trx_fused_rate,
             },
-            "baselines": {
-                # The autograd transformer graph, measured on a 1-in-4
-                # subsample of the same cohorts (per-event rate).
-                "transformer_tensor": trx_tensor_rate,
-            },
             "speedup": {
-                "fused_kernels": tensor_s / fused_naive_s,
                 "bucketed_planner": fused_naive_s / fused64_s,
                 "precision_policy": fused64_s / fused_s,
-                "total_vs_seed": tensor_s / fused_s,
-                "fused_transformer_vs_tensor":
-                    trx_fused_rate / trx_tensor_rate,
             },
         }
         bench_record("inference", results)
 
         table = ComparisonTable(
             "Serving throughput: fused runtime + bucketed planner",
-            ["path", "events/s", "vs seed"],
+            ["path", "events/s"],
         )
-        seed_rate = results["events_per_sec"]["tensor_naive_seed"]
-        for key in ("tensor_naive_seed", "fused_naive",
-                    "fused_bucketed_f64", "fused_bucketed"):
-            rate = results["events_per_sec"][key]
-            table.add_row(key, "%.0f" % rate, "%.1fx" % (rate / seed_rate))
-        table.add_row("incremental_store",
-                      "%.0f" % results["events_per_sec"]["incremental_store"],
-                      "-")
-        table.add_row("transformer_tensor",
-                      "%.0f" % trx_tensor_rate, "-")
-        table.add_row("fused_transformer", "%.0f" % trx_fused_rate,
-                      "%.1fx vs trx" % (trx_fused_rate / trx_tensor_rate))
+        for key in ("fused_naive", "fused_bucketed_f64", "fused_bucketed",
+                    "incremental_store", "fused_transformer"):
+            table.add_row(key, "%.0f" % results["events_per_sec"][key])
         table.print()
         return results
 
     results = run_once(experiment)
-    # Typical speedup on this workload is ~4x (recorded in the JSON, which
-    # is the artifact that tracks the trajectory); the assert floor is set
-    # below that so a noisy shared runner cannot flake the suite, while a
-    # real path regression (e.g. losing the packed-kernel fast path,
-    # ~1.2x) still fails loudly.
-    assert results["speedup"]["total_vs_seed"] >= 2.0
     # The planner axis alone must pay for itself on a skewed workload.
     assert results["speedup"]["bucketed_planner"] > 1.1
     # The float32 policy must beat the float64 reference path outright.
     assert results["speedup"]["precision_policy"] > 1.1
-    # The fused attention kernels vs the autograd transformer graph:
-    # observed ~50x (graph-free + packed qkv + float32); the floor is the
-    # same conservative 2x as the recurrent path.
-    assert results["speedup"]["fused_transformer_vs_tensor"] >= 2.0

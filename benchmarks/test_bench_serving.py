@@ -211,7 +211,7 @@ def test_serving_ingest_throughput(run_once, bench_record, tmp_path):
         # (the float64 paths are held to 1e-10 in tests/; observed f32
         # drift across batch shapes is ~1e-7).
         ids = [seq.seq_id for seq in dataset]
-        reference = embed_dataset(encoder, dataset, runtime="fused")
+        reference = embed_dataset(encoder, dataset)
         np.testing.assert_allclose(loop_store.embeddings(ids), reference,
                                    atol=1e-5)
         np.testing.assert_allclose(service.query(ids), reference, atol=1e-5)

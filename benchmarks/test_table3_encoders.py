@@ -3,10 +3,10 @@
 Paper finding: the encoder choice has little effect, with recurrent
 encoders slightly ahead of the transformer.
 
-All three columns train and embed on the fused graph-free engine under
-the default ``engine="auto"`` — the transformer column through the fused
-attention kernels of :mod:`repro.runtime.attention` since the attention
-port, which is what makes this table tractable on CI.
+All three columns train and embed on the fused graph-free runtime — the
+transformer column through the fused attention kernels of
+:mod:`repro.runtime.attention`, which is what makes this table
+tractable on CI.
 """
 
 from repro.experiments import run_table3

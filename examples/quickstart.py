@@ -34,10 +34,10 @@ def main():
     # 2. Phase 1 — self-supervised CoLES pre-training.
     #    Random slices (Algorithm 1) build positive pairs; the contrastive
     #    loss with hard negative mining shapes the embedding space.
-    #    Recurrent encoders train through the graph-free fused BPTT
-    #    runtime by default — same gradients as the autograd engine
-    #    (< 1e-8), several times faster (see docs/architecture.md and
-    #    BENCH_training.json); pass engine="tensor" to pin autograd.
+    #    Every encoder trains through the graph-free fused runtime
+    #    (hand-derived BPTT here) — the same gradients as reverse-mode
+    #    autograd to < 1e-8 (see docs/architecture.md and
+    #    BENCH_training.json).
     # ------------------------------------------------------------------
     model = CoLES(
         dataset.schema,
@@ -79,11 +79,9 @@ def main():
 
     # ------------------------------------------------------------------
     # 4b. Phase 2b — fine-tuning: attach a softmax head and train
-    #     jointly on the labels (updates the encoder in place).  Since
-    #     PR 5 this also defaults to engine="auto": recurrent encoders
-    #     fine-tune on the fused graph-free path (hand-derived
-    #     cross-entropy + head backward) and predict through the fused
-    #     runtime; pass engine="tensor" to pin autograd.
+    #     jointly on the labels (updates the encoder in place).  This
+    #     runs on the same fused path (hand-derived cross-entropy +
+    #     head backward) and predicts through the fused runtime.
     #     encoder_learning_rate trains the pre-trained encoder more
     #     gently than the fresh head.
     # ------------------------------------------------------------------

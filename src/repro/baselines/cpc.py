@@ -9,11 +9,11 @@ After pre-training, the RNN's final context state is the sequence
 embedding used for downstream tasks.
 
 The objective consumes *per-step* context states and event
-representations, so under the fused engine the loss runs through
-autograd on two leaf tensors over the fused forward's cached arrays
-(``FusedForwardCache.states`` / ``.events``) and the leaf gradients feed
-back through ``FusedTrainStep.backward(d_states=..., d_events=...)`` —
-the per-step counterpart of the loss-gradient interface.
+representations, so the loss runs through autograd on two leaf tensors
+over the fused forward's cached arrays (``FusedForwardCache.states`` /
+``.events``) and the leaf gradients feed back through
+``FusedTrainStep.backward(d_states=..., d_events=...)`` — the per-step
+counterpart of the loss-gradient interface.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..data.sequences import SequenceDataset
 from ..encoders import RnnSeqEncoder, TrxEncoder
 from ..nn import Adam, Linear, Tensor, clip_grad_norm
 from ..nn import functional as F
-from ..runtime.training import FusedTrainStep, resolve_engine
+from ..runtime.training import FusedTrainStep
 from .pretrain_common import (PretrainConfig, leaf_grad, pretrain_batches,
                               truncate_tail)
 
@@ -64,7 +64,6 @@ class CPC:
             for _ in range(num_horizons)
         ]
         self.history = []
-        self.engine = None  # resolved engine of the last fit()
 
     def _parameters(self):
         params = list(self.encoder.parameters())
@@ -76,9 +75,8 @@ class CPC:
         """InfoNCE loss from per-step context states and event targets.
 
         ``states`` is the ``(B, T, H)`` context tensor, ``events`` the
-        ``(B, T, D)`` event representations ``z`` — either live autograd
-        outputs (tensor engine) or leaf tensors over the fused forward's
-        cached arrays.  Returns ``(loss, num_terms)``.
+        ``(B, T, D)`` event representations ``z`` — leaf tensors over the
+        fused forward's cached arrays.  Returns ``(loss, num_terms)``.
 
         An anchor ``(b, t)`` for horizon ``k`` counts only when *both*
         position ``t`` (the context read) and position ``t+k`` (the
@@ -120,11 +118,7 @@ class CPC:
     def fit(self, dataset, config=None):
         """Pre-train on all sequences (labels unused)."""
         config = config or PretrainConfig()
-        engine = resolve_engine(config.engine, self.encoder)
-        self.engine = engine
-        fused_step = (FusedTrainStep(self.encoder,
-                                     precision=config.precision)
-                      if engine == "fused" else None)
+        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
         rng = np.random.default_rng(config.seed)
         truncated = SequenceDataset(
             [truncate_tail(seq, config.max_seq_length) for seq in dataset],
@@ -137,23 +131,17 @@ class CPC:
             for batch in pretrain_batches(truncated, config, rng):
                 if batch.batch_size < 2:
                     continue
-                if fused_step is not None:
-                    cache = fused_step.forward(batch)
-                    states = Tensor(cache.states, requires_grad=True)
-                    events = Tensor(cache.events, requires_grad=True)
-                else:
-                    cache = None
-                    events = self.encoder.trx_encoder(batch)      # (B, T, D)
-                    states, _ = self.encoder.rnn(events, mask=batch.mask)
+                cache = fused_step.forward(batch)
+                states = Tensor(cache.states, requires_grad=True)
+                events = Tensor(cache.events, requires_grad=True)
                 loss, _ = self._info_nce(states, events, batch.mask)
                 optimizer.zero_grad()
-                # On the fused engine this graph stops at the two
-                # leaves: the predictors get their gradients here and
-                # the encoder gets them from the fused BPTT below.
+                # This graph stops at the two leaves: the predictors get
+                # their gradients here and the encoder gets them from
+                # the fused BPTT below.
                 loss.backward()
-                if fused_step is not None:
-                    fused_step.backward(cache, d_states=leaf_grad(states),
-                                        d_events=leaf_grad(events))
+                fused_step.backward(cache, d_states=leaf_grad(states),
+                                    d_events=leaf_grad(events))
                 if config.clip_norm:
                     clip_grad_norm(self._parameters(), config.clip_norm)
                 optimizer.step()

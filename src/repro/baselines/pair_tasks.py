@@ -22,7 +22,7 @@ import numpy as np
 from ..data.batches import collate
 from ..nn import Adam, Linear, Tensor, clip_grad_norm, concat
 from ..nn import functional as F
-from ..runtime.training import FusedTrainStep, resolve_engine
+from ..runtime.training import FusedTrainStep
 from .pretrain_common import (PretrainConfig, leaf_grad, random_slice_pair,
                               truncate_tail)
 
@@ -38,7 +38,6 @@ class _PairPretrainer:
         rng = np.random.default_rng(seed)
         self.head = Linear(4 * encoder.output_dim, 1, rng=rng)
         self.history = []
-        self.engine = None  # resolved engine of the last fit()
 
     def _pair_features(self, emb_a, emb_b):
         return concat([emb_a, emb_b, emb_a * emb_b, emb_a - emb_b], axis=1)
@@ -53,11 +52,7 @@ class _PairPretrainer:
     def fit(self, dataset, config=None):
         """Pre-train the encoder through the pair objective."""
         config = config or PretrainConfig()
-        engine = resolve_engine(config.engine, self.encoder)
-        self.engine = engine
-        fused_step = (FusedTrainStep(self.encoder,
-                                     precision=config.precision)
-                      if engine == "fused" else None)
+        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
         rng = np.random.default_rng(config.seed)
         sequences = [truncate_tail(seq, config.max_seq_length) for seq in dataset]
         optimizer = Adam(self._parameters(), lr=config.learning_rate)
@@ -74,25 +69,19 @@ class _PairPretrainer:
                 first, second, labels = made
                 batch_a = collate(first, self.schema)
                 batch_b = collate(second, self.schema)
-                if fused_step is not None:
-                    cache_a = fused_step.forward(batch_a)
-                    cache_b = fused_step.forward(batch_b)
-                    emb_a = Tensor(cache_a.embeddings, requires_grad=True)
-                    emb_b = Tensor(cache_b.embeddings, requires_grad=True)
-                else:
-                    cache_a = cache_b = None
-                    emb_a = self.encoder.embed(batch_a)
-                    emb_b = self.encoder.embed(batch_b)
+                cache_a = fused_step.forward(batch_a)
+                cache_b = fused_step.forward(batch_b)
+                emb_a = Tensor(cache_a.embeddings, requires_grad=True)
+                emb_b = Tensor(cache_b.embeddings, requires_grad=True)
                 logits = self.head(self._pair_features(emb_a, emb_b)).reshape(-1)
                 loss = F.binary_cross_entropy_with_logits(logits, labels)
                 optimizer.zero_grad()
-                # On the fused engine this graph stops at the two
-                # embedding leaves: the head gets its gradients here and
-                # the encoder gets them from the fused BPTT below.
+                # This graph stops at the two embedding leaves: the head
+                # gets its gradients here and the encoder gets them from
+                # the fused backward below.
                 loss.backward()
-                if fused_step is not None:
-                    fused_step.backward(cache_a, leaf_grad(emb_a))
-                    fused_step.backward(cache_b, leaf_grad(emb_b))
+                fused_step.backward(cache_a, leaf_grad(emb_a))
+                fused_step.backward(cache_b, leaf_grad(emb_b))
                 if config.clip_norm:
                     clip_grad_norm(self._parameters(), config.clip_norm)
                 optimizer.step()

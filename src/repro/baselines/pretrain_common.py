@@ -26,15 +26,9 @@ class PretrainConfig:
     # Shuffle window (in batches) for the length-bucketed batch planner;
     # None disables bucketing.
     bucket_window: int | None = None
-    # Encoder execution engine: "auto" picks the fused graph-free BPTT
-    # runtime (repro.runtime.training) for recurrent encoders and falls
-    # back to the autograd tensor engine for transformers; "tensor" and
-    # "fused" pin an engine explicitly.  All four baselines (CPC, NSP,
-    # SOP, RTD) run on either engine with gradients equivalent to
-    # < 1e-8.
-    engine: str = "auto"
-    # Fused-engine compute dtype: "float64" (default, the parity
-    # reference) or "float32" (mixed precision).  Tensor engine: ignored.
+    # Compute dtype of the fused training step (repro.runtime.training),
+    # which every baseline runs on: "float64" (default, the parity
+    # reference) or "float32" (mixed precision).
     precision: str = "float64"
 
     def __post_init__(self):
@@ -44,11 +38,6 @@ class PretrainConfig:
             raise ValueError("batch_size must be >= 2 (negatives needed)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.engine not in ("auto", "tensor", "fused"):
-            raise ValueError(
-                "unknown engine %r (use 'auto', 'tensor' or 'fused')"
-                % self.engine
-            )
         if self.precision not in ("float32", "float64"):
             raise ValueError(
                 "unknown precision %r (use 'float32' or 'float64')"
@@ -59,7 +48,7 @@ class PretrainConfig:
 def leaf_grad(leaf):
     """A leaf tensor's accumulated gradient (zeros if it never got one).
 
-    The fused-engine loops wrap fused-forward outputs (embeddings,
+    The baseline loops wrap fused-forward outputs (embeddings,
     per-step states, event representations) in leaf tensors, run the
     objective through autograd, and feed the leaf gradients back into
     :meth:`~repro.runtime.FusedTrainStep.backward`.  An objective may

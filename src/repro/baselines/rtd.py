@@ -6,9 +6,9 @@ states learns to detect the replacements.  The encoder must model what is
 "normal" for the entity — an anomaly-detection flavour the paper notes
 works well for credit scoring.
 
-The detection head reads *per-step* states, so under the fused engine
-the head + BCE run through autograd on a leaf tensor over the fused
-forward's cached states and the leaf gradient feeds back through
+The detection head reads *per-step* states, so the head + BCE run
+through autograd on a leaf tensor over the fused forward's cached
+states and the leaf gradient feeds back through
 ``FusedTrainStep.backward(d_states=...)``.
 """
 
@@ -20,7 +20,7 @@ from ..data.sequences import SequenceDataset
 from ..encoders import RnnSeqEncoder, TrxEncoder
 from ..nn import Adam, Linear, Tensor, clip_grad_norm
 from ..nn import functional as F
-from ..runtime.training import FusedTrainStep, resolve_engine
+from ..runtime.training import FusedTrainStep
 from .pretrain_common import (PretrainConfig, leaf_grad, pretrain_batches,
                               truncate_tail)
 
@@ -95,7 +95,6 @@ class RTD:
         self.replace_prob = replace_prob
         self.head = Linear(hidden_size, 1, rng=rng)
         self.history = []
-        self.engine = None  # resolved engine of the last fit()
 
     def _parameters(self):
         return list(self.encoder.parameters()) + list(self.head.parameters())
@@ -103,8 +102,8 @@ class RTD:
     def _detection_loss(self, states, replaced, mask):
         """Per-event BCE of the detection head over valid positions.
 
-        ``states`` is the ``(B, T, H)`` state tensor — a live autograd
-        output (tensor engine) or a leaf over the fused cache.
+        ``states`` is the ``(B, T, H)`` state tensor, a leaf over the
+        fused cache.
         """
         logits = self.head(states).reshape(states.shape[0], states.shape[1])
         rows, cols = np.nonzero(mask)
@@ -129,11 +128,7 @@ class RTD:
     def fit(self, dataset, config=None):
         """Pre-train on all sequences (labels unused)."""
         config = config or PretrainConfig()
-        engine = resolve_engine(config.engine, self.encoder)
-        self.engine = engine
-        fused_step = (FusedTrainStep(self.encoder,
-                                     precision=config.precision)
-                      if engine == "fused" else None)
+        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
         rng = np.random.default_rng(config.seed)
         truncated = SequenceDataset(
             [truncate_tail(seq, config.max_seq_length) for seq in dataset],
@@ -147,20 +142,15 @@ class RTD:
                 if batch.batch_size < 2:
                     continue
                 corrupted, replaced = self._corrupted(batch, rng)
-                if fused_step is not None:
-                    cache = fused_step.forward(corrupted)
-                    states = Tensor(cache.states, requires_grad=True)
-                else:
-                    cache = None
-                    states, _ = self.encoder(corrupted)
+                cache = fused_step.forward(corrupted)
+                states = Tensor(cache.states, requires_grad=True)
                 loss = self._detection_loss(states, replaced, batch.mask)
                 optimizer.zero_grad()
-                # On the fused engine this graph stops at the states
-                # leaf: the head gets its gradients here and the encoder
-                # gets them from the fused BPTT below.
+                # This graph stops at the states leaf: the head gets its
+                # gradients here and the encoder gets them from the
+                # fused BPTT below.
                 loss.backward()
-                if fused_step is not None:
-                    fused_step.backward(cache, d_states=leaf_grad(states))
+                fused_step.backward(cache, d_states=leaf_grad(states))
                 if config.clip_norm:
                     clip_grad_norm(self._parameters(), config.clip_norm)
                 optimizer.step()

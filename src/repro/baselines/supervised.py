@@ -8,14 +8,13 @@ A :class:`SequenceClassifier` is a sequence encoder with a softmax head
   CoLES/CPC/RTD and continues training with the head.
 
 Like every other training loop, fine-tuning runs on the fused graph-free
-engine by default (``FineTuneConfig(engine="auto")`` resolves via
-:func:`repro.runtime.resolve_engine` for recurrent *and* transformer
-encoders): the encoder forward+backward is hand-derived (BPTT for
-GRU/LSTM, the attention reverse pass for transformers) and the
-cross-entropy + linear-head backward is closed-form
-(:func:`repro.runtime.softmax_head_gradient`), so no autograd graph is
-built at all.  Both engines produce the same gradients to < 1e-8,
-including distinct per-group learning rates for the encoder and the head.
+runtime for recurrent *and* transformer encoders: the encoder
+forward+backward is hand-derived (BPTT for GRU/LSTM, the attention
+reverse pass for transformers) and the cross-entropy + linear-head
+backward is closed-form (:func:`repro.runtime.softmax_head_gradient`),
+so no autograd graph is built at all.  Gradients match autograd to
+< 1e-8, including distinct per-group learning rates for the encoder and
+the head.
 """
 
 from __future__ import annotations
@@ -24,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.batches import collate, iterate_batches
-from ..encoders.seq_encoder import RnnSeqEncoder, TransformerSeqEncoder
-from ..nn import Adam, Linear, clip_grad_norm, no_grad
-from ..nn import functional as F
-from ..runtime.training import (FusedTrainStep, resolve_engine,
-                                softmax_head_probabilities)
+from ..data.batches import iterate_batches
+from ..nn import Adam, Linear, clip_grad_norm
+from ..runtime.training import FusedTrainStep, softmax_head_probabilities
 
 __all__ = ["FineTuneConfig", "SequenceClassifier"]
 
@@ -50,12 +46,9 @@ class FineTuneConfig:
     # Length-bucketing shuffle window (in batches) for the batch planner;
     # None keeps the fully random order.
     bucket_window: int | None = None
-    # Encoder execution engine: "auto" resolves to the fused graph-free
-    # runtime (repro.runtime.training) for every repro encoder family;
-    # "tensor" and "fused" pin one explicitly.
-    engine: str = "auto"
-    # Fused-engine compute dtype: "float64" (default, the parity
-    # reference) or "float32" (mixed precision).  Tensor engine: ignored.
+    # Compute dtype of the fused training step (repro.runtime.training):
+    # "float64" (default, the parity reference) or "float32" (mixed
+    # precision).
     precision: str = "float64"
 
     def __post_init__(self):
@@ -69,11 +62,6 @@ class FineTuneConfig:
             self.encoder_learning_rate = self.learning_rate
         elif self.encoder_learning_rate <= 0:
             raise ValueError("encoder_learning_rate must be positive")
-        if self.engine not in ("auto", "tensor", "fused"):
-            raise ValueError(
-                "unknown engine %r (use 'auto', 'tensor' or 'fused')"
-                % self.engine
-            )
         if self.precision not in ("float32", "float64"):
             raise ValueError(
                 "unknown precision %r (use 'float32' or 'float64')"
@@ -92,30 +80,22 @@ class SequenceClassifier:
         rng = np.random.default_rng(seed)
         self.head = Linear(encoder.output_dim, num_classes, rng=rng)
         self.history = []
-        self.engine = None  # resolved engine of the last fit()
-
-    def _logits(self, batch):
-        return self.head(self.encoder.embed(batch))
 
     def fit(self, dataset, config=None):
         """Train on the labeled part of ``dataset`` (unlabeled are ignored).
 
-        Under the resolved ``engine="fused"`` (the default for recurrent
-        encoders) each step is fully hand-derived: fused encoder forward,
-        closed-form cross-entropy + linear-head backward, fused BPTT.
-        The encoder's parameter group trains at
-        ``config.encoder_learning_rate`` and the head at
-        ``config.learning_rate`` on either engine.
+        Each step is fully hand-derived: fused encoder forward,
+        closed-form cross-entropy + linear-head backward, fused BPTT (or
+        the attention backward).  The encoder's parameter group trains
+        at ``config.encoder_learning_rate`` and the head at
+        ``config.learning_rate``.
         """
         config = config or FineTuneConfig()
         labeled = dataset.labeled()
         if len(labeled) == 0:
             raise ValueError("no labeled sequences to fit on")
         rng = np.random.default_rng(config.seed)
-        self.engine = resolve_engine(config.engine, self.encoder)
-        fused_step = (FusedTrainStep(self.encoder,
-                                     precision=config.precision)
-                      if self.engine == "fused" else None)
+        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
         encoder_params = list(self.encoder.parameters())
         head_params = list(self.head.parameters())
         parameters = encoder_params + head_params
@@ -132,14 +112,9 @@ class SequenceClassifier:
                                          bucket_window=config.bucket_window):
                 targets = batch.label_array()
                 optimizer.zero_grad()
-                if fused_step is not None:
-                    cache = fused_step.forward(batch)
-                    value = fused_step.backward_classification(
-                        cache, self.head, targets)
-                else:
-                    loss = F.cross_entropy(self._logits(batch), targets)
-                    loss.backward()
-                    value = loss.item()
+                cache = fused_step.forward(batch)
+                value = fused_step.backward_classification(cache, self.head,
+                                                           targets)
                 if config.clip_norm:
                     clip_grad_norm(parameters, config.clip_norm)
                 optimizer.step()
@@ -154,28 +129,19 @@ class SequenceClassifier:
     def predict_proba(self, dataset, batch_size=64, precision="float64"):
         """Class probabilities ``(N, C)`` for every sequence.
 
-        Every repro encoder (recurrent and transformer) runs through the
-        fused inference runtime
-        (:class:`~repro.runtime.FusedEncoderRuntime`, length-sorted batch
-        plan); custom encoders fall back to the Tensor path under
-        ``no_grad``.  Under the default ``precision="float64"`` the two
-        paths agree to < 1e-10; ``"float32"`` serves faster at a
-        property-bounded drift.
+        The encoder (recurrent or transformer) runs through the fused
+        inference runtime (:class:`~repro.runtime.FusedEncoderRuntime`,
+        length-sorted batch plan).  Under the default
+        ``precision="float64"`` the result matches the autograd modules
+        to < 1e-10; ``"float32"`` serves faster at a property-bounded
+        drift.
         """
+        from ..core.inference import embed_dataset
+
         self.encoder.eval()
-        if isinstance(self.encoder, (RnnSeqEncoder, TransformerSeqEncoder)):
-            embeddings = self.encoder.fused_runtime(
-                precision=precision).embed_dataset(dataset,
-                                                   batch_size=batch_size)
-            return softmax_head_probabilities(self.head, embeddings)
-        probs = np.zeros((len(dataset), self.num_classes))
-        with no_grad():
-            for start in range(0, len(dataset), batch_size):
-                chunk = dataset.sequences[start:start + batch_size]
-                batch = collate(chunk, dataset.schema)
-                logits = self._logits(batch)
-                probs[start:start + len(chunk)] = F.softmax(logits, axis=-1).data
-        return probs
+        embeddings = embed_dataset(self.encoder, dataset,
+                                   batch_size=batch_size, precision=precision)
+        return softmax_head_probabilities(self.head, embeddings)
 
     def predict(self, dataset, batch_size=64, precision="float64"):
         return self.predict_proba(dataset, batch_size,

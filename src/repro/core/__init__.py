@@ -2,7 +2,7 @@
 
 from .batching import augment_batch, coles_batches
 from .coles import CoLES
-from .inference import IncrementalEmbedder, embed_dataset, serve
+from .inference import embed_dataset, serve
 from .quantization import (
     QuantizedEmbeddings,
     pack_uint4,
@@ -18,7 +18,6 @@ __all__ = [
     "ContrastiveTrainer",
     "TrainConfig",
     "embed_dataset",
-    "IncrementalEmbedder",
     "serve",
     "quantize_embeddings",
     "QuantizedEmbeddings",

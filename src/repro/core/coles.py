@@ -78,14 +78,13 @@ class CoLES:
 
     # ------------------------------------------------------------------
     def fit(self, dataset, num_epochs=10, batch_size=16, learning_rate=0.002,
-            verbose=False, engine="auto"):
+            verbose=False):
         """Phase 1: self-supervised training on (possibly unlabeled) data.
 
-        The default ``engine="auto"`` trains recurrent encoders through
-        the graph-free BPTT runtime (:mod:`repro.runtime.training`) —
-        gradient-equivalent to the autograd engine to < 1e-8 and several
-        times faster — and transformers through the autograd tensor
-        engine.  Pass ``engine="tensor"`` or ``"fused"`` to pin one.
+        Every encoder type trains through the graph-free fused runtime
+        (:mod:`repro.runtime.training`): hand-derived BPTT for GRU/LSTM,
+        the attention reverse pass for transformers — gradient-equivalent
+        to autograd to < 1e-8.
         """
         config = TrainConfig(
             num_epochs=num_epochs,
@@ -93,7 +92,6 @@ class CoLES:
             learning_rate=learning_rate,
             seed=self.seed,
             verbose=verbose,
-            engine=engine,
         )
         self.trainer = ContrastiveTrainer(self.encoder, self.loss_fn,
                                           self.strategy, config)
@@ -112,17 +110,16 @@ class CoLES:
     # ------------------------------------------------------------------
     def fine_tune(self, dataset, num_classes=None, num_epochs=10,
                   batch_size=32, learning_rate=0.002,
-                  encoder_learning_rate=None, engine="auto"):
+                  encoder_learning_rate=None):
         """Phase 2b: attach a softmax head and train jointly on labels.
 
         Returns the fitted
         :class:`~repro.baselines.supervised.SequenceClassifier`; the
         encoder weights are updated in place (the classifier shares them).
-        Like :meth:`fit`, the default ``engine="auto"`` runs recurrent
-        encoders through the fused graph-free runtime (the cross-entropy
-        + head backward is hand-derived) and transformers through the
-        tensor engine; ``encoder_learning_rate`` trains the pre-trained
-        encoder more gently than the fresh head when set.
+        Like :meth:`fit`, every encoder type runs through the fused
+        graph-free runtime (the cross-entropy + head backward is
+        hand-derived too); ``encoder_learning_rate`` trains the
+        pre-trained encoder more gently than the fresh head when set.
         """
         from ..baselines.supervised import FineTuneConfig, SequenceClassifier
 
@@ -137,7 +134,7 @@ class CoLES:
             FineTuneConfig(num_epochs=num_epochs, batch_size=batch_size,
                            learning_rate=learning_rate,
                            encoder_learning_rate=encoder_learning_rate,
-                           seed=self.seed, engine=engine),
+                           seed=self.seed),
         )
         return classifier
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Adam, clip_grad_norm
+from ..runtime import training
 from .batching import coles_batches
 
 __all__ = ["TrainConfig", "ContrastiveTrainer"]
@@ -27,18 +28,15 @@ class TrainConfig:
     # Length-bucketing shuffle window (in batches) for the batch planner;
     # None keeps the fully random order.
     bucket_window: int | None = None
-    # Execution engine for the encoder's forward+backward:
-    # "auto"   — fused for every repro encoder, recurrent and transformer
-    #            (resolved per encoder by repro.runtime.resolve_engine);
-    # "tensor" — the autograd Tensor graph (works for every encoder);
-    # "fused"  — graph-free numpy (repro.runtime.training): hand-derived
-    # BPTT for GRU/LSTM, the attention reverse pass for transformers;
-    # gradient-equivalent to < 1e-8 and several times faster.
-    engine: str = "auto"
-    # Compute dtype of the fused engine: "float64" (default — the
-    # engine-parity reference, identical trajectories to the Tensor
-    # path) or "float32" (mixed precision: float32 compute/gradients,
-    # float64 master weights).  The Tensor engine ignores it.
+    # Training always runs on the fused runtime (repro.runtime.training),
+    # so "fused" is the only legal value.  The field stays because
+    # callers that pinned the engine explicitly (the perfbench harness
+    # among them) keep constructing TrainConfig(engine="fused").
+    engine: str = "fused"
+    # Compute dtype of the fused step: "float64" (default — the parity
+    # reference, the autograd trajectory to rounding) or "float32"
+    # (mixed precision: float32 compute/gradients, float64 master
+    # weights).
     precision: str = "float64"
 
     def __post_init__(self):
@@ -48,10 +46,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (negatives needed)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.engine not in ("auto", "tensor", "fused"):
+        if self.engine != "fused":
             raise ValueError(
-                "unknown engine %r (use 'auto', 'tensor' or 'fused')"
-                % self.engine
+                "unknown engine %r: training runs on the fused runtime "
+                "only (engine='fused')" % self.engine
             )
         if self.precision not in ("float32", "float64"):
             raise ValueError(
@@ -76,8 +74,9 @@ class ContrastiveTrainer:
     Parameters
     ----------
     encoder:
-        A :class:`~repro.encoders.SeqEncoder`; its ``embed`` output feeds
-        the loss.
+        An :class:`~repro.encoders.RnnSeqEncoder` or
+        :class:`~repro.encoders.TransformerSeqEncoder` (anything else
+        raises ``TypeError``); its embeddings feed the loss.
     loss_fn:
         Callable ``(embeddings, groups, rng) -> scalar Tensor``.
     strategy:
@@ -86,21 +85,13 @@ class ContrastiveTrainer:
     """
 
     def __init__(self, encoder, loss_fn, strategy, config=None):
-        from ..runtime.training import FusedTrainStep, resolve_engine
-
         self.encoder = encoder
         self.loss_fn = loss_fn
         self.strategy = strategy
         self.config = config or TrainConfig()
         self.history = []
-        # "auto" resolves to fused for every repro encoder family.  The
-        # resolved engine is kept for introspection.
-        self.engine = resolve_engine(self.config.engine, encoder)
-        if self.engine == "fused":
-            self._fused_step = FusedTrainStep(encoder,
-                                              precision=self.config.precision)
-        else:
-            self._fused_step = None
+        self._fused_step = training.FusedTrainStep(
+            encoder, precision=self.config.precision)
 
     def fit(self, dataset):
         """Run the self-supervised phase; returns the epoch history."""
@@ -135,28 +126,17 @@ class ContrastiveTrainer:
     def train_step(self, batch, optimizer, rng):
         """One optimisation step on a pre-built batch; returns the loss.
 
-        Under ``engine="fused"`` the encoder's forward+backward runs
-        through :class:`~repro.runtime.FusedTrainStep` (hand-derived
-        BPTT, no Tensor graph) and only the loss itself — a function of
-        the small ``(B, H)`` embedding matrix — goes through autograd via
-        the loss-gradient interface.  Both engines produce the same
-        gradients to < 1e-8, so clipping and the optimiser see identical
-        inputs either way.
+        The encoder's forward+backward runs through
+        :class:`~repro.runtime.FusedTrainStep` (hand-derived BPTT or
+        attention backward, no Tensor graph); only the loss itself — a
+        function of the small ``(B, H)`` embedding matrix — goes through
+        autograd via :func:`~repro.runtime.loss_gradient`.
         """
-        if self._fused_step is not None:
-            from ..runtime.training import loss_gradient
-
-            cache = self._fused_step.forward(batch)
-            value, d_embeddings = loss_gradient(
-                self.loss_fn, cache.embeddings, batch.seq_ids, rng=rng)
-            optimizer.zero_grad()
-            self._fused_step.backward(cache, d_embeddings)
-        else:
-            embeddings = self.encoder.embed(batch)
-            loss = self.loss_fn(embeddings, batch.seq_ids, rng=rng)
-            optimizer.zero_grad()
-            loss.backward()
-            value = loss.item()
+        cache = self._fused_step.forward(batch)
+        value, d_embeddings = training.loss_gradient(
+            self.loss_fn, cache.embeddings, batch.seq_ids, rng=rng)
+        optimizer.zero_grad()
+        self._fused_step.backward(cache, d_embeddings)
         if self.config.clip_norm:
             clip_grad_norm(self.encoder.parameters(), self.config.clip_norm)
         optimizer.step()

@@ -60,10 +60,8 @@ def fine_tune_and_evaluate(encoder, train_dataset, test_dataset,
     """Phase 2b: attach a softmax head, train jointly, score on test.
 
     ``encoder`` may be freshly initialised (supervised baseline) or carry
-    pre-trained weights (CoLES/CPC/RTD fine-tuning).  The engine comes
-    from ``config`` (default ``"auto"``: fused for every repro encoder,
-    recurrent and transformer alike), as do the per-group learning rates
-    and the batch plan — see
+    pre-trained weights (CoLES/CPC/RTD fine-tuning).  The per-group
+    learning rates, precision and batch plan come from ``config`` — see
     :class:`~repro.baselines.supervised.FineTuneConfig`.
     """
     train_labeled = train_dataset.labeled()

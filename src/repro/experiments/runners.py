@@ -26,7 +26,6 @@ from ..encoders import build_encoder
 from ..eval import (
     cross_val_features,
     evaluate_features,
-    evaluate_predictions,
     fine_tune_and_evaluate,
     task_metric,
 )
@@ -139,13 +138,8 @@ def phase2a_test_metric(profile, method, train, test, seed=0):
     )
 
 
-def phase2b_test_metric(profile, method, train, test, seed=0, engine="auto"):
-    """Table 7 protocol: (pre-trained) encoder + head fine-tuned on labels.
-
-    ``engine`` selects the fine-tuning execution engine (the default
-    ``"auto"`` resolves to fused for every profile encoder, recurrent
-    and transformer alike); pre-training keeps its own ``"auto"``.
-    """
+def phase2b_test_metric(profile, method, train, test, seed=0):
+    """Table 7 protocol: (pre-trained) encoder + head fine-tuned on labels."""
     test_labels = test.label_array()
     metric = task_metric(test_labels)
     config = FineTuneConfig(
@@ -153,7 +147,6 @@ def phase2b_test_metric(profile, method, train, test, seed=0, engine="auto"):
         batch_size=profile.batch_size,
         learning_rate=profile.learning_rate,
         seed=seed,
-        engine=engine,
     )
     if method == "designed":
         return phase2a_test_metric(profile, "designed", train, test, seed=seed)

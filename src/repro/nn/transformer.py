@@ -117,10 +117,10 @@ class TransformerEncoder(Module):
     def positional_slice(self, steps, dtype=np.float64):
         """The ``(1, steps, dim)`` positional slice, cached per (dtype, length).
 
-        Both execution engines read positions through this cache: the
-        Tensor path requests float64 (its compute dtype), the fused
-        runtime the dtype of its precision policy — so neither re-slices
-        (or re-casts) the table per forward.  Raises ``ValueError`` when
+        The autograd forward and the fused runtime both read positions
+        through this cache: the Tensor path requests float64 (its compute
+        dtype), the fused runtime the dtype of its precision policy — so
+        neither re-slices (or re-casts) the table per forward.  Raises ``ValueError`` when
         ``steps`` exceeds ``max_len``.
         """
         if steps > self.max_len:

@@ -16,14 +16,14 @@ The module follows the same three contracts as the recurrent kernels:
   :func:`transformer_plan_matches` invalidates on parameter-buffer
   identity exactly like :func:`repro.runtime.kernels.plan_matches`;
 - **precision policy** — plans carry the ``"float32"``/``"float64"``
-  compute dtype; float64 preserves the Tensor-engine op order and is the
-  parity reference (< 1e-10 forward, < 1e-8 gradients, property-tested
-  by ``tests/runtime/test_fused_transformer.py``);
+  compute dtype; float64 preserves the autograd modules' op order and
+  is the parity reference (< 1e-10 forward, < 1e-8 gradients,
+  property-tested by ``tests/runtime/test_fused_transformer.py``);
 - **training parity** — the train forward mirrors the autograd path's
   dropout draws (same rng objects, same draw order) and the backward
   reproduces autograd's ``masked_fill`` semantics (no gradient through
-  masked score positions), so both engines walk identical optimisation
-  trajectories.
+  masked score positions), so the fused step and the autograd modules
+  walk identical optimisation trajectories.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def _keep_mask(module, shape, dtype):
 
     Returns None when the module is in eval mode or ``p <= 0`` — i.e.
     when the autograd path would not consume an rng draw either, so the
-    two engines stay stream-aligned.
+    two paths stay stream-aligned.
     """
     if not module.training or module.p <= 0.0:
         return None
@@ -436,7 +436,7 @@ def transformer_forward_train(plan, x, mask=None):
     of the live stack (``plan.module``) consumes one ``rng.random`` draw
     per application, in the exact order the Tensor path consumes them
     (attention probabilities, attention residual, feed-forward residual,
-    per layer) — so with shared rng state both engines compute identical
+    per layer) — so with shared rng state both paths compute identical
     activations.
     """
     batch, steps, _ = x.shape

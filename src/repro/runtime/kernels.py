@@ -1098,8 +1098,8 @@ def _batchnorm_stats(norm, numeric, mask, training):
     Mirrors ``BatchNorm1d.forward`` exactly: training mode computes the
     masked batch statistics and folds them into the running buffers with
     the module's own momentum/_set_buffer, eval mode reads the running
-    buffers — so checkpoints from the fused and Tensor engines carry
-    identical statistics.  Always float64: the buffers are part of the
+    buffers — so checkpoints from the fused step and the autograd modules
+    carry identical statistics.  Always float64: the buffers are part of the
     checkpoint contract and must not depend on the compute policy.
     """
     if not training:

@@ -1,15 +1,13 @@
 """Fused training runtime: graph-free forward+backward for the encoder.
 
-PR 1 gave *inference* the fused kernels; training still stepped the
-autograd :class:`~repro.nn.Tensor` graph one timestep at a time.  This
-module closes that gap.  :class:`FusedTrainStep` runs a
-:class:`~repro.encoders.RnnSeqEncoder`'s whole training forward —
-event encoding with *training-mode* batch norm, the recurrence over a
-length-sorted packed batch, the unit-norm head — in raw numpy, and then
-backpropagates a loss gradient through hand-derived BPTT
-(:func:`repro.runtime.kernels.rnn_backward`) into the very
-:class:`~repro.nn.Parameter` objects the optimisers update.  No Tensor
-graph is ever built for the encoder.
+This is the only training engine.  :class:`FusedTrainStep` runs a repro
+sequence encoder's whole training forward — event encoding with
+*training-mode* batch norm, the recurrence over a length-sorted packed
+batch (or the attention stack for transformers), the unit-norm head — in
+raw numpy, and then backpropagates a loss gradient through hand-derived
+BPTT (:func:`repro.runtime.kernels.rnn_backward`) or the attention
+reverse pass into the very :class:`~repro.nn.Parameter` objects the
+optimisers update.  No Tensor graph is ever built for the encoder.
 
 The split of labour is the **loss-gradient interface**: the encoder side
 (the ``(B, T)`` hot path) is fused, while the loss itself still runs
@@ -32,14 +30,14 @@ The supervised fine-tuning head (softmax over classes) is simpler than
 either: cross-entropy through a single ``Linear`` has a closed-form
 gradient, so :func:`softmax_head_gradient` /
 :meth:`FusedTrainStep.backward_classification` hand-derive it too and no
-autograd graph is built at all — the last training loop over recurrent
-encoders runs fully fused.
+autograd graph is built at all.
 
-Equivalence contract: gradients match the autograd path to < 1e-8 and
-batch-norm running statistics update identically, so
-``TrainConfig(engine="fused")`` and ``engine="tensor"`` walk the same
-optimisation trajectory — property-tested by
-``tests/runtime/test_fused_training.py``.  The weights live in the same
+Equivalence contract: gradients match reverse-mode autograd through the
+:mod:`repro.nn` modules to < 1e-8 and batch-norm running statistics
+update identically, so a fused optimisation trajectory is the autograd
+one — property-tested by ``tests/runtime/test_fused_training.py`` and,
+loop by loop, against the test-side autograd oracle in
+``tests/oracles.py``.  The weights live in the same
 :class:`~repro.nn.CellWeights` layout, so a fused-trained encoder drops
 directly into :class:`~repro.runtime.FusedEncoderRuntime` and the serving
 stack.
@@ -56,25 +54,7 @@ from ..nn.tensor import Tensor
 from . import attention, kernels
 
 __all__ = ["FusedTrainStep", "FusedForwardCache", "loss_gradient",
-           "softmax_head_gradient", "softmax_head_probabilities",
-           "resolve_engine"]
-
-
-def resolve_engine(engine, encoder):
-    """Resolve the ``"auto"`` engine default for a concrete encoder.
-
-    Every repro sequence encoder — recurrent
-    (:class:`~repro.encoders.RnnSeqEncoder`) and transformer
-    (:class:`~repro.encoders.TransformerSeqEncoder`) — defaults to the
-    fused engine: gradient-equivalent to autograd and several times
-    faster.  Encoders outside those families (custom modules) fall back
-    to the Tensor engine.  Explicit ``"tensor"``/``"fused"`` requests
-    pass through unchanged, so pinning an engine still works.
-    """
-    if engine == "auto":
-        fused = isinstance(encoder, (RnnSeqEncoder, TransformerSeqEncoder))
-        return "fused" if fused else "tensor"
-    return engine
+           "softmax_head_gradient", "softmax_head_probabilities"]
 
 
 def loss_gradient(loss_fn, embeddings, groups, rng=None):
@@ -88,7 +68,7 @@ def loss_gradient(loss_fn, embeddings, groups, rng=None):
 
     Because the loss sees the same embedding values and the same ``rng``,
     negative sampling, pair mining and every loss variant behave exactly
-    as on the Tensor engine.
+    as they would on the encoder's own autograd output.
     """
     leaf = Tensor(embeddings, requires_grad=True)
     loss = loss_fn(leaf, groups, rng=rng)
@@ -184,7 +164,7 @@ class FusedForwardCache:
     def states(self):
         """Per-step hidden states ``(B, T, H)`` in batch order.
 
-        Identical to the Tensor path's ``rnn(x, mask=...)`` outputs:
+        Identical to the autograd ``encoder.rnn(x, mask=...)`` outputs:
         states at padded steps hold the frozen value of the last real
         step.  Per-step objectives (CPC, RTD) wrap this in a leaf tensor
         and feed the leaf gradient back as ``d_states``.
@@ -205,7 +185,7 @@ class FusedForwardCache:
 class FusedTrainStep:
     """Graph-free forward+backward for a recurrent sequence encoder.
 
-    Usage (what ``ContrastiveTrainer`` does under ``engine="fused"``)::
+    Usage (what ``ContrastiveTrainer.train_step`` does)::
 
         step = FusedTrainStep(encoder)
         cache = step.forward(batch)
@@ -242,7 +222,7 @@ class FusedTrainStep:
 
     ``precision`` selects the compute/cache dtype of the fused step:
     ``"float64"`` (the default — gradient-equivalent to autograd, the
-    engine-parity reference) or ``"float32"`` (mixed precision: forward,
+    parity reference) or ``"float32"`` (mixed precision: forward,
     cache and gradients in float32, master weights and optimizer state
     stay float64).
 
@@ -252,9 +232,8 @@ class FusedTrainStep:
     def __init__(self, encoder, precision="float64"):
         if not isinstance(encoder, (RnnSeqEncoder, TransformerSeqEncoder)):
             raise TypeError(
-                "the fused training engine requires an RnnSeqEncoder or "
-                "TransformerSeqEncoder (got %s); use "
-                "TrainConfig(engine=\"tensor\") for custom encoders"
+                "training runs on the fused runtime, which supports "
+                "RnnSeqEncoder and TransformerSeqEncoder only (got %s)"
                 % type(encoder).__name__
             )
         self.encoder = encoder
@@ -298,7 +277,7 @@ class FusedTrainStep:
         Training-mode semantics match ``encoder.embed(batch)`` with the
         encoder in train mode: batch norm uses (and updates) the masked
         batch statistics.  In eval mode the running statistics are used,
-        exactly like the Tensor path.
+        exactly like the autograd modules.
         """
         x, bn_scaled = kernels.encode_events_train(self.encoder.trx_encoder,
                                                    batch,

@@ -1,6 +1,8 @@
 """Tests for the self-supervised baselines: CPC, NSP, SOP, RTD and the
 supervised classifier used for fine-tuning."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.baselines import (
 from repro.data import collate
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
+from tests.oracles import autograd_steps
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +63,9 @@ class TestHelpers:
 
 class TestPretrainConfig:
     def test_engine_validated(self):
-        with pytest.raises(ValueError):
-            PretrainConfig(engine="cuda")
+        """Every baseline trains on the fused step: no engine knob."""
+        with pytest.raises(TypeError):
+            PretrainConfig(engine="fused")
 
     def test_numeric_fields_validated(self):
         """PretrainConfig rejects the same degenerate values TrainConfig does."""
@@ -381,9 +385,12 @@ class TestSequenceClassifier:
         before = {name: value.copy()
                   for name, value in encoder.state_dict().items()}
         head_before = clf.head.weight.data.copy()
-        clf.fit(dataset, FineTuneConfig(
+        config = FineTuneConfig(
             num_epochs=1, batch_size=len(dataset), learning_rate=head_lr,
-            encoder_learning_rate=encoder_lr, seed=0, engine=engine))
+            encoder_learning_rate=encoder_lr, seed=0)
+        # "tensor" steps through the autograd oracle, "fused" the runtime.
+        with autograd_steps() if engine == "tensor" else nullcontext():
+            clf.fit(dataset, config)
         after = encoder.state_dict()
         deltas = [np.max(np.abs(after[name] - before[name]))
                   for name, param in encoder.named_parameters()]

@@ -1,11 +1,10 @@
 """Tests for the deployment features of Section 4.3.1: incremental
-embedding updates and uint4 quantization."""
+embedding updates (through ``EmbeddingStore``) and uint4 quantization."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    IncrementalEmbedder,
     embed_dataset,
     pack_uint4,
     quantize_embeddings,
@@ -13,6 +12,7 @@ from repro.core import (
 )
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
+from repro.runtime import EmbeddingStore
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +37,14 @@ class TestEmbedDataset:
 
 
 class TestIncrementalEmbedder:
+    """The paper's ETL client: ``EmbeddingStore.update`` per entity."""
+
     def test_rejects_transformer(self, world):
         dataset, _ = world
         transformer = build_encoder(dataset.schema, 8, "transformer")
         with pytest.raises(TypeError):
-            IncrementalEmbedder(transformer)
+            EmbeddingStore(transformer).update(0, dataset[0].slice(0, 5),
+                                               dataset.schema)
 
     def test_lstm_incremental_equals_full(self, world):
         """Extension beyond the paper: LSTM state carry-over also works."""
@@ -49,49 +52,49 @@ class TestIncrementalEmbedder:
         encoder = build_encoder(dataset.schema, 12, "lstm",
                                 rng=np.random.default_rng(5))
         encoder.eval()
-        embedder = IncrementalEmbedder(encoder, precision="float64")
+        store = EmbeddingStore(encoder, precision="float64")
         full = embed_dataset(encoder, dataset, precision="float64")
         seq = dataset[0]
         mid = len(seq) // 2
-        embedder.update(seq.seq_id, seq.slice(0, mid), dataset.schema)
-        embedder.update(seq.seq_id, seq.slice(mid, len(seq)), dataset.schema)
-        np.testing.assert_allclose(embedder.embedding(seq.seq_id), full[0],
+        store.update(seq.seq_id, seq.slice(0, mid), dataset.schema)
+        store.update(seq.seq_id, seq.slice(mid, len(seq)), dataset.schema)
+        np.testing.assert_allclose(store.embedding(seq.seq_id), full[0],
                                    rtol=1e-8)
 
     def test_incremental_equals_full_recompute(self, world):
         """The paper's ETL property: c_{t+k} from c_t and the new events."""
         dataset, encoder = world
-        embedder = IncrementalEmbedder(encoder, precision="float64")
+        store = EmbeddingStore(encoder, precision="float64")
         full = embed_dataset(encoder, dataset, precision="float64")
         for row, seq in enumerate(dataset):
             # Feed the sequence in three chunks.
             cuts = [0, len(seq) // 3, 2 * len(seq) // 3, len(seq)]
             for start, stop in zip(cuts[:-1], cuts[1:]):
                 if stop > start:
-                    embedder.update(seq.seq_id, seq.slice(start, stop),
+                    store.update(seq.seq_id, seq.slice(start, stop),
                                     dataset.schema)
             np.testing.assert_allclose(
-                embedder.embedding(seq.seq_id), full[row], rtol=1e-8,
+                store.embedding(seq.seq_id), full[row], rtol=1e-8,
                 err_msg="entity %d" % seq.seq_id,
             )
 
     def test_unknown_entity_raises(self, world):
         _, encoder = world
         with pytest.raises(KeyError):
-            IncrementalEmbedder(encoder).embedding(123)
+            EmbeddingStore(encoder).embedding(123)
 
     def test_empty_update_raises(self, world):
         dataset, encoder = world
-        embedder = IncrementalEmbedder(encoder)
+        store = EmbeddingStore(encoder)
         empty = dataset[0].slice(0, 0)
         with pytest.raises(ValueError):
-            embedder.update(0, empty, dataset.schema)
+            store.update(0, empty, dataset.schema)
 
     def test_known_entities_tracked(self, world):
         dataset, encoder = world
-        embedder = IncrementalEmbedder(encoder)
-        embedder.update(5, dataset[0].slice(0, 10), dataset.schema)
-        assert embedder.known_entities() == [5]
+        store = EmbeddingStore(encoder)
+        store.update(5, dataset[0].slice(0, 10), dataset.schema)
+        assert store.known_entities() == [5]
 
 
 class TestQuantization:

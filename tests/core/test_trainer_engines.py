@@ -1,27 +1,32 @@
-"""Engine selection in the training loops: fused vs tensor.
+"""The training loops on the fused runtime vs the autograd oracle.
 
-``TrainConfig(engine=...)`` (and ``PretrainConfig(engine=...)`` for the
-baselines) switches the encoder's forward+backward between the autograd
-graph and the fused graph-free runtime (hand-derived BPTT for GRU/LSTM,
-the attention reverse pass for transformers); the default ``"auto"``
-resolves to fused for every repro encoder.  The contract tested here:
+Every training loop steps the encoder through ``FusedTrainStep``
+(graph-free forward, hand-derived BPTT for GRU/LSTM, the attention
+reverse pass for transformers).  ``tests.oracles.autograd_steps`` swaps
+in the autograd ``AutogradTrainStep`` for the same loops, and the
+contract tested here is that the two are one optimisation:
 
-- after 0 steps the engines are indistinguishable — byte-identical
-  checkpoints (selecting an engine must not touch the weights);
+- after 0 steps they are indistinguishable — byte-identical checkpoints
+  (building the step must not touch the weights);
 - after N real optimisation steps on synthetic data the trained weights
   agree to < 1e-8 (same gradients -> same Adam trajectory) — for the
   final-embedding objectives (CoLES, NSP/SOP), the per-step ones
   (CPC, RTD) *and* supervised fine-tuning (``FineTuneConfig``,
   GRU+LSTM+transformer x bucketed/unsorted batches x fresh/pre-trained
   encoder, with and without a distinct ``encoder_learning_rate``);
-- "auto" picks fused for GRU, LSTM *and* transformer encoders;
-- ``predict_proba`` agrees across inference paths to < 1e-10;
-- invalid engines and encoders outside the repro families fail loudly.
+- every loop steps through ``FusedTrainStep`` for GRU, LSTM *and*
+  transformer encoders;
+- ``predict_proba`` agrees with the autograd forward to < 1e-10;
+- engine knobs other than ``TrainConfig(engine="fused")`` and encoders
+  outside the repro families fail loudly.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
+from repro import CoLES
 from repro.augmentations import RandomSlices
 from repro.baselines import (CPC, NSP, RTD, SOP, FineTuneConfig,
                              SequenceClassifier)
@@ -32,9 +37,10 @@ from repro.data.sequences import SequenceDataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.losses import ContrastiveLoss
-from repro.nn import no_grad
+from repro.nn import Module, no_grad
 from repro.nn import functional as F
-from repro.runtime import FusedTrainStep, resolve_engine
+from repro.runtime import FusedTrainStep
+from tests.oracles import AutogradTrainStep, autograd_steps
 
 
 def _dataset(seed=0):
@@ -42,21 +48,26 @@ def _dataset(seed=0):
                               max_length=50, seed=seed)
 
 
-def _trainer(dataset, engine, cell="gru", num_epochs=2):
+def _trainer(dataset, cell="gru", num_epochs=2):
     encoder = build_encoder(dataset.schema, 12, cell,
                             rng=np.random.default_rng(5))
     config = TrainConfig(num_epochs=num_epochs, batch_size=6,
-                         learning_rate=0.01, seed=3, engine=engine)
+                         learning_rate=0.01, seed=3)
     return ContrastiveTrainer(encoder, ContrastiveLoss(),
                               RandomSlices(5, 20, 3), config)
 
 
+def _oracle_trainer(dataset, cell="gru", num_epochs=2):
+    with autograd_steps():
+        return _trainer(dataset, cell=cell, num_epochs=num_epochs)
+
+
 @pytest.mark.parametrize("cell", ["gru", "transformer"])
 def test_engines_byte_identical_after_zero_steps(cell):
-    """Selecting an engine is free: no weight is touched before step 1."""
+    """Building the step is free: no weight is touched before step 1."""
     dataset = _dataset()
-    tensor = _trainer(dataset, "tensor", cell=cell)
-    fused = _trainer(dataset, "fused", cell=cell)
+    tensor = _oracle_trainer(dataset, cell=cell)
+    fused = _trainer(dataset, cell=cell)
     tensor_state = tensor.encoder.state_dict()
     fused_state = fused.encoder.state_dict()
     assert tensor_state.keys() == fused_state.keys()
@@ -66,10 +77,11 @@ def test_engines_byte_identical_after_zero_steps(cell):
 
 @pytest.mark.parametrize("cell", ["gru", "lstm", "transformer"])
 def test_engines_equivalent_after_training(cell):
-    """N small steps on either engine land on the same weights (< 1e-8)."""
+    """N small steps on fused and autograd land on one set of weights."""
     dataset = _dataset()
-    tensor = _trainer(dataset, "tensor", cell=cell)
-    fused = _trainer(dataset, "fused", cell=cell)
+    tensor = _oracle_trainer(dataset, cell=cell)
+    fused = _trainer(dataset, cell=cell)
+    assert isinstance(tensor._fused_step, AutogradTrainStep)
     tensor.fit(dataset)
     fused.fit(dataset)
 
@@ -87,7 +99,7 @@ def test_engines_equivalent_after_training(cell):
 def test_fused_trained_weights_serve_through_runtime():
     """The train-vs-serve handoff: fused-trained weights serve unchanged."""
     dataset = _dataset(seed=4)
-    trainer = _trainer(dataset, "fused", num_epochs=1)
+    trainer = _trainer(dataset, num_epochs=1)
     trainer.fit(dataset)
     runtime = trainer.encoder.fused_runtime(precision="float64")
     served = runtime.embed_dataset(dataset)
@@ -105,10 +117,19 @@ def _collate_one(seq, schema):
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        TrainConfig(engine="cuda")
-    with pytest.raises(ValueError):
-        PretrainConfig(engine="cuda")
+    """"fused" is the one engine; the autograd engines are gone."""
+    assert TrainConfig().engine == "fused"
+    for engine in ("tensor", "auto", "cuda"):
+        with pytest.raises(ValueError):
+            TrainConfig(engine=engine)
+    with pytest.raises(TypeError):
+        PretrainConfig(engine="fused")
+    dataset = _dataset()
+    model = CoLES(dataset.schema, hidden_size=8)
+    with pytest.raises(TypeError):
+        model.fit(dataset, engine="tensor")
+    with pytest.raises(TypeError):
+        model.fine_tune(dataset, engine="tensor")
 
 
 def _per_step_task(task_cls, schema, cell, seed=1):
@@ -120,19 +141,20 @@ def _per_step_task(task_cls, schema, cell, seed=1):
 
 @pytest.mark.parametrize("task_cls", [CPC, RTD])
 def test_per_step_baselines_byte_identical_after_zero_steps(task_cls):
-    """Selecting an engine must not touch CPC/RTD weights before step 1.
+    """Building the step must not touch CPC/RTD weights before step 1.
 
-    Fitting on an empty dataset runs the full engine setup (including
-    the fused-step construction) but performs zero optimisation steps.
+    Fitting on an empty dataset runs the full setup (including the
+    step construction) but performs zero optimisation steps.
     """
     dataset = _dataset()
     empty = SequenceDataset([], dataset.schema)
-    states = []
-    for engine in ("tensor", "fused"):
-        task = _per_step_task(task_cls, dataset.schema, "gru")
-        task.fit(empty, PretrainConfig(num_epochs=1, engine=engine))
-        states.append(task.encoder.state_dict())
-    tensor_state, fused_state = states
+    with autograd_steps():
+        tensor_task = _per_step_task(task_cls, dataset.schema, "gru")
+        tensor_task.fit(empty, PretrainConfig(num_epochs=1))
+    fused_task = _per_step_task(task_cls, dataset.schema, "gru")
+    fused_task.fit(empty, PretrainConfig(num_epochs=1))
+    tensor_state = tensor_task.encoder.state_dict()
+    fused_state = fused_task.encoder.state_dict()
     assert tensor_state.keys() == fused_state.keys()
     for name, value in tensor_state.items():
         assert value.tobytes() == fused_state[name].tobytes(), name
@@ -141,26 +163,24 @@ def test_per_step_baselines_byte_identical_after_zero_steps(task_cls):
 @pytest.mark.parametrize("task_cls", [CPC, RTD])
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_per_step_baselines_engines_equivalent(task_cls, cell):
-    """CPC/RTD under engine="fused" track the tensor engine to < 1e-8.
+    """CPC/RTD on the fused step track the autograd oracle to < 1e-8.
 
     The per-step objectives run their loss on leaf tensors over the
     fused per-step states (and, for CPC, event representations); the
     same gradients must reach every parameter, so N optimisation steps
-    land on the same weights on either engine.
+    land on the same weights as the autograd graph.
     """
     dataset = _dataset(seed=8)
 
-    def fit(engine):
+    def fit():
         task = _per_step_task(task_cls, dataset.schema, cell)
         task.fit(dataset, PretrainConfig(num_epochs=2, batch_size=6,
-                                         learning_rate=0.01, seed=5,
-                                         engine=engine))
+                                         learning_rate=0.01, seed=5))
         return task
 
-    tensor_task = fit("tensor")
-    fused_task = fit("fused")
-    assert tensor_task.engine == "tensor"
-    assert fused_task.engine == "fused"
+    with autograd_steps():
+        tensor_task = fit()
+    fused_task = fit()
     np.testing.assert_allclose(fused_task.history, tensor_task.history,
                                atol=1e-8)
     fused_state = fused_task.encoder.state_dict()
@@ -169,48 +189,32 @@ def test_per_step_baselines_engines_equivalent(task_cls, cell):
                                    rtol=1e-8, err_msg=name)
 
 
-def test_auto_engine_resolution():
-    """"auto" -> fused for every repro encoder, transformers included."""
-    dataset = _dataset()
-    rnn = build_encoder(dataset.schema, 8, "gru",
-                        rng=np.random.default_rng(0))
-    transformer = build_encoder(dataset.schema, 8, "transformer",
-                                rng=np.random.default_rng(0))
-    assert resolve_engine("auto", rnn) == "fused"
-    assert resolve_engine("auto", transformer) == "fused"
-    # Explicit pins pass through for any encoder.
-    assert resolve_engine("tensor", rnn) == "tensor"
-    assert resolve_engine("tensor", transformer) == "tensor"
-    assert resolve_engine("fused", transformer) == "fused"
-
-
 def test_trainer_defaults_to_fused_for_recurrent_encoders():
-    """TrainConfig() now runs GRU/LSTM through the fused engine..."""
+    """TrainConfig() runs GRU/LSTM through the fused BPTT step..."""
     dataset = _dataset()
     encoder = build_encoder(dataset.schema, 8, "gru",
                             rng=np.random.default_rng(0))
     trainer = ContrastiveTrainer(encoder, ContrastiveLoss(),
                                  RandomSlices(5, 20, 3))
-    assert trainer.config.engine == "auto"
-    assert trainer.engine == "fused"
-    assert trainer._fused_step is not None
+    assert isinstance(trainer._fused_step, FusedTrainStep)
+    assert trainer._fused_step.is_recurrent
 
 
 def test_trainer_defaults_to_fused_for_transformers():
-    """...and transformers run the fused attention engine by default."""
+    """...and transformers through the fused attention step."""
     dataset = _dataset()
     encoder = build_encoder(dataset.schema, 8, "transformer",
                             rng=np.random.default_rng(0))
     trainer = ContrastiveTrainer(encoder, ContrastiveLoss(),
                                  RandomSlices(5, 20, 3))
-    assert trainer.engine == "fused"
-    assert trainer._fused_step is not None
+    assert isinstance(trainer._fused_step, FusedTrainStep)
     assert not trainer._fused_step.is_recurrent
 
 
 @pytest.mark.parametrize("task_cls", [CPC, RTD, NSP, SOP])
-def test_baselines_default_to_fused_for_recurrent_encoders(task_cls):
-    """PretrainConfig() resolves to fused for all four RNN baselines."""
+def test_baselines_default_to_fused_for_recurrent_encoders(task_cls,
+                                                           fused_forwards):
+    """All four RNN baselines step through FusedTrainStep."""
     dataset = _dataset()
     if task_cls in (CPC, RTD):
         task = _per_step_task(task_cls, dataset.schema, "gru")
@@ -219,49 +223,50 @@ def test_baselines_default_to_fused_for_recurrent_encoders(task_cls):
                                 rng=np.random.default_rng(0))
         task = task_cls(encoder, dataset.schema, seed=0)
     task.fit(dataset, PretrainConfig(num_epochs=1, batch_size=6))
-    assert task.engine == "fused"
+    assert fused_forwards
+    assert all(encoder is task.encoder for encoder in fused_forwards)
 
 
-def test_pair_baseline_defaults_to_fused_for_transformers():
-    """NSP over a transformer resolves "auto" to the fused engine."""
+def test_pair_baseline_defaults_to_fused_for_transformers(fused_forwards):
+    """NSP over a transformer steps through the fused attention path."""
     dataset = _dataset()
     encoder = build_encoder(dataset.schema, 8, "transformer",
                             rng=np.random.default_rng(0))
     task = NSP(encoder, dataset.schema, seed=0)
     task.fit(dataset, PretrainConfig(num_epochs=1, batch_size=6))
-    assert task.engine == "fused"
+    assert fused_forwards
+    assert all(seen is encoder for seen in fused_forwards)
 
 
-class _CustomEncoder:
+class _CustomEncoder(Module):
     """A stand-in outside the repro encoder families."""
 
     output_dim = 8
 
 
 def test_fused_engine_rejects_custom_encoders():
-    """The fused engine covers repro encoders only, and says so at build."""
-    with pytest.raises(TypeError):
+    """Training covers repro encoders only, and says so at build."""
+    with pytest.raises(TypeError, match="RnnSeqEncoder"):
         ContrastiveTrainer(_CustomEncoder(), ContrastiveLoss(),
-                           RandomSlices(5, 20, 3),
-                           TrainConfig(engine="fused"))
+                           RandomSlices(5, 20, 3))
 
 
 @pytest.mark.parametrize("task_cls", [NSP, SOP])
 def test_pair_baselines_engines_equivalent(task_cls):
-    """NSP/SOP under engine="fused" track the tensor engine to < 1e-8."""
+    """NSP/SOP on the fused step track the autograd oracle to < 1e-8."""
     dataset = _dataset(seed=8)
 
-    def fit(engine):
+    def fit():
         encoder = build_encoder(dataset.schema, 10, "gru",
                                 rng=np.random.default_rng(2))
         task = task_cls(encoder, dataset.schema, seed=1)
         task.fit(dataset, PretrainConfig(num_epochs=2, batch_size=6,
-                                         learning_rate=0.01, seed=5,
-                                         engine=engine))
+                                         learning_rate=0.01, seed=5))
         return task
 
-    tensor_task = fit("tensor")
-    fused_task = fit("fused")
+    with autograd_steps():
+        tensor_task = fit()
+    fused_task = fit()
     np.testing.assert_allclose(fused_task.history, tensor_task.history,
                                atol=1e-8)
     fused_state = fused_task.encoder.state_dict()
@@ -275,8 +280,8 @@ def test_pair_baselines_engines_equivalent(task_cls):
 
 
 # ----------------------------------------------------------------------
-# supervised fine-tuning: the last recurrent training loop on the
-# fused engine (classification head, per-group learning rates)
+# supervised fine-tuning: the classification-head loop (per-group
+# learning rates)
 # ----------------------------------------------------------------------
 
 def _labeled_dataset(seed=0):
@@ -284,22 +289,27 @@ def _labeled_dataset(seed=0):
                               max_length=50, labeled_fraction=1.0, seed=seed)
 
 
-def _finetune(dataset, engine, cell="gru", pretrained=False,
+def _finetune(dataset, oracle=False, cell="gru", pretrained=False,
               bucket_window=None, encoder_lr=None, num_epochs=2):
-    """Build (optionally pre-train) an encoder and fine-tune it."""
+    """Build (optionally pre-train) an encoder and fine-tune it.
+
+    ``oracle=True`` fine-tunes through the autograd oracle step.
+    """
     encoder = build_encoder(dataset.schema, 12, cell,
                             rng=np.random.default_rng(5))
     if pretrained:
-        # An identical, deterministic pre-training phase on both sides,
-        # so only the fine-tuning engine differs between the runs.
+        # An identical, deterministic (fused) pre-training phase on both
+        # sides, so only the fine-tuning step differs between the runs.
         ContrastiveTrainer(encoder, ContrastiveLoss(), RandomSlices(5, 20, 3),
                            TrainConfig(num_epochs=1, batch_size=7,
                                        seed=11)).fit(dataset)
     classifier = SequenceClassifier(encoder, num_classes=2, seed=2)
-    classifier.fit(dataset, FineTuneConfig(
+    config = FineTuneConfig(
         num_epochs=num_epochs, batch_size=6, learning_rate=0.01,
         encoder_learning_rate=encoder_lr, bucket_window=bucket_window,
-        seed=3, engine=engine))
+        seed=3)
+    with autograd_steps() if oracle else contextlib.nullcontext():
+        classifier.fit(dataset, config)
     return classifier
 
 
@@ -316,11 +326,10 @@ def _assert_classifiers_close(fused, tensor, atol=1e-8):
 
 
 def test_finetune_engines_byte_identical_after_zero_steps():
-    """Selecting a fine-tuning engine must not touch any weight.
+    """Building a fine-tuning step must not touch any weight.
 
-    The fused path's whole setup — engine resolution plus
-    ``FusedTrainStep`` construction, everything ``fit()`` does before
-    optimisation step 1 — runs without perturbing encoder or head.
+    The step construction — everything ``fit()`` does to the model
+    before optimisation step 1 — runs without perturbing encoder or head.
     """
     dataset = _labeled_dataset()
     tensor_clf = SequenceClassifier(
@@ -329,7 +338,7 @@ def test_finetune_engines_byte_identical_after_zero_steps():
     fused_clf = SequenceClassifier(
         build_encoder(dataset.schema, 12, "gru",
                       rng=np.random.default_rng(5)), num_classes=2, seed=2)
-    assert resolve_engine("auto", fused_clf.encoder) == "fused"
+    AutogradTrainStep(tensor_clf.encoder)
     FusedTrainStep(fused_clf.encoder)
     tensor_state = tensor_clf.encoder.state_dict()
     fused_state = fused_clf.encoder.state_dict()
@@ -348,7 +357,7 @@ def test_finetune_engines_byte_identical_after_zero_steps():
                          ids=["fresh", "pretrained"])
 def test_finetune_engines_equivalent_after_training(cell, bucket_window,
                                                     pretrained):
-    """Fine-tuning lands on the same weights on either engine (< 1e-8).
+    """Fused and autograd fine-tuning land on one set of weights (< 1e-8).
 
     The property grid: GRU + LSTM + transformer, length-bucketed and
     fully random batch plans, fresh and CoLES-pre-trained encoders.
@@ -356,34 +365,32 @@ def test_finetune_engines_equivalent_after_training(cell, bucket_window,
     all agree.
     """
     dataset = _labeled_dataset()
-    tensor_clf = _finetune(dataset, "tensor", cell=cell,
+    tensor_clf = _finetune(dataset, oracle=True, cell=cell,
                            pretrained=pretrained,
                            bucket_window=bucket_window)
-    fused_clf = _finetune(dataset, "fused", cell=cell, pretrained=pretrained,
+    fused_clf = _finetune(dataset, cell=cell, pretrained=pretrained,
                           bucket_window=bucket_window)
-    assert tensor_clf.engine == "tensor"
-    assert fused_clf.engine == "fused"
     _assert_classifiers_close(fused_clf, tensor_clf)
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm", "transformer"])
 def test_finetune_distinct_encoder_lr_equivalent(cell):
-    """Per-group learning rates track each other across engines.
+    """Per-group learning rates track each other on fused and autograd.
 
     ``encoder_learning_rate != learning_rate`` must steer the *same*
-    per-group Adam trajectory on the fused path as on the tensor path.
+    per-group Adam trajectory on the fused path as on the autograd one.
     """
     dataset = _labeled_dataset(seed=6)
-    tensor_clf = _finetune(dataset, "tensor", cell=cell, encoder_lr=0.05)
-    fused_clf = _finetune(dataset, "fused", cell=cell, encoder_lr=0.05)
+    tensor_clf = _finetune(dataset, oracle=True, cell=cell, encoder_lr=0.05)
+    fused_clf = _finetune(dataset, cell=cell, encoder_lr=0.05)
     _assert_classifiers_close(fused_clf, tensor_clf)
 
 
 @pytest.mark.parametrize("cell", ["gru", "transformer"])
 def test_predict_proba_paths_agree(cell):
-    """Fused-runtime ``predict_proba`` == the Tensor loop, < 1e-10."""
+    """Fused-runtime ``predict_proba`` == the autograd loop, < 1e-10."""
     dataset = _labeled_dataset(seed=4)
-    classifier = _finetune(dataset, "fused", cell=cell, num_epochs=1)
+    classifier = _finetune(dataset, cell=cell, num_epochs=1)
     probs = classifier.predict_proba(dataset, batch_size=5)
     reference = np.zeros_like(probs)
     classifier.encoder.eval()
@@ -398,30 +405,29 @@ def test_predict_proba_paths_agree(cell):
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_finetune_auto_engine_resolution():
-    """Fine-tuning "auto" -> fused for recurrent *and* transformer."""
+@pytest.mark.parametrize("cell", ["gru", "transformer"])
+def test_finetune_steps_through_fused_runtime(cell, fused_forwards):
+    """Fine-tuning steps through FusedTrainStep for both families."""
     dataset = _labeled_dataset()
-    classifier = _finetune(dataset, "auto", num_epochs=1)
-    assert classifier.engine == "fused"
-    transformer = build_encoder(dataset.schema, 8, "transformer",
-                                rng=np.random.default_rng(0))
-    trx_clf = SequenceClassifier(transformer, num_classes=2, seed=2)
-    trx_clf.fit(dataset, FineTuneConfig(num_epochs=1, batch_size=6, seed=3))
-    assert trx_clf.engine == "fused"
+    classifier = _finetune(dataset, cell=cell, num_epochs=1)
+    assert fused_forwards
+    assert all(seen is classifier.encoder for seen in fused_forwards)
 
 
 def test_finetune_fused_engine_rejects_custom_encoder():
-    """Pinning engine="fused" on a non-repro encoder fails loudly at fit()."""
+    """A non-repro encoder fails loudly at fit() and at predict time."""
     dataset = _labeled_dataset()
     classifier = SequenceClassifier(_CustomEncoder(), num_classes=2, seed=2)
     with pytest.raises(TypeError):
-        classifier.fit(dataset, FineTuneConfig(num_epochs=1, engine="fused"))
+        classifier.fit(dataset, FineTuneConfig(num_epochs=1))
+    with pytest.raises(TypeError):
+        classifier.predict_proba(dataset)
 
 
 def test_finetune_config_validation():
     """FineTuneConfig validates like TrainConfig/PretrainConfig."""
-    with pytest.raises(ValueError):
-        FineTuneConfig(engine="cuda")
+    with pytest.raises(TypeError):
+        FineTuneConfig(engine="fused")
     with pytest.raises(ValueError):
         FineTuneConfig(num_epochs=0)
     with pytest.raises(ValueError):

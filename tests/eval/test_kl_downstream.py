@@ -13,6 +13,7 @@ from repro.eval import (
     fine_tune_and_evaluate,
     slice_kl_experiment,
 )
+from tests.oracles import autograd_steps
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestDownstream:
         assert 0.0 <= score <= 1.0
 
     def test_fine_tune_and_evaluate_engine_parity(self, age):
-        """Both fine-tuning engines land on the same test metric.
+        """Fused and autograd-oracle fine-tuning land on one test metric.
 
         Same seeds, same batches — weights agree to < 1e-8, so the
         downstream metric computed from the predicted probabilities must
@@ -83,33 +84,35 @@ class TestDownstream:
         from repro.data import train_test_split
 
         train, test = train_test_split(age, 0.2, seed=0)
-        scores = {}
-        for engine in ("tensor", "fused"):
+
+        def score():
             encoder = build_encoder(age.schema, 12, "gru",
                                     rng=np.random.default_rng(0))
-            scores[engine] = fine_tune_and_evaluate(
+            return fine_tune_and_evaluate(
                 encoder, train, test,
-                config=FineTuneConfig(num_epochs=2, batch_size=16, seed=0,
-                                      engine=engine),
+                config=FineTuneConfig(num_epochs=2, batch_size=16, seed=0),
             )
-        assert scores["fused"] == pytest.approx(scores["tensor"], abs=1e-6)
 
-    def test_fine_tune_and_evaluate_transformer_runs_fused(self, age):
-        """Default "auto" config: transformers run on the fused engine."""
+        with autograd_steps():
+            reference = score()
+        assert score() == pytest.approx(reference, abs=1e-6)
+
+    def test_fine_tune_and_evaluate_transformer_runs_fused(self, age,
+                                                           fused_forwards):
+        """Transformers fine-tune through the fused attention step."""
+        from repro.baselines import FineTuneConfig
         from repro.data import train_test_split
-        from repro.runtime import resolve_engine
 
         train, test = train_test_split(age, 0.2, seed=0)
         encoder = build_encoder(age.schema, 8, "transformer",
                                 rng=np.random.default_rng(0))
-        assert resolve_engine("auto", encoder) == "fused"
-        from repro.baselines import FineTuneConfig
-
         score = fine_tune_and_evaluate(
             encoder, train, test,
             config=FineTuneConfig(num_epochs=1, batch_size=16, seed=0),
         )
         assert 0.0 <= score <= 1.0
+        assert fused_forwards
+        assert all(seen is encoder for seen in fused_forwards)
 
 
 class TestReporting:

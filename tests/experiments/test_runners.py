@@ -16,6 +16,7 @@ from repro.experiments import (
     train_coles,
 )
 from repro.data import train_test_split
+from tests.oracles import autograd_steps
 
 
 class TestConfigs:
@@ -95,36 +96,37 @@ class TestRunners:
         assert 0.0 <= score <= 1.0
 
     def test_phase2b_engine_parity(self, tiny_profile, tiny_split):
-        """The Table 7 / Figure 4 fine-tuning runner: fused == tensor.
+        """The Table 7 / Figure 4 fine-tuning runner: fused == autograd.
 
-        phase2b under ``engine="fused"`` must reproduce the tensor
-        engine's test metric (weights agree to < 1e-8, predictions to
-        < 1e-10) — the seeded smoke version of the paper runners on the
-        fused engine.
+        phase2b on the fused step must reproduce its test metric under
+        the autograd oracle (weights agree to < 1e-8, predictions to
+        < 1e-10) — the seeded smoke version of the paper runners.
         """
         train, test = tiny_split
-        scores = {
-            engine: phase2b_test_metric(tiny_profile, "supervised", train,
-                                        test, seed=0, engine=engine)
-            for engine in ("tensor", "fused")
-        }
-        assert scores["fused"] == pytest.approx(scores["tensor"], abs=1e-6)
+        with autograd_steps():
+            reference = phase2b_test_metric(tiny_profile, "supervised",
+                                            train, test, seed=0)
+        score = phase2b_test_metric(tiny_profile, "supervised", train, test,
+                                    seed=0)
+        assert score == pytest.approx(reference, abs=1e-6)
+        with pytest.raises(TypeError):
+            phase2b_test_metric(tiny_profile, "supervised", train, test,
+                                engine="tensor")
 
-    def test_phase2b_transformer_profile_runs_fused(self, tiny_split):
-        """A transformer profile fine-tunes on the fused attention engine
-        under the default ``engine="auto"``."""
-        from repro.encoders import build_encoder
-        from repro.runtime import resolve_engine
-
+    def test_phase2b_transformer_profile_runs_fused(self, tiny_split,
+                                                    fused_forwards):
+        """A transformer profile fine-tunes on the fused attention step."""
         profile = scaled_profile("churn", num_clients=40, num_epochs=1,
                                  fine_tune_epochs=1, encoder="transformer")
         train, test = tiny_split
-        encoder = build_encoder(train.schema, profile.hidden_size,
-                                profile.encoder)
-        assert resolve_engine("auto", encoder) == "fused"
         score = phase2b_test_metric(profile, "supervised", train, test,
                                     seed=0)
         assert 0.0 <= score <= 1.0
+        from repro.encoders import TransformerSeqEncoder
+
+        assert fused_forwards
+        assert all(isinstance(seen, TransformerSeqEncoder)
+                   for seen in fused_forwards)
 
     def test_gbm_config_uses_profile_rounds(self, tiny_profile):
         config = gbm_config_for(tiny_profile)

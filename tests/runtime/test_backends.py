@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.inference import embed_dataset, serve
+from repro.core.inference import serve
 from repro.core.quantization import (pack_uint4, quantize_embeddings,
                                      unpack_uint4)
 from repro.data.synthetic import make_churn_dataset
@@ -32,6 +32,7 @@ from repro.encoders import build_encoder
 from repro.runtime import (EmbeddingStore, Float16Codec, IdentityCodec,
                            QuantizedCodec, StateBackend, resolve_codec)
 from repro.runtime.backends import write_state_manifest, write_state_shard
+from tests.oracles import tensor_embed
 
 
 @pytest.fixture(scope="module")
@@ -424,7 +425,7 @@ class TestStoreOverBackends:
         store.update_many(heads, dataset.schema, batch_size=5)
         store.update_many(tails, dataset.schema, batch_size=5)
         assert store.backend.evictions > 0
-        reference = embed_dataset(encoder, dataset, runtime="tensor")
+        reference = tensor_embed(encoder, dataset)
         ids = [seq.seq_id for seq in dataset]
         np.testing.assert_allclose(store.embeddings(ids), reference,
                                    atol=1e-10)
@@ -445,7 +446,7 @@ class TestStoreOverBackends:
         store.update_many(heads, dataset.schema, batch_size=5)
         store.update_many(tails, dataset.schema, batch_size=5)
         assert store.backend.evictions > 0
-        reference = embed_dataset(encoder, dataset, runtime="tensor")
+        reference = tensor_embed(encoder, dataset)
         ids = [seq.seq_id for seq in dataset]
         # Hidden states live in (-1, 1)-ish ranges; one int8 round trip
         # costs <= span/255/2 per dim and the recurrence contracts old
@@ -495,7 +496,7 @@ class TestStoreOverBackends:
                         codec="int8", backend_dir=tmp_path / "live")
         ids = [seq.seq_id for seq in dataset]
         served = service.query(ids)
-        reference = embed_dataset(encoder, dataset, runtime="tensor")
+        reference = tensor_embed(encoder, dataset)
         np.testing.assert_allclose(served, reference, atol=1e-4)
 
         service.save(tmp_path / "bundle")

@@ -1,8 +1,9 @@
 """Property-style equivalence: fused serving kernels vs the autograd path.
 
 The contract of :mod:`repro.runtime` is that serving results match the
-differentiable Tensor path to float64 rounding (< 1e-10) across shapes,
-lengths and cell types — these tests randomize all three.
+differentiable Tensor path (the ``tests.oracles`` reference) to float64
+rounding (< 1e-10) across shapes, lengths and cell types — these tests
+randomize all three.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.nn import GRU, LSTM, Tensor, no_grad, where
 from repro.runtime import FusedEncoderRuntime, kernels
+from tests.oracles import tensor_embed
 
 ATOL = 1e-10
 
@@ -118,20 +120,55 @@ def test_embed_batch_matches_tensor(dataset, cell):
 def test_embed_dataset_paths_agree(dataset, cell):
     encoder = build_encoder(dataset.schema, 12, cell,
                             rng=np.random.default_rng(4))
-    tensor_path = embed_dataset(encoder, dataset, batch_size=8,
-                                runtime="tensor")
+    tensor_path = tensor_embed(encoder, dataset, batch_size=8)
     fused_path = embed_dataset(encoder, dataset, batch_size=8,
-                               runtime="fused", precision="float64")
-    auto_path = embed_dataset(encoder, dataset, batch_size=8,
-                              precision="float64")
+                               precision="float64")
+    runtime_path = embed_dataset(
+        FusedEncoderRuntime(encoder, precision="float64"), dataset,
+        batch_size=8)
     np.testing.assert_allclose(fused_path, tensor_path, atol=ATOL)
-    np.testing.assert_allclose(auto_path, tensor_path, atol=ATOL)
+    np.testing.assert_allclose(runtime_path, tensor_path, atol=ATOL)
 
 
 def test_embed_dataset_rejects_unknown_runtime(dataset):
+    """The fused runtime is the only path: ``runtime=`` is gone."""
     encoder = build_encoder(dataset.schema, 8, "gru")
-    with pytest.raises(ValueError):
-        embed_dataset(encoder, dataset, runtime="cuda")
+    for runtime in ("tensor", "fused", "auto"):
+        with pytest.raises(TypeError):
+            embed_dataset(encoder, dataset, runtime=runtime)
+
+
+def test_embed_dataset_rejects_custom_encoders(dataset):
+    """Encoders outside the repro families get a TypeError, no fallback."""
+    from repro.nn import Linear
+
+    with pytest.raises(TypeError, match="RnnSeqEncoder"):
+        embed_dataset(Linear(4, 4), dataset)
+
+
+def test_embed_dataset_honours_runtime_settings(dataset, monkeypatch):
+    """A passed runtime keeps its precision and receives ``workers=``.
+
+    Like ``EmbeddingStore``, asking a runtime for another precision
+    raises instead of silently serving the runtime's own dtype.
+    """
+    encoder = build_encoder(dataset.schema, 8, "gru",
+                            rng=np.random.default_rng(4))
+    runtime = FusedEncoderRuntime(encoder, precision="float32")
+    with pytest.raises(ValueError, match="conflicts"):
+        embed_dataset(runtime, dataset, precision="float64")
+    assert embed_dataset(runtime, dataset,
+                         precision="float32").dtype == np.float32
+    seen = []
+    run_dataset = runtime.run_dataset
+
+    def spy(dataset, batch_size=64, workers=None):
+        seen.append(workers)
+        return run_dataset(dataset, batch_size, workers=workers)
+
+    monkeypatch.setattr(runtime, "run_dataset", spy)
+    embed_dataset(runtime, dataset, workers=4)
+    assert seen == [4]
 
 
 def test_transformer_serves_through_fused_runtime(dataset):
@@ -141,13 +178,10 @@ def test_transformer_serves_through_fused_runtime(dataset):
     runtime = FusedEncoderRuntime(transformer, precision="float64")
     assert runtime.state_kind == "transformer"
     assert not runtime.is_recurrent
-    ref = embed_dataset(transformer, dataset, batch_size=8, runtime="tensor")
+    ref = tensor_embed(transformer, dataset, batch_size=8)
     fused = embed_dataset(transformer, dataset, batch_size=8,
-                          runtime="fused", precision="float64")
-    auto = embed_dataset(transformer, dataset, batch_size=8,
-                         precision="float64")
+                          precision="float64")
     np.testing.assert_allclose(fused, ref, atol=ATOL)
-    np.testing.assert_allclose(auto, ref, atol=ATOL)
     batch = collate(dataset.sequences[:5], dataset.schema)
     with no_grad():
         batch_ref = transformer.embed(batch).data
@@ -175,7 +209,7 @@ def test_embed_empty_dataset(dataset):
     encoder = build_encoder(dataset.schema, 8, "gru")
     empty = SequenceDataset([], dataset.schema)
     assert embed_dataset(encoder, empty).shape == (0, 8)
-    assert embed_dataset(encoder, empty, runtime="tensor").shape == (0, 8)
+    assert tensor_embed(encoder, empty).shape == (0, 8)
 
 
 def test_runtime_preserves_training_mode(dataset):

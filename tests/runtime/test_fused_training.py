@@ -3,9 +3,9 @@
 The contract of :mod:`repro.runtime.training` is that the fused engine
 computes the *same gradients* as the Tensor graph (to < 1e-8) for every
 contrastive loss, both cell kinds, and variable-length batches in any row
-order — so ``TrainConfig(engine="fused")`` walks the same optimisation
-trajectory as the seed implementation, only faster.  These tests
-randomize shapes, lengths, losses and the packed/masked execution paths.
+order — so every training loop walks the autograd optimisation
+trajectory, only faster.  These tests randomize shapes, lengths, losses
+and the packed/masked execution paths.
 """
 
 import numpy as np

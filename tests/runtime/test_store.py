@@ -9,10 +9,10 @@ a save/load round-trip mid-stream.
 import numpy as np
 import pytest
 
-from repro.core.inference import IncrementalEmbedder, embed_dataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.runtime import EmbeddingStore
+from tests.oracles import tensor_embed
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ class TestBulkAndIncremental:
         encoder = _encoder(dataset, cell)
         store = EmbeddingStore(encoder, precision="float64")
         bulk = store.bulk_load(dataset)
-        reference = embed_dataset(encoder, dataset, runtime="tensor")
+        reference = tensor_embed(encoder, dataset)
         np.testing.assert_allclose(bulk, reference, atol=1e-10)
         assert store.known_entities() == sorted(s.seq_id for s in dataset)
 
@@ -61,7 +61,7 @@ class TestBulkAndIncremental:
         truncated.sequences = [seq.slice(0, len(seq) - 5) for seq in dataset]
         store = EmbeddingStore(encoder, precision="float64")
         store.bulk_load(truncated)
-        full = embed_dataset(encoder, dataset, runtime="tensor")
+        full = tensor_embed(encoder, dataset)
         for row, seq in enumerate(dataset):
             store.update(seq.seq_id, seq.slice(len(seq) - 5, len(seq)),
                          dataset.schema)
@@ -85,7 +85,7 @@ class TestBulkAndIncremental:
             assert restored.last_time(seq.seq_id) == store.last_time(seq.seq_id)
 
         # The restored store keeps streaming, bit-equal to full recompute.
-        full = embed_dataset(encoder, dataset, runtime="tensor")
+        full = tensor_embed(encoder, dataset)
         for row, seq in enumerate(dataset):
             restored.update(seq.seq_id, seq.slice(len(seq) // 2, len(seq)),
                             dataset.schema)
@@ -114,6 +114,13 @@ class TestStoreApi:
             store.update(0, dataset[0].slice(0, 0), dataset.schema)
         store.update(7, dataset[0].slice(0, 8), dataset.schema)
         assert 7 in store and len(store) == 1
+
+    def test_update_returns_stored_embedding(self, dataset):
+        store = EmbeddingStore(_encoder(dataset, "gru"))
+        seq = dataset[0]
+        returned = store.update(seq.seq_id, seq.slice(0, 10), dataset.schema)
+        assert store.known_entities() == [seq.seq_id]
+        np.testing.assert_array_equal(returned, store.embedding(seq.seq_id))
 
     def test_transformer_bulk_serves_but_never_streams(self, dataset):
         """Transformer stores bulk-load and read; update() fails loudly."""
@@ -147,16 +154,3 @@ class TestStoreApi:
         wide = EmbeddingStore(_encoder(dataset, "gru", hidden=14))
         with pytest.raises(ValueError, match="width"):
             wide.load(path)
-
-
-class TestIncrementalEmbedderFacade:
-    """The legacy API keeps working on top of the store."""
-
-    def test_delegates_to_store(self, dataset):
-        encoder = _encoder(dataset, "gru")
-        embedder = IncrementalEmbedder(encoder)
-        seq = dataset[0]
-        embedder.update(seq.seq_id, seq.slice(0, 10), dataset.schema)
-        assert embedder.known_entities() == [seq.seq_id]
-        np.testing.assert_array_equal(embedder.embedding(seq.seq_id),
-                                      embedder.store.embedding(seq.seq_id))

@@ -99,7 +99,7 @@ class TestAsyncEquivalence:
             pipeline.drain()
         served = service.query([seq.seq_id for seq in dataset])
         reference = embed_dataset(_encoder(dataset, cell), dataset,
-                                  runtime="fused", precision="float64")
+                                  precision="float64")
         np.testing.assert_allclose(served, reference, atol=1e-10)
 
     def test_queries_during_async_ingest_stay_in_contract(self, dataset,
@@ -142,7 +142,7 @@ class TestAsyncEquivalence:
         assert not failures
         served = service.query(ids)
         reference = embed_dataset(_encoder(dataset, cell), dataset,
-                                  runtime="fused", precision="float64")
+                                  precision="float64")
         np.testing.assert_allclose(served, reference, atol=1e-10)
 
 

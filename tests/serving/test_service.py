@@ -53,8 +53,7 @@ class TestReplayEquivalence:
         assert stats["flushes"] >= 2  # micro-batched, not one giant flush
 
         served = service.query([seq.seq_id for seq in dataset])
-        reference = embed_dataset(encoder, dataset, runtime="fused",
-                                  precision="float64")
+        reference = embed_dataset(encoder, dataset, precision="float64")
         np.testing.assert_allclose(served, reference, atol=1e-10)
 
     def test_bulk_load_then_stream_matches(self, dataset, cell):
@@ -72,8 +71,7 @@ class TestReplayEquivalence:
         replay_event_log(service, build_event_log(tails, chunk_events=4,
                                                   seed=1))
         served = service.query([seq.seq_id for seq in dataset])
-        reference = embed_dataset(encoder, dataset, runtime="fused",
-                                  precision="float64")
+        reference = embed_dataset(encoder, dataset, precision="float64")
         np.testing.assert_allclose(served, reference, atol=1e-10)
 
 
@@ -105,8 +103,7 @@ class TestCacheBehaviour:
         fresh = service.query_one(seq.seq_id)  # forces the flush
         assert service.batcher.pending_events == 0
         assert np.abs(fresh - stale).max() > 0
-        full = embed_dataset(encoder, dataset, runtime="fused",
-                             precision="float64")
+        full = embed_dataset(encoder, dataset, precision="float64")
         np.testing.assert_allclose(fresh, full[0], atol=1e-10)
 
     def test_explicit_flush_invalidates_cached_entries(self, dataset):

@@ -11,11 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.inference import embed_dataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.runtime import EmbeddingStore
 from repro.serving import ShardedEmbeddingStore, route_entity
+from tests.oracles import tensor_embed
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestBatchedWrites:
         sharded = ShardedEmbeddingStore(encoder, num_shards=4,
                                         precision="float64")
         out = sharded.bulk_load(dataset)
-        reference = embed_dataset(encoder, dataset, runtime="tensor")
+        reference = tensor_embed(encoder, dataset)
         np.testing.assert_allclose(out, reference, atol=1e-10)
         for row, seq in enumerate(dataset):
             np.testing.assert_allclose(sharded.embedding(seq.seq_id),
@@ -115,7 +115,7 @@ class TestBatchedWrites:
             sequential = flat.update(chunk.seq_id, chunk, dataset.schema)
             np.testing.assert_allclose(batched[row], sequential, atol=1e-10)
 
-        full = embed_dataset(encoder, dataset, runtime="tensor")
+        full = tensor_embed(encoder, dataset)
         ids = [seq.seq_id for seq in dataset]
         np.testing.assert_allclose(sharded.embeddings(ids), full, atol=1e-10)
 
@@ -166,7 +166,7 @@ class TestShardedPersistence:
             assert restored.last_time(seq.seq_id) == store.last_time(seq.seq_id)
 
         # the restored shards keep streaming, matching a full recompute
-        full = embed_dataset(encoder, dataset, runtime="tensor")
+        full = tensor_embed(encoder, dataset)
         tails = [seq.slice(len(seq) // 2, len(seq)) for seq in dataset]
         restored.update_many(tails, dataset.schema)
         ids = [seq.seq_id for seq in dataset]

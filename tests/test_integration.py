@@ -5,11 +5,12 @@ import pytest
 
 from repro import CoLES
 from repro.baselines import FineTuneConfig, SequenceClassifier, handcrafted_features
-from repro.core import IncrementalEmbedder, embed_dataset, quantize_embeddings
+from repro.core import embed_dataset, quantize_embeddings
 from repro.data import train_test_split
 from repro.data.synthetic import make_age_dataset, make_churn_dataset
 from repro.eval import cross_val_features, evaluate_predictions
 from repro.gbm import GBMConfig, GradientBoostingClassifier
+from repro.runtime import EmbeddingStore
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +93,14 @@ class TestDeploymentChain(object):
 
     def test_incremental_streaming_matches_batch(self, age_world, trained_coles):
         dataset, _, test = age_world
-        embedder = IncrementalEmbedder(trained_coles.encoder,
-                                       precision="float64")
+        store = EmbeddingStore(trained_coles.encoder, precision="float64")
         batch_embeddings = embed_dataset(trained_coles.encoder, test,
                                          precision="float64")
         for row, seq in enumerate(test):
             mid = len(seq) // 2
-            embedder.update(seq.seq_id, seq.slice(0, mid), test.schema)
-            embedder.update(seq.seq_id, seq.slice(mid, len(seq)), test.schema)
-            np.testing.assert_allclose(embedder.embedding(seq.seq_id),
+            store.update(seq.seq_id, seq.slice(0, mid), test.schema)
+            store.update(seq.seq_id, seq.slice(mid, len(seq)), test.schema)
+            np.testing.assert_allclose(store.embedding(seq.seq_id),
                                        batch_embeddings[row], rtol=1e-8)
 
 
