@@ -63,18 +63,23 @@ def collate(sequences, schema):
     """Stack a list of :class:`EventSequence` into a :class:`PaddedBatch`."""
     if not sequences:
         raise ValueError("cannot collate an empty list of sequences")
-    lengths = np.array([len(seq) for seq in sequences])
+    columns = {name: [seq.fields[name] for seq in sequences]
+               for name in schema.field_names}
+    # Every field of a sequence has its length (EventSequence checks).
+    lengths = np.array([len(values) for values in columns[schema.time_field]])
     if lengths.min() < 1:
         raise ValueError("cannot collate empty sequences")
-    max_len = int(lengths.max())
+    shape = (len(sequences), int(lengths.max()))
+    # Real events fill each row from the left: in row-major order the
+    # True cells of the mask take the concatenated field values.
+    mask = np.arange(shape[1]) < lengths[:, None]
     batch_fields = {}
-    for name in schema.field_names:
+    for name, column in columns.items():
         if name in schema.categorical:
-            padded = np.full((len(sequences), max_len), PADDING_CODE, dtype=np.int64)
+            padded = np.full(shape, PADDING_CODE, dtype=np.int64)
         else:
-            padded = np.zeros((len(sequences), max_len), dtype=np.float64)
-        for row, seq in enumerate(sequences):
-            padded[row, : lengths[row]] = seq.fields[name]
+            padded = np.zeros(shape, dtype=np.float64)
+        padded[mask] = np.concatenate(column)
         batch_fields[name] = padded
     return PaddedBatch(
         fields=batch_fields,

@@ -4,15 +4,18 @@ The out-of-core redesign of the serving state layer: the paper targets a
 90M-card population (Section 4.3.1), which does not fit per-entity float
 dicts in RAM.  Two orthogonal pieces split the problem:
 
-- :class:`StateBackend` owns **where** per-entity recurrent state lives
-  (``get`` / ``put`` / ``snapshot`` / ``restore`` /
-  ``bytes_per_entity``): fixed-capacity row shards behind an
-  entity→(shard, row) index.  With ``directory=None`` every shard stays
-  in RAM; with a directory the shards are ``.npy`` files opened via
-  ``np.load(..., mmap_mode="r")``, an LRU of hot shards is promoted
-  into RAM and dirty shards are written back on eviction and flush, so
-  resident memory is bounded by ``cache_shards * shard_capacity``
-  states regardless of entity count;
+- :class:`StateBackend` owns **where** per-entity recurrent state lives:
+  per-entity ``get`` / ``put``, batch ``gather`` / ``scatter``, and
+  ``snapshot`` / ``restore`` / ``bytes_per_entity``.  Each entity owns
+  one int slot in arrival order, and slot ``s`` is row
+  ``s % shard_capacity`` of shard ``s // shard_capacity``.  With
+  ``directory=None`` all rows sit in one contiguous RAM block, so a
+  batch access is one fancy index; with a directory the shards are
+  ``.npy`` files opened via ``np.load(..., mmap_mode="r")``, an LRU of
+  hot shards is promoted into RAM, dirty shards are written back on
+  eviction and flush, and a batch call touches each shard once.
+  Resident memory on disk is bounded by ``cache_shards *
+  shard_capacity`` states regardless of entity count;
 - a :class:`StateCodec` owns **how** state blocks are encoded at rest.
   :class:`IdentityCodec` stores raw policy-dtype arrays (lossless),
   :class:`Float16Codec` halves them, and :class:`QuantizedCodec` wires
@@ -360,7 +363,7 @@ def read_state_manifest(directory):
 # the backend: where per-entity state lives
 # ----------------------------------------------------------------------
 class _HotShard:
-    """One decoded in-RAM shard: row buffers + dirty flag."""
+    """One decoded in-RAM shard of a disk backend: row buffers + dirty flag."""
 
     __slots__ = ("hidden", "cell", "dirty")
 
@@ -370,36 +373,46 @@ class _HotShard:
         self.dirty = dirty
 
 
+def _grown(block, rows):
+    """``block`` copied into a zeroed array with ``rows`` leading rows."""
+    out = np.zeros((rows,) + block.shape[1:], dtype=block.dtype)
+    out[:len(block)] = block
+    return out
+
+
 class StateBackend:
-    """Per-entity recurrent state in fixed-capacity row shards.
+    """Per-entity recurrent state, one slot per entity.
 
     A backend stores ``(hidden, cell, last_time)`` triples keyed by
     entity id on behalf of an :class:`~repro.runtime.EmbeddingStore`.
     Lifecycle: construct (storage knobs only) → :meth:`attach` (the
     owning store provides the state geometry, compute dtype and at-rest
-    codec) → ``get``/``put`` traffic → :meth:`snapshot` /
-    :meth:`restore` / :meth:`flush`.
+    codec) → per-entity ``get``/``put`` and batch ``gather``/``scatter``
+    traffic → :meth:`snapshot` / :meth:`restore` / :meth:`flush`.
 
-    Entities append to shards of ``shard_capacity`` rows in arrival
-    order; the entity→(shard, row) index and the last-event timestamps
-    stay in RAM (a few dozen bytes per entity).  ``directory`` says where
-    the shards live:
+    Every entity owns one int slot, assigned in arrival order; slot
+    ``s`` is row ``s % shard_capacity`` of shard ``s // shard_capacity``.
+    The id→slot dict, the slot-ordered id list and a float64 array of
+    last-event times stay in RAM (a few dozen bytes per entity).
+    ``directory`` says where the state rows live:
 
-    - ``None`` (the default): every shard stays in RAM, with no LRU and
-      no disk access until :meth:`snapshot` encodes the shards through
-      the codec.
+    - ``None`` (the default): one contiguous in-RAM block per buffer,
+      grown by doubling, so a batch access is one fancy index.  Disk is
+      touched only when :meth:`snapshot` encodes the shards through the
+      codec.
     - a path: shards live in ``.npy`` files under ``directory``.  A read
       or write promotes the owning shard into an LRU of at most
       ``cache_shards`` decoded shards; evicting a dirty shard encodes it
-      through the codec and writes it back.  :meth:`flush` writes back
-      every dirty hot shard and the manifest, after which the directory
-      is a complete state bundle that a fresh backend reopens in place
-      (construct with the same ``directory`` and attach).  Resident
-      state memory is bounded by ``cache_shards * shard_capacity`` rows
-      regardless of entity count.
+      through the codec and writes it back.  Batch calls group their
+      slots by shard with one stable argsort and touch each shard once.
+      :meth:`flush` writes back every dirty hot shard and the manifest,
+      after which the directory is a complete state bundle that a fresh
+      backend reopens in place (construct with the same ``directory``
+      and attach).  Resident state memory is bounded by ``cache_shards *
+      shard_capacity`` rows regardless of entity count.
 
-    :meth:`get` returns copies in both modes, so a later :meth:`put`
-    never changes a state that was already read.
+    :meth:`get` and :meth:`gather` return copies in both modes, so a
+    later write never changes a state that was already read.
     """
 
     def __init__(self, directory=None, shard_capacity=1024, cache_shards=4):
@@ -425,8 +438,9 @@ class StateBackend:
         ``kind`` names the state family: recurrent ``"gru"``/``"lstm"``
         states (``"lstm"`` adds a cell buffer per entity) or
         ``"transformer"`` pooled-embedding states (hidden buffer only,
-        like GRU).  On disk, a directory that already holds a state
-        bundle is reopened as the live state.
+        like GRU).  Attaching starts from empty state; on disk, a
+        directory that already holds a state bundle is reopened as the
+        live state.
         """
         if kind not in ("gru", "lstm", "transformer"):
             raise ValueError(
@@ -436,6 +450,7 @@ class StateBackend:
         self.kind = kind
         self.dtype = np.dtype(dtype)
         self.codec = resolve_codec(codec)
+        self.clear()
         if self.directory is not None:
             os.makedirs(self.directory, exist_ok=True)
             if os.path.exists(os.path.join(self.directory, _MANIFEST_NAME)):
@@ -448,7 +463,12 @@ class StateBackend:
         return self.kind == "lstm"
 
     def _reopen(self):
-        """Adopt an existing state bundle in ``directory`` as live state."""
+        """Adopt an existing state bundle in ``directory`` as live state.
+
+        The bundle's shards become the slot layout, so every shard but
+        the last must be full at the recorded shard capacity (which this
+        backend adopts); any other layout loads through :meth:`restore`.
+        """
         manifest = read_state_manifest(self.directory)
         if manifest.get("kind") != self.kind:
             raise ValueError(
@@ -468,143 +488,288 @@ class StateBackend:
                 "(or restore() through a snapshot to transcode)"
                 % (self.directory, manifest.get("codec"), self.codec.spec())
             )
-        self.clear()
-        for shard in range(int(manifest.get("shards", 0))):
+        capacity = int(manifest.get("shard_capacity", self.shard_capacity))
+        shards = int(manifest.get("shards", 0))
+        ids, last_times = [], [self._last]
+        for shard in range(shards):
             meta = load_arrays(_shard_files(self.directory, shard)[2])
-            ids = meta["entity_ids"].tolist()
-            self._shard_ids.append(ids)
-            for row, entity_id in enumerate(ids):
-                self._index[entity_id] = (shard, row)
-                self._last[entity_id] = float(meta["last_times"][row])
+            rows = len(meta["entity_ids"])
+            if rows > capacity or (rows < capacity and shard < shards - 1):
+                raise ValueError(
+                    "state directory %r is not a live-backend layout (shard "
+                    "%d holds %d rows at shard capacity %d): restore() it "
+                    "into a backend instead" % (self.directory, shard, rows,
+                                                capacity))
+            ids.extend(meta["entity_ids"].tolist())
+            last_times.append(meta["last_times"])
+        self.shard_capacity = capacity
+        self._ids = ids
+        self._slot = dict(zip(ids, range(len(ids))))
+        self._last = np.concatenate(last_times)
 
-    # -- shard plumbing ---------------------------------------------------
-    def _new_hot(self, dirty):
-        """A zeroed capacity-sized hot shard buffer pair."""
-        hidden = np.zeros((self.shard_capacity, self.dim), dtype=self.dtype)
-        cell = (np.zeros((self.shard_capacity, self.dim), dtype=self.dtype)
-                if self.is_lstm else None)
-        return _HotShard(hidden, cell, dirty)
+    # -- slots and shards --------------------------------------------------
+    def _num_shards(self):
+        """Shards spanned by the assigned slots."""
+        return -(-len(self._ids) // self.shard_capacity)
 
-    def _admit(self, shard, hot):
-        """Insert a shard into the disk LRU, evicting (and writing back) LRUs."""
-        self._hot[shard] = hot
-        self._hot.move_to_end(shard)
-        while len(self._hot) > self.cache_shards:
-            old_shard, old_hot = self._hot.popitem(last=False)
-            if old_hot.dirty:
-                self._write_shard(self.directory, old_shard, old_hot)
-            self.evictions += 1
+    def _grow(self, slots):
+        """Make room for ``slots`` slots; the slot arrays double as they fill."""
+        capacity = len(self._last)
+        if slots <= capacity:
+            return
+        capacity = max(slots, 2 * capacity)
+        self._last = _grown(self._last, capacity)
+        if self.directory is None:
+            self._hidden = _grown(self._hidden, capacity)
+            if self._cell is not None:
+                self._cell = _grown(self._cell, capacity)
 
-    def _load_shard(self, shard):
-        """Disk mode: the hot buffer of ``shard``, promoted from disk if cold."""
+    def _reserve(self, entity_id):
+        """Assign the next slot to a new entity (no data write)."""
+        slot = len(self._ids)
+        self._grow(slot + 1)
+        self._ids.append(entity_id)
+        self._slot[entity_id] = slot
+        return slot
+
+    def _hot_shard(self, shard, fresh=False):
+        """Disk mode: the hot buffers of ``shard``, now the LRU's newest.
+
+        A cold shard decodes from its files; a ``fresh`` one (its first
+        slot was just assigned) starts zeroed and dirty.  Nothing is
+        evicted here: callers use the shard, then :meth:`_trim`.
+        """
         hot = self._hot.get(shard)
         if hot is not None:
             self._hot.move_to_end(shard)
             return hot
-        hot = self._new_hot(dirty=False)
-        meta_path = _shard_files(self.directory, shard)[2]
-        if os.path.exists(meta_path):
-            _, hidden, cell, _ = read_state_shard(
+        hidden = np.zeros((self.shard_capacity, self.dim), dtype=self.dtype)
+        cell = (np.zeros((self.shard_capacity, self.dim), dtype=self.dtype)
+                if self.is_lstm else None)
+        hot = _HotShard(hidden, cell, dirty=fresh)
+        if not fresh:
+            _, stored, stored_cell, _ = read_state_shard(
                 self.directory, shard, self.codec, self.dim, self.dtype,
                 with_cell=self.is_lstm,
             )
-            hot.hidden[:hidden.shape[0]] = hidden
-            if self.is_lstm:
-                hot.cell[:cell.shape[0]] = cell
+            hidden[:len(stored)] = stored
+            if cell is not None:
+                cell[:len(stored_cell)] = stored_cell
             self.shard_loads += 1
-        self._admit(shard, hot)
+        self._hot[shard] = hot
         return hot
 
-    def _write_shard(self, directory, shard, hot):
-        """Encode and persist one shard's used rows under ``directory``."""
-        ids = self._shard_ids[shard]
-        rows = len(ids)
-        last_times = np.asarray([self._last[e] for e in ids],
-                                dtype=np.float64)
+    def _trim(self):
+        """Evict LRU shards past ``cache_shards``, writing dirty ones back.
+
+        A victim leaves the LRU only after its write-back succeeded: when
+        the write raises, the shard stays hot and dirty and the error
+        reaches the caller.
+        """
+        while len(self._hot) > self.cache_shards:
+            shard, hot = next(iter(self._hot.items()))
+            if hot.dirty:
+                self._write_shard(self.directory, shard, hot.hidden, hot.cell)
+                hot.dirty = False
+            del self._hot[shard]
+            self.evictions += 1
+
+    def _hot_runs(self, ordered, fresh=None):
+        """Disk mode: walk an ascending slot array one shard at a time.
+
+        Yields ``(hot, span, rows)`` per shard: its hot buffers, the slice
+        of ``ordered`` it holds and those slots' rows in it.  Shards from
+        index ``fresh`` on start zeroed.  The LRU is trimmed after the
+        caller used each shard; a write-back that fails with ``OSError``
+        is raised once every shard was visited, so a failing disk never
+        leaves a batch half applied.
+        """
+        if not len(ordered):
+            return
+        shards = ordered // self.shard_capacity
+        cuts = (shards[1:] != shards[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), len(ordered)]
+        failure = None
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            shard = int(shards[start])
+            hot = self._hot_shard(shard, fresh is not None and shard >= fresh)
+            yield (hot, slice(start, stop),
+                   ordered[start:stop] - shard * self.shard_capacity)
+            try:
+                self._trim()
+            except OSError as error:  # the victim stays hot and dirty
+                failure = failure or error
+        if failure is not None:
+            raise failure
+
+    def _write_shard(self, directory, shard, hidden, cell):
+        """Encode and persist one shard under ``directory``.
+
+        ``hidden`` / ``cell`` are ``(rows, H)`` blocks whose leading rows
+        are the shard's used rows (``cell`` None unless LSTM).
+        """
+        start = shard * self.shard_capacity
+        stop = min(start + self.shard_capacity, len(self._ids))
+        rows = stop - start
         write_state_shard(
-            directory, shard, ids, hot.hidden[:rows],
-            hot.cell[:rows] if self.is_lstm else None, last_times,
+            directory, shard, self._ids[start:stop], hidden[:rows],
+            None if cell is None else cell[:rows], self._last[start:stop],
             self.codec,
         )
-        hot.dirty = False
 
     def _write_manifest(self, directory):
         """The bundle manifest describing every live shard."""
         write_state_manifest(directory, self.kind, self.dim, self.codec,
-                             len(self._shard_ids), len(self),
+                             self._num_shards(), len(self),
                              shard_capacity=self.shard_capacity)
-
-    def _reserve(self, entity_id):
-        """Assign a (shard, row) slot to a new entity (no data write)."""
-        shard = len(self._shard_ids) - 1
-        if shard < 0 or len(self._shard_ids[shard]) >= self.shard_capacity:
-            shard += 1
-            self._shard_ids.append([])
-            hot = self._new_hot(dirty=True)
-            if self.directory is None:
-                self._hot[shard] = hot
-            else:
-                self._admit(shard, hot)
-        ids = self._shard_ids[shard]
-        location = (shard, len(ids))
-        ids.append(entity_id)
-        self._index[entity_id] = location
-        return location
 
     # -- per-entity access -------------------------------------------------
     def get(self, entity_id):
         """``(hidden, cell, last_time)`` as fresh copies, or ``None``."""
-        location = self._index.get(entity_id)
-        if location is None:
+        slot = self._slot.get(entity_id)
+        if slot is None:
             return None
-        shard, row = location
-        hot = (self._hot[shard] if self.directory is None
-               else self._load_shard(shard))
-        cell = hot.cell[row].copy() if hot.cell is not None else None
-        return hot.hidden[row].copy(), cell, self._last[entity_id]
+        if self.directory is None:
+            row, hidden, cell = slot, self._hidden, self._cell
+        else:
+            shard, row = divmod(slot, self.shard_capacity)
+            hot = self._hot_shard(shard)
+            self._trim()
+            hidden, cell = hot.hidden, hot.cell
+        return (hidden[row].copy(), None if cell is None else cell[row].copy(),
+                float(self._last[slot]))
 
     def put(self, entity_id, hidden, cell, last_time):
-        """Write one entity's state into its (possibly new) shard row.
+        """Write one entity's state into its (possibly new) slot.
 
         ``hidden`` (and ``cell`` for LSTM states; ignored otherwise) are
         ``(H,)`` buffers; the row assignment casts them to the backend's
         dtype and copies them, so the caller keeps ownership of its
         buffers.
         """
-        location = self._index.get(entity_id)
-        if location is None:
-            location = self._reserve(entity_id)
-        shard, row = location
+        last_time = float(last_time)
+        slot = self._slot.get(entity_id)
+        fresh = slot is None
+        if fresh:
+            slot = self._reserve(entity_id)
+        self._last[slot] = last_time
         if self.directory is None:
-            hot = self._hot[shard]
-        else:
-            hot = self._load_shard(shard)
-            hot.dirty = True
+            self._hidden[slot] = hidden
+            if self._cell is not None:
+                self._cell[slot] = cell
+            return
+        shard, row = divmod(slot, self.shard_capacity)
+        hot = self._hot_shard(shard, fresh=fresh and row == 0)
         hot.hidden[row] = hidden
         if hot.cell is not None:
             hot.cell[row] = cell
-        self._last[entity_id] = float(last_time)
+        hot.dirty = True
+        self._trim()
+
+    # -- batch access --------------------------------------------------------
+    def gather(self, entity_ids):
+        """Read many entities' states: ``(hidden, cell, last_times, known)``.
+
+        ``hidden`` (and ``cell`` for LSTM, else None) are fresh ``(N, H)``
+        arrays in the backend dtype, ``last_times`` a ``(N,)`` float64
+        array and ``known`` a ``(N,)`` bool mask of the ids with stored
+        state, all row-aligned with ``entity_ids``.  Rows of unknown ids
+        are zero with a NaN time.  Equal to one :meth:`get` per id.
+        """
+        lookup = self._slot.get
+        slots = np.array([lookup(e, -1) for e in entity_ids], dtype=np.int64)
+        known = slots >= 0
+        if self.directory is None and known.all():
+            return (self._hidden[slots],
+                    None if self._cell is None else self._cell[slots],
+                    self._last[slots], known)
+        at = known.nonzero()[0]
+        slots = slots[at]
+        hidden = np.zeros((len(known), self.dim), dtype=self.dtype)
+        cell = np.zeros_like(hidden) if self.is_lstm else None
+        last_times = np.full(len(known), np.nan, dtype=np.float64)
+        last_times[at] = self._last[slots]
+        if self.directory is None:
+            hidden[at] = self._hidden[slots]
+            if cell is not None:
+                cell[at] = self._cell[slots]
+            return hidden, cell, last_times, known
+        order = np.argsort(slots, kind="stable")
+        for hot, span, rows in self._hot_runs(slots[order]):
+            target = at[order[span]]
+            hidden[target] = hot.hidden[rows]
+            if cell is not None:
+                cell[target] = hot.cell[rows]
+        return hidden, cell, last_times, known
+
+    def scatter(self, entity_ids, hidden, cell, last_times):
+        """Write many entities' states, as sequential :meth:`put` calls would.
+
+        ``hidden`` (and ``cell`` for LSTM states; ignored otherwise) are
+        ``(N, H)`` arrays and ``last_times`` an ``(N,)`` array of
+        timestamps, row-aligned with ``entity_ids``; rows are cast to the
+        backend dtype and copied.  New ids take the next slots in input
+        order; a repeated id keeps the slot of its first occurrence and
+        the values of its last.
+        """
+        if self.is_lstm and cell is None:
+            raise ValueError("LSTM states require a cell buffer")
+        count = len(self._ids)
+        index = self._slot
+        slots = [index.setdefault(e, len(index)) for e in entity_ids]
+        if len(index) > count:
+            new = [e for e, slot in zip(entity_ids, slots) if slot >= count]
+            if len(new) > len(index) - count:  # a new id repeats
+                new = list(dict.fromkeys(new))
+            self._ids.extend(new)
+            self._grow(len(index))
+        slots = np.array(slots, dtype=np.int64)
+        # Ascending slots, each once: the stable sort puts an id's last
+        # occurrence at the end of its run.
+        order = np.argsort(slots, kind="stable")
+        ordered = slots[order]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = ordered[1:] != ordered[:-1]
+        order, ordered = order[last], ordered[last]
+        self._last[ordered] = np.asarray(last_times, dtype=np.float64)[order]
+        if self.directory is None:
+            self._hidden[ordered] = hidden[order]
+            if self._cell is not None:
+                self._cell[ordered] = cell[order]
+            return
+        fresh = -(-count // self.shard_capacity)
+        for hot, span, rows in self._hot_runs(ordered, fresh):
+            hot.hidden[rows] = hidden[order[span]]
+            if hot.cell is not None:
+                hot.cell[rows] = cell[order[span]]
+            hot.dirty = True
 
     def entity_ids(self):
-        """All stored entity ids."""
-        return list(self._index)
+        """All stored entity ids, in slot (arrival) order."""
+        return list(self._ids)
 
     def last_time(self, entity_id):
         """Last folded-event timestamp (RAM index; no shard touch)."""
-        return self._last.get(entity_id)
+        slot = self._slot.get(entity_id)
+        return None if slot is None else float(self._last[slot])
 
     def clear(self):
         """Forget all live state (stale disk files are overwritten lazily)."""
-        self._index = {}           # entity id -> (shard, row)
-        self._last = {}            # entity id -> float timestamp
-        self._shard_ids = []       # shard -> [entity ids in row order]
-        self._hot = OrderedDict()  # shard -> _HotShard (LRU order on disk)
+        self._slot = {}            # entity id -> slot, in arrival order
+        self._ids = []             # slot -> entity id
+        self._last = np.zeros(0, dtype=np.float64)  # slot -> last time
+        self._hot = OrderedDict()  # disk: shard -> _HotShard, LRU order
+        self._hidden = self._cell = None  # RAM: slot -> row, grown by doubling
+        if self.directory is None and self.dim is not None:
+            self._hidden = np.zeros((0, self.dim), dtype=self.dtype)
+            if self.is_lstm:
+                self._cell = np.zeros((0, self.dim), dtype=self.dtype)
 
     def __len__(self):
-        return len(self._index)
+        return len(self._ids)
 
     def __contains__(self, entity_id):
-        return entity_id in self._index
+        return entity_id in self._slot
 
     # -- persistence --------------------------------------------------------
     def flush(self):
@@ -616,7 +781,8 @@ class StateBackend:
             return
         for shard, hot in self._hot.items():
             if hot.dirty:
-                self._write_shard(self.directory, shard, hot)
+                self._write_shard(self.directory, shard, hot.hidden, hot.cell)
+                hot.dirty = False
         self._write_manifest(self.directory)
 
     def snapshot(self, directory):
@@ -631,14 +797,17 @@ class StateBackend:
         target = os.path.abspath(str(directory))
         if self.directory is None:
             os.makedirs(target, exist_ok=True)
-            for shard, hot in self._hot.items():
-                self._write_shard(target, shard, hot)
+            for shard in range(self._num_shards()):
+                start = shard * self.shard_capacity
+                self._write_shard(
+                    target, shard, self._hidden[start:],
+                    None if self._cell is None else self._cell[start:])
         else:
             self.flush()
             if target == os.path.abspath(self.directory):
                 return
             os.makedirs(target, exist_ok=True)
-            for shard in range(len(self._shard_ids)):
+            for shard in range(self._num_shards()):
                 for source, destination in zip(
                         _shard_files(self.directory, shard),
                         _shard_files(target, shard)):
@@ -668,14 +837,10 @@ class StateBackend:
         codec = resolve_codec(manifest.get("codec"))
         self.clear()
         for index in range(int(manifest.get("shards", 0))):
-            ids, hidden, cell, last_times = read_state_shard(
+            self.scatter(*read_state_shard(
                 directory, index, codec, self.dim, self.dtype,
                 with_cell=self.is_lstm, mmap=False,
-            )
-            for row, entity_id in enumerate(ids):
-                self.put(entity_id, hidden[row],
-                         cell[row] if cell is not None else None,
-                         last_times[row])
+            ))
         self.flush()
         return self
 
@@ -700,8 +865,9 @@ class StateBackend:
         """Entity count plus shard and LRU telemetry."""
         return {
             "entities": len(self),
-            "shards": len(self._shard_ids),
-            "hot_shards": len(self._hot),
+            "shards": self._num_shards(),
+            "hot_shards": (self._num_shards() if self.directory is None
+                           else len(self._hot)),
             "shard_capacity": self.shard_capacity,
             "cache_shards": self.cache_shards,
             "evictions": self.evictions,

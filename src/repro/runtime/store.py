@@ -20,8 +20,11 @@ state:
 *Where* the states live — and how they are encoded at rest — is delegated
 to a :class:`~repro.runtime.StateBackend` +
 :class:`~repro.runtime.StateCodec` pair (:mod:`repro.runtime.backends`):
-row shards stay in RAM by default, while ``backend_dir`` pages them from
-disk so entity count is no longer bounded by RAM.
+states stay in RAM by default, while ``backend_dir`` pages them from
+disk so entity count is no longer bounded by RAM.  The batch paths —
+bulk load, ``update_many``, ``embeddings``, ``load`` — move states
+through the backend's ``gather``/``scatter`` in a few numpy calls;
+``state_of``/``put_state``/``update`` stay per-entity.
 """
 
 from __future__ import annotations
@@ -56,34 +59,57 @@ class AdvanceResult(NamedTuple):
     batches: int
 
 
-def bulk_load_states(runtime, dataset, put_state, batch_size=64,
-                     workers=None):
-    """Embed a whole dataset and hand every final state to ``put_state``.
+#: Rows per state scatter in :func:`bulk_load_states`: enough to amortise
+#: the per-call numpy work, few enough that the pending block stays a
+#: small second copy of the states.
+BULK_SCATTER_ROWS = 4096
+
+
+def bulk_load_states(runtime, dataset, scatter, batch_size=64, workers=None):
+    """Embed a whole dataset and hand every final state to ``scatter``.
 
     The single bulk loop behind :meth:`EmbeddingStore.bulk_load` and the
-    sharded store's scatter variant: batches follow the globally
-    length-sorted plan (run bucket-parallel per the runtime's ``workers``
-    policy), and ``put_state(entity_id, hidden, cell, last_time)``
-    decides where each state lives — state writes always happen in plan
-    order on the calling thread, so results are deterministic for any
-    worker count.  Returns the ``(N, d)`` embedding matrix in dataset
-    order.
+    sharded store's variant: batches follow the globally length-sorted
+    plan (run bucket-parallel per the runtime's ``workers`` policy), and
+    ``scatter(entity_ids, hidden, cell, last_times)`` — the
+    :meth:`~repro.runtime.StateBackend.scatter` contract — decides where
+    the states live.  States are handed over in plan order, in blocks of
+    about :data:`BULK_SCATTER_ROWS` rows, on the calling thread, so
+    results are deterministic for any worker count.  Returns the
+    ``(N, d)`` embedding matrix in dataset order.
     """
     time_field = dataset.schema.time_field
     embeddings = np.zeros((len(dataset), runtime.output_dim),
                           dtype=runtime.dtype)
+    pending, rows = [], 0
+
+    def hand_over():
+        """Scatter the pending batches' states as one block."""
+        sequences = [seq for batch, _, _ in pending for seq in batch]
+        scatter([seq.seq_id for seq in sequences],
+                np.concatenate([hidden for _, hidden, _ in pending]),
+                (np.concatenate([cell for _, _, cell in pending])
+                 if runtime.is_lstm else None),
+                np.array([seq.fields[time_field][-1] for seq in sequences],
+                         dtype=np.float64))
+        pending.clear()
+
     for chunk, sequences, last in runtime.run_dataset(dataset, batch_size,
                                                       workers=workers):
         hidden = runtime.hidden_of(last)
         embeddings[chunk] = runtime.head(hidden)
-        for row, seq in enumerate(sequences):
-            put_state(seq.seq_id, hidden[row],
-                      last[1][row] if runtime.is_lstm else None,
-                      float(seq.fields[time_field][-1]))
+        pending.append((sequences, hidden,
+                        last[1] if runtime.is_lstm else None))
+        rows += len(sequences)
+        if rows >= BULK_SCATTER_ROWS:
+            hand_over()
+            rows = 0
+    if pending:
+        hand_over()
     return embeddings
 
 
-def advance_entities(runtime, sequences, schema, state_of, put_state,
+def advance_entities(runtime, sequences, schema, gather, scatter,
                      batch_size=64, workers=None):
     """Batched heterogeneous advance: one state transition per entity.
 
@@ -96,11 +122,12 @@ def advance_entities(runtime, sequences, schema, state_of, put_state,
     initial state).
 
     Execution is staged so parallelism never races the state callables:
-    all ``state_of`` reads happen up front on the calling thread, the
-    per-batch kernel calls run concurrently (``workers`` defaults to the
-    runtime's policy; BLAS releases the GIL), and all ``put_state``
-    writes happen afterwards in plan order — results are bit-identical
-    for any worker count.
+    one ``gather`` of every entity's state happens up front on the
+    calling thread, the per-batch kernel calls run concurrently
+    (``workers`` defaults to the runtime's policy; BLAS releases the
+    GIL), and one ``scatter`` of every final state follows in plan order
+    — results are bit-identical for any worker count, and new entities
+    get their slots in plan order.
 
     Parameters
     ----------
@@ -108,12 +135,14 @@ def advance_entities(runtime, sequences, schema, state_of, put_state,
         A :class:`~repro.runtime.FusedEncoderRuntime`.
     sequences:
         List of :class:`~repro.data.EventSequence`, one per entity.
-    state_of:
-        Callable ``entity_id -> (hidden, cell, last_time) | None`` — the
-        state source (``cell`` is None for GRU).
-    put_state:
-        Callable ``(entity_id, hidden, cell, last_time)`` — the state
-        sink.  The two callables let one routine serve both a flat
+    gather:
+        Callable ``entity_ids -> (hidden, cell, last_times, known)`` —
+        the state source, with the
+        :meth:`~repro.runtime.StateBackend.gather` contract.
+    scatter:
+        Callable ``(entity_ids, hidden, cell, last_times)`` — the state
+        sink, with the :meth:`~repro.runtime.StateBackend.scatter`
+        contract.  The two callables let one routine serve both a flat
         :class:`EmbeddingStore` and the shard-routed store of
         :mod:`repro.serving`.
     batch_size:
@@ -138,36 +167,34 @@ def advance_entities(runtime, sequences, schema, state_of, put_state,
     time_field = schema.time_field
     embeddings = np.zeros((len(sequences), runtime.output_dim),
                           dtype=runtime.dtype)
+    chunks = plan_batches(lengths, batch_size)
+    if not chunks:
+        return AdvanceResult(embeddings, 0)
 
-    # Phase 1 (serial): collate every planned batch and gather the stored
-    # states through state_of.
+    # Phase 1 (serial): one gather of the stored states, then collate
+    # every planned batch.  New entities start from the learnt c_0 with a
+    # boundary delta of zero (their first event time).
+    hidden, cell, last_times, known = gather(ids)
+    initial = runtime.default_state(len(ids))
+    stored = np.flatnonzero(known)
+    runtime.hidden_of(initial)[stored] = hidden[stored]
+    if runtime.is_lstm:
+        initial[1][stored] = cell[stored]
+    prev_times = np.array([seq.fields[time_field][0] for seq in sequences],
+                          dtype=np.float64)
+    prev_times[stored] = last_times[stored]
     tasks = []
-    for chunk in plan_batches(lengths, batch_size):
-        chunk_seqs = [sequences[i] for i in chunk]
-        batch = collate(chunk_seqs, schema)
-        initial = runtime.default_state(len(chunk_seqs))
-        hidden0 = runtime.hidden_of(initial)
-        prev_times = np.array(
-            [float(seq.fields[time_field][0]) for seq in chunk_seqs],
-            dtype=np.float64,
-        )
-        for row, seq in enumerate(chunk_seqs):
-            state = state_of(seq.seq_id)
-            if state is None:
-                continue  # new entity: learnt c_0, boundary delta of zero
-            hidden, cell, last_time = state
-            hidden0[row] = hidden
-            if runtime.is_lstm:
-                initial[1][row] = cell
-            if last_time is not None:
-                prev_times[row] = last_time
-        tasks.append((chunk, chunk_seqs, batch, initial, prev_times))
+    for chunk in chunks:
+        batch = collate([sequences[i] for i in chunk], schema)
+        rows = ((initial[0][chunk], initial[1][chunk]) if runtime.is_lstm
+                else initial[chunk])
+        tasks.append((batch, rows, prev_times[chunk]))
 
     # Phase 2 (parallel): the fused kernel calls — pure compute.
     def run(task):
         """Advance one prepared bucket through the fused kernels."""
-        _, _, batch, initial, prev_times = task
-        return runtime.advance(batch, initial=initial, prev_times=prev_times)
+        batch, rows, times = task
+        return runtime.advance(batch, initial=rows, prev_times=times)
 
     if workers == 1 or len(tasks) <= 1:
         results = [run(task) for task in tasks]
@@ -177,14 +204,18 @@ def advance_entities(runtime, sequences, schema, state_of, put_state,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
 
-    # Phase 3 (serial): scatter states and embeddings in plan order.
-    for (chunk, chunk_seqs, _, _, _), last in zip(tasks, results):
-        hidden = runtime.hidden_of(last)
-        for row, seq in enumerate(chunk_seqs):
-            put_state(seq.seq_id, hidden[row],
-                      last[1][row] if runtime.is_lstm else None,
-                      float(seq.fields[time_field][-1]))
-        embeddings[chunk] = runtime.head(hidden)
+    # Phase 3 (serial): embeddings per batch, then one scatter of every
+    # final state in plan order.
+    finals = [runtime.hidden_of(last) for last in results]
+    for chunk, final in zip(chunks, finals):
+        embeddings[chunk] = runtime.head(final)
+    order = np.concatenate(chunks)
+    ends = np.array([seq.fields[time_field][-1] for seq in sequences],
+                    dtype=np.float64)
+    scatter([ids[i] for i in order.tolist()], np.concatenate(finals),
+            (np.concatenate([last[1] for last in results])
+             if runtime.is_lstm else None),
+            ends[order])
     return AdvanceResult(embeddings, len(tasks))
 
 
@@ -285,7 +316,7 @@ class EmbeddingStore:
         return self.backend.bytes_per_entity()
 
     # ------------------------------------------------------------------
-    # raw state access (the advance_entities source/sink protocol)
+    # per-entity state access (the batch paths use backend.gather/scatter)
     # ------------------------------------------------------------------
     def state_of(self, entity_id):
         """``(hidden, cell, last_time)`` of a known entity, else None.
@@ -322,22 +353,12 @@ class EmbeddingStore:
         to a near-uniform length.  Returns the ``(N, d)`` embedding matrix
         in dataset order.
         """
-        return bulk_load_states(self.runtime, dataset, self.put_state,
+        return bulk_load_states(self.runtime, dataset, self.backend.scatter,
                                 batch_size=batch_size, workers=workers)
 
     # ------------------------------------------------------------------
     # incremental path
     # ------------------------------------------------------------------
-    def _state_rows(self, entity_id):
-        """The entity's stored state as (1, H) buffers, or None if new."""
-        state = self.backend.get(entity_id)
-        if state is None:
-            return None
-        hidden, cell, _ = state
-        if self.runtime.is_lstm:
-            return hidden[None, :], cell[None, :]
-        return hidden[None, :]
-
     def update(self, entity_id, events, schema):
         """Fold new ``events`` (an :class:`EventSequence`) into the state.
 
@@ -348,10 +369,14 @@ class EmbeddingStore:
         if len(events) == 0:
             raise ValueError("update requires at least one new event")
         batch = collate([events], schema)
-        prev_time = self.backend.last_time(entity_id)
-        prev_times = (None if prev_time is None
-                      else np.array([prev_time], dtype=np.float64))
-        state = self.runtime.advance(batch, initial=self._state_rows(entity_id),
+        initial = prev_times = None
+        stored = self.backend.get(entity_id)
+        if stored is not None:
+            hidden, cell, last_time = stored
+            initial = ((hidden[None, :], cell[None, :]) if self.runtime.is_lstm
+                       else hidden[None, :])
+            prev_times = np.array([last_time], dtype=np.float64)
+        state = self.runtime.advance(batch, initial=initial,
                                      prev_times=prev_times)
         self.put_state(
             entity_id, self.runtime.hidden_of(state)[0],
@@ -371,7 +396,7 @@ class EmbeddingStore:
         batch count call :func:`advance_entities` directly.
         """
         return advance_entities(self.runtime, sequences, schema,
-                                self.state_of, self.put_state,
+                                self.backend.gather, self.backend.scatter,
                                 batch_size=batch_size,
                                 workers=workers).embeddings
 
@@ -386,17 +411,11 @@ class EmbeddingStore:
         """Embedding matrix for ``entity_ids`` (default: all known, sorted)."""
         if entity_ids is None:
             entity_ids = self.known_entities()
-        if not len(entity_ids):
-            return np.zeros((0, self.runtime.output_dim),
-                            dtype=self.runtime.dtype)
-        hidden = np.stack([self._state_row_checked(e) for e in entity_ids])
+        hidden, _, _, known = self.backend.gather(entity_ids)
+        if not known.all():
+            raise KeyError("unknown entity %r"
+                           % entity_ids[int(np.argmin(known))])
         return self.runtime.head(hidden)
-
-    def _state_row_checked(self, entity_id):
-        state = self.backend.get(entity_id)
-        if state is None:
-            raise KeyError("unknown entity %r" % entity_id)
-        return state[0]
 
     # ------------------------------------------------------------------
     # persistence

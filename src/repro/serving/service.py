@@ -179,8 +179,8 @@ class EmbeddingService:
             return []
         with self.latency.time("flush"):
             result = advance_entities(self.store.runtime, pending,
-                                      self.schema, self.store.state_of,
-                                      self.store.put_state,
+                                      self.schema, self.store.gather,
+                                      self.store.scatter,
                                       batch_size=self.batch_size)
             updated = [seq.seq_id for seq in pending]
             self.cache.invalidate(updated)

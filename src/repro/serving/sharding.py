@@ -18,9 +18,12 @@ partitioned:
   :class:`~repro.runtime.StateCodec`;
 - state bundles are one sub-directory per shard plus a JSON manifest
   (:meth:`~ShardedEmbeddingStore.save` / :meth:`~ShardedEmbeddingStore.load`);
-- bulk loads and micro-batched updates batch *across* shards — the fused
-  kernels see the global length-bucketed plan, and final states scatter to
-  their owning shards.
+- bulk loads, micro-batched updates and embedding reads batch *across*
+  shards — the fused kernels see the global length-bucketed plan, and
+  :meth:`~ShardedEmbeddingStore.gather` /
+  :meth:`~ShardedEmbeddingStore.scatter` route a whole id list in one
+  pass (:func:`route_entities`), group it with one stable argsort and
+  make one backend call per routing shard.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..runtime import EmbeddingStore, FusedEncoderRuntime
 from ..runtime.backends import StateBackend
 from ..runtime.store import advance_entities, bulk_load_states
 
-__all__ = ["ShardedEmbeddingStore", "route_entity"]
+__all__ = ["ShardedEmbeddingStore", "route_entity", "route_entities"]
 
 _MANIFEST = "manifest.json"
 
@@ -61,6 +64,18 @@ def route_entity(entity_id, num_shards):
     else:
         key = repr(entity_id)
     return zlib.crc32(key.encode("utf-8")) % num_shards
+
+
+def route_entities(entity_ids, num_shards):
+    """:func:`route_entity` of every id, as an ``(N,)`` int64 array.
+
+    One pass: plain ``int`` ids hash inline (their canonical key is
+    ``str(id)``), every other type goes through :func:`route_entity`.
+    """
+    crc = zlib.crc32
+    return np.array([crc(str(e).encode()) % num_shards if type(e) is int
+                     else route_entity(e, num_shards) for e in entity_ids],
+                    dtype=np.int64)
 
 
 def _shard_backends(backend, backend_dir, num_shards):
@@ -200,6 +215,55 @@ class ShardedEmbeddingStore:
         """``(hidden, cell, last_time)`` from the owning shard, else None."""
         return self.shard_for(entity_id).state_of(entity_id)
 
+    def _by_shard(self, entity_ids):
+        """``(shard, positions)`` per routing shard, positions ascending."""
+        routes = route_entities(entity_ids, self.num_shards)
+        order = np.argsort(routes, kind="stable")
+        routes = routes[order]
+        cuts = (routes[1:] != routes[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), len(order)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop > start:
+                yield int(routes[start]), order[start:stop]
+
+    def gather(self, entity_ids):
+        """Batch state read across shards: ``(hidden, cell, last_times, known)``.
+
+        The :meth:`~repro.runtime.StateBackend.gather` contract — fresh
+        ``(N, H)`` state arrays (``cell`` None unless LSTM), ``(N,)``
+        float64 last-event times and an ``(N,)`` bool mask of stored ids,
+        row-aligned with ``entity_ids`` — with one backend call per
+        routing shard.
+        """
+        count = len(entity_ids)
+        hidden = np.empty((count, self.runtime.output_dim),
+                          dtype=self.runtime.dtype)
+        cell = np.empty_like(hidden) if self.runtime.is_lstm else None
+        last_times = np.empty(count, dtype=np.float64)
+        known = np.empty(count, dtype=bool)
+        for shard, positions in self._by_shard(entity_ids):
+            part = self.shards[shard].backend.gather(
+                [entity_ids[i] for i in positions.tolist()])
+            for out, values in zip((hidden, cell, last_times, known), part):
+                if out is not None:
+                    out[positions] = values
+        return hidden, cell, last_times, known
+
+    def scatter(self, entity_ids, hidden, cell, last_times):
+        """Batch state write across shards, as sequential puts would.
+
+        The :meth:`~repro.runtime.StateBackend.scatter` contract:
+        ``(N, H)`` ``hidden`` (and ``cell`` for LSTM) arrays and ``(N,)``
+        ``last_times``, row-aligned with ``entity_ids``.  Each routing
+        shard receives its ids in input order, in one backend call.
+        """
+        last_times = np.asarray(last_times, dtype=np.float64)
+        for shard, positions in self._by_shard(entity_ids):
+            self.shards[shard].backend.scatter(
+                [entity_ids[i] for i in positions.tolist()],
+                hidden[positions], None if cell is None else cell[positions],
+                last_times[positions])
+
     def put_state(self, entity_id, hidden, cell=None, last_time=None):
         """Record an entity's recurrent state on its owning shard.
 
@@ -220,23 +284,18 @@ class ShardedEmbeddingStore:
         """Embedding matrix for ``entity_ids`` (default: all, sorted)."""
         if entity_ids is None:
             entity_ids = self.known_entities()
-        if not len(entity_ids):
-            return np.zeros((0, self.runtime.output_dim),
-                            dtype=self.runtime.dtype)
-        rows = []
-        for entity_id in entity_ids:
-            state = self.state_of(entity_id)
-            if state is None:
-                raise KeyError("unknown entity %r" % entity_id)
-            rows.append(state[0])
-        return self.runtime.head(np.stack(rows))
+        hidden, _, _, known = self.gather(entity_ids)
+        if not known.all():
+            raise KeyError("unknown entity %r"
+                           % entity_ids[int(np.argmin(known))])
+        return self.runtime.head(hidden)
 
     # ------------------------------------------------------------------
     # writes: globally batched compute, shard-scattered state
     # ------------------------------------------------------------------
     def bulk_load(self, dataset, batch_size=64, workers=None):
         """Embed a whole dataset; states scatter to their owning shards."""
-        return bulk_load_states(self.runtime, dataset, self.put_state,
+        return bulk_load_states(self.runtime, dataset, self.scatter,
                                 batch_size=batch_size, workers=workers)
 
     def update(self, entity_id, events, schema):
@@ -247,13 +306,13 @@ class ShardedEmbeddingStore:
         """Micro-batched advance across shards.
 
         Entities from different shards share fused batches (the plan is
-        global); only the state reads/writes route per shard.  Returns
+        global); only the state gather/scatter routes per shard.  Returns
         the refreshed ``(N, d)`` embeddings in input order; callers that
         need the fused batch count call
         :func:`~repro.runtime.advance_entities` directly.
         """
         return advance_entities(self.runtime, sequences, schema,
-                                self.state_of, self.put_state,
+                                self.gather, self.scatter,
                                 batch_size=batch_size,
                                 workers=workers).embeddings
 

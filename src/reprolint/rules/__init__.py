@@ -13,6 +13,7 @@ from .rp002_promotion import Float64PromotionRule
 from .rp003_plans import PlanInvalidationRule
 from .rp004_threads import ThreadFanoutMutationRule
 from .rp005_contracts import ArrayContractRule
+from .rp006_state_loops import PerEntityStateLoopRule
 
 __all__ = ["ALL_RULES", "all_rules", "rules_by_id"]
 
@@ -22,6 +23,7 @@ ALL_RULES = (
     PlanInvalidationRule,
     ThreadFanoutMutationRule,
     ArrayContractRule,
+    PerEntityStateLoopRule,
 )
 
 

@@ -25,7 +25,7 @@ from reprolint.cli import main, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-ALL_IDS = ("RP001", "RP002", "RP003", "RP004", "RP005")
+ALL_IDS = ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006")
 
 
 def lint_fixture(name, select):
@@ -106,6 +106,24 @@ def test_rp005_flags_contractless_buffer_apis():
 
 def test_rp005_clean_on_documented_and_private():
     findings, _ = lint_fixture("rp005_good.py", ["RP005"])
+    assert findings == []
+
+
+def test_rp006_flags_per_entity_state_calls_in_loops():
+    findings, _ = lint_fixture("rp006_bad.py", ["RP006"])
+    messages = [f.message for f in findings]
+    assert [f.line for f in findings] == [6, 10, 15, 19]
+    assert "put_state()" in messages[0]
+    assert "backend.get()" in messages[1]
+    assert "backend.put()" in messages[2]
+    assert "state_of()" in messages[3]
+    assert all("gather()/scatter()" in message for message in messages)
+
+
+def test_rp006_clean_on_batch_calls():
+    # gather/scatter in loops, per-entity calls outside loops, a cache's
+    # put and a loop's once-evaluated iterable are all fine.
+    findings, _ = lint_fixture("rp006_good.py", ["RP006"])
     assert findings == []
 
 

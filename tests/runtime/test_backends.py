@@ -15,7 +15,9 @@ Contracts under test:
   disk mode's LRU pages evicted shards back losslessly (identity) or
   within the bound (quantized);
 - serving from disk matches a cold recompute: identity codec at 1e-10,
-  quantized codecs within an explicit measured drift bound.
+  quantized codecs within an explicit measured drift bound;
+- a failed eviction write-back keeps the victim shard hot and dirty and
+  raises, instead of dropping its rows.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.runtime import (EmbeddingStore, Float16Codec, IdentityCodec,
                            QuantizedCodec, StateBackend, resolve_codec)
+from repro.runtime import backends
 from repro.runtime.backends import write_state_manifest, write_state_shard
 from tests.oracles import tensor_embed
 
@@ -388,6 +391,39 @@ class TestMemmapBackend:
             StateBackend(tmp_path / "state").attach(
                 6, "gru", np.float64, "int8")
 
+    def test_reopen_adopts_directory_shard_capacity(self, tmp_path):
+        """Slots map onto the directory's shards, so a reopen takes the
+        shard capacity the bundle was written with."""
+        backend, states = self._filled(tmp_path, entities=20)
+        backend.flush()
+        reopened = StateBackend(tmp_path / "state", shard_capacity=64)
+        reopened.attach(6, "gru", np.float64, "identity")
+        assert reopened.shard_capacity == 8
+        reopened.put(20, np.ones(6), None, 20.0)
+        reopened.flush()
+        again = StateBackend(tmp_path / "state").attach(
+            6, "gru", np.float64, "identity")
+        assert again.entity_ids() == list(range(21))
+        np.testing.assert_array_equal(
+            again.gather(list(range(20)))[0],
+            np.stack([states[e] for e in range(20)]))
+
+    def test_reopen_rejects_non_slot_layout(self, tmp_path):
+        """A bundle whose shards are not full up to the last cannot be the
+        live slot layout: reopening it in place raises."""
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        rng = np.random.default_rng(0)
+        for shard, ids in enumerate(([1, 2, 3], [4, 5])):
+            write_state_shard(bundle, shard, ids, rng.normal(size=(len(ids), 3)),
+                              None, np.zeros(len(ids)), IdentityCodec())
+        write_state_manifest(bundle, "gru", 3, IdentityCodec(), 2, 5,
+                             shard_capacity=8)
+        with pytest.raises(ValueError, match="restore"):
+            StateBackend(bundle).attach(3, "gru", np.float64, "identity")
+        restored = StateBackend().attach(3, "gru", np.float64, "identity")
+        assert restored.restore(bundle).entity_ids() == [1, 2, 3, 4, 5]
+
     def test_snapshot_into_live_directory_is_flush(self, tmp_path):
         backend, states = self._filled(tmp_path, entities=4)
         backend.snapshot(tmp_path / "state")
@@ -402,6 +438,67 @@ class TestMemmapBackend:
         assert stats["shards"] == 5
         assert stats["hot_shards"] <= 2
         assert stats["evictions"] > 0
+
+    def test_failed_write_back_keeps_evicted_rows(self, tmp_path,
+                                                  monkeypatch):
+        """A dirty LRU victim whose write-back raises stays hot and dirty:
+        the error reaches the caller and no row is lost (the victim used
+        to be dropped first, so a later read saw zeros)."""
+        backend = StateBackend(tmp_path / "state", shard_capacity=2,
+                               cache_shards=1)
+        backend.attach(3, "gru", np.float64, "identity")
+        backend.put(0, np.full(3, 1.0), None, 1.0)
+        backend.put(1, np.full(3, 2.0), None, 2.0)
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(backends, "write_state_shard", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            backend.put(2, np.full(3, 3.0), None, 3.0)
+        with pytest.raises(OSError, match="disk full"):
+            backend.get(0)  # still needs an eviction: no silent read
+        monkeypatch.undo()
+
+        for entity_id in (0, 1, 2):
+            hidden, _, last_time = backend.get(entity_id)
+            np.testing.assert_array_equal(hidden,
+                                          np.full(3, entity_id + 1.0))
+            assert last_time == entity_id + 1.0
+        backend.flush()
+        reopened = StateBackend(tmp_path / "state", shard_capacity=2)
+        reopened.attach(3, "gru", np.float64, "identity")
+        for entity_id in (0, 1, 2):
+            np.testing.assert_array_equal(reopened.get(entity_id)[0],
+                                          np.full(3, entity_id + 1.0))
+
+    def test_failed_write_back_mid_scatter_applies_every_row(
+            self, tmp_path, monkeypatch):
+        """A batch write whose evictions fail still writes every row, then
+        raises: the batch is never left half applied."""
+        backend, states = self._filled(tmp_path, entities=12,
+                                       shard_capacity=2, cache_shards=1)
+        writes = []
+
+        def disk_full(*args, **kwargs):
+            writes.append(args[1])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(backends, "write_state_shard", disk_full)
+        ids = list(range(0, 16, 3))  # known ids over four shards, new ones
+        hidden = np.arange(len(ids) * 6.0).reshape(len(ids), 6)
+        with pytest.raises(OSError, match="disk full"):
+            backend.scatter(ids, hidden, None, np.arange(len(ids)) + 100.0)
+        assert len(writes) > 1  # every shard visited, each eviction tried
+        monkeypatch.undo()
+        got_hidden, _, got_times, known = backend.gather(ids)
+        np.testing.assert_array_equal(got_hidden, hidden)
+        np.testing.assert_array_equal(got_times, np.arange(len(ids)) + 100.0)
+        assert known.all()
+        untouched = [e for e in states if e not in ids]
+        np.testing.assert_array_equal(
+            backend.gather(untouched)[0],
+            np.stack([states[e] for e in untouched]))
 
 
 # ----------------------------------------------------------------------
