@@ -4,8 +4,7 @@
 from .cpc import CPC
 from .handcrafted import FeatureMatrix, handcrafted_features
 from .pair_tasks import NSP, SOP
-from .pretrain_common import (PretrainConfig, pretrain_batches,
-                              random_slice_pair, truncate_tail)
+from .pretrain_common import PretrainConfig, random_slice_pair, truncate_tail
 from .rtd import RTD, corrupt_batch
 from .supervised import FineTuneConfig, SequenceClassifier
 
@@ -15,7 +14,6 @@ __all__ = [
     "SequenceClassifier",
     "FineTuneConfig",
     "PretrainConfig",
-    "pretrain_batches",
     "truncate_tail",
     "random_slice_pair",
     "CPC",

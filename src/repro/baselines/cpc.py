@@ -20,18 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.sequences import SequenceDataset
 from ..encoders import RnnSeqEncoder, TrxEncoder
-from ..nn import Adam, Linear, Tensor, clip_grad_norm
+from ..nn import Linear, Tensor
 from ..nn import functional as F
-from ..runtime.training import FusedTrainStep
-from .pretrain_common import (PretrainConfig, leaf_grad, pretrain_batches,
-                              truncate_tail)
+from .pretrain_common import Pretrainer, leaf_grad
 
 __all__ = ["CPC"]
 
 
-class CPC:
+class CPC(Pretrainer):
     """CPC pre-training for event sequences.
 
     Parameters
@@ -115,45 +112,15 @@ class CPC:
             raise ValueError("batch too short for any prediction horizon")
         return total * (1.0 / terms), terms
 
-    def fit(self, dataset, config=None):
-        """Pre-train on all sequences (labels unused)."""
-        config = config or PretrainConfig()
-        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
-        rng = np.random.default_rng(config.seed)
-        truncated = SequenceDataset(
-            [truncate_tail(seq, config.max_seq_length) for seq in dataset],
-            dataset.schema,
-        )
-        optimizer = Adam(self._parameters(), lr=config.learning_rate)
-        self.encoder.train()
-        for epoch in range(config.num_epochs):
-            losses = []
-            for batch in pretrain_batches(truncated, config, rng):
-                if batch.batch_size < 2:
-                    continue
-                cache = fused_step.forward(batch)
-                states = Tensor(cache.states, requires_grad=True)
-                events = Tensor(cache.events, requires_grad=True)
-                loss, _ = self._info_nce(states, events, batch.mask)
-                optimizer.zero_grad()
-                # This graph stops at the two leaves: the predictors get
-                # their gradients here and the encoder gets them from
-                # the fused BPTT below.
-                loss.backward()
-                fused_step.backward(cache, d_states=leaf_grad(states),
-                                    d_events=leaf_grad(events))
-                if config.clip_norm:
-                    clip_grad_norm(self._parameters(), config.clip_norm)
-                optimizer.step()
-                losses.append(loss.item())
-            mean_loss = float(np.mean(losses)) if losses else float("nan")
-            self.history.append(mean_loss)
-            if config.verbose:
-                print("cpc epoch %3d  loss %.4f" % (epoch, mean_loss))
-        self.encoder.eval()
-        return self
-
-    def embed(self, dataset, batch_size=64):
-        from ..core.inference import embed_dataset
-
-        return embed_dataset(self.encoder, dataset, batch_size=batch_size)
+    def _backward(self, fused_step, batch, rng):
+        """InfoNCE on one batch: the predictors get their gradients from
+        the autograd graph, which stops at the two leaves, and the
+        encoder gets them from the fused BPTT."""
+        cache = fused_step.forward(batch)
+        states = Tensor(cache.states, requires_grad=True)
+        events = Tensor(cache.events, requires_grad=True)
+        loss, _ = self._info_nce(states, events, batch.mask)
+        loss.backward()
+        fused_step.backward(cache, d_states=leaf_grad(states),
+                            d_events=leaf_grad(events))
+        return loss.item()

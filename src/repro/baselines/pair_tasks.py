@@ -20,16 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.batches import collate
-from ..nn import Adam, Linear, Tensor, clip_grad_norm, concat
+from ..data.bucketing import epoch_plan
+from ..nn import Linear, Tensor, concat
 from ..nn import functional as F
-from ..runtime.training import FusedTrainStep
-from .pretrain_common import (PretrainConfig, leaf_grad, random_slice_pair,
-                              truncate_tail)
+from .pretrain_common import Pretrainer, leaf_grad, random_slice_pair
 
 __all__ = ["NSP", "SOP"]
 
 
-class _PairPretrainer:
+class _PairPretrainer(Pretrainer):
     """Shared machinery: build (A, B, label) batches and train the head."""
 
     def __init__(self, encoder, schema, seed=0):
@@ -46,58 +45,32 @@ class _PairPretrainer:
         """Return (first_views, second_views, labels) for one batch."""
         raise NotImplementedError
 
-    def _parameters(self):
-        return list(self.encoder.parameters()) + list(self.head.parameters())
-
-    def fit(self, dataset, config=None):
-        """Pre-train the encoder through the pair objective."""
-        config = config or PretrainConfig()
-        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
-        rng = np.random.default_rng(config.seed)
-        sequences = [truncate_tail(seq, config.max_seq_length) for seq in dataset]
-        optimizer = Adam(self._parameters(), lr=config.learning_rate)
-        self.encoder.train()
-        for epoch in range(config.num_epochs):
-            losses = []
-            order = np.arange(len(sequences))
-            rng.shuffle(order)
-            for start in range(0, len(order), config.batch_size):
-                chunk = [sequences[i] for i in order[start:start + config.batch_size]]
-                made = self._make_pairs(chunk, rng)
-                if made is None:
-                    continue
+    def _batches(self, dataset, config, rng):
+        """One epoch of collated ``(A, B, labels)`` pair batches."""
+        sequences = dataset.sequences
+        for chunk in epoch_plan(dataset.lengths(), config.batch_size,
+                                rng=rng, bucket_window=config.bucket_window):
+            made = self._make_pairs([sequences[i] for i in chunk], rng)
+            if made is not None:
                 first, second, labels = made
-                batch_a = collate(first, self.schema)
-                batch_b = collate(second, self.schema)
-                cache_a = fused_step.forward(batch_a)
-                cache_b = fused_step.forward(batch_b)
-                emb_a = Tensor(cache_a.embeddings, requires_grad=True)
-                emb_b = Tensor(cache_b.embeddings, requires_grad=True)
-                logits = self.head(self._pair_features(emb_a, emb_b)).reshape(-1)
-                loss = F.binary_cross_entropy_with_logits(logits, labels)
-                optimizer.zero_grad()
-                # This graph stops at the two embedding leaves: the head
-                # gets its gradients here and the encoder gets them from
-                # the fused backward below.
-                loss.backward()
-                fused_step.backward(cache_a, leaf_grad(emb_a))
-                fused_step.backward(cache_b, leaf_grad(emb_b))
-                if config.clip_norm:
-                    clip_grad_norm(self._parameters(), config.clip_norm)
-                optimizer.step()
-                losses.append(loss.item())
-            mean_loss = float(np.mean(losses)) if losses else float("nan")
-            self.history.append(mean_loss)
-            if config.verbose:
-                print("%s epoch %3d  loss %.4f"
-                      % (type(self).__name__.lower(), epoch, mean_loss))
-        self.encoder.eval()
-        return self
+                yield (collate(first, self.schema),
+                       collate(second, self.schema), labels)
 
-    def embed(self, dataset, batch_size=64):
-        from ..core.inference import embed_dataset
-
-        return embed_dataset(self.encoder, dataset, batch_size=batch_size)
+    def _backward(self, fused_step, batch, rng):
+        """Pair loss on one batch: the head gets its gradients from the
+        autograd graph, which stops at the two embedding leaves, and the
+        encoder gets them from the fused backward."""
+        batch_a, batch_b, labels = batch
+        cache_a = fused_step.forward(batch_a)
+        cache_b = fused_step.forward(batch_b)
+        emb_a = Tensor(cache_a.embeddings, requires_grad=True)
+        emb_b = Tensor(cache_b.embeddings, requires_grad=True)
+        logits = self.head(self._pair_features(emb_a, emb_b)).reshape(-1)
+        loss = F.binary_cross_entropy_with_logits(logits, labels)
+        loss.backward()
+        fused_step.backward(cache_a, leaf_grad(emb_a))
+        fused_step.backward(cache_b, leaf_grad(emb_b))
+        return loss.item()
 
 
 class NSP(_PairPretrainer):

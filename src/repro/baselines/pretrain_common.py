@@ -1,4 +1,5 @@
-"""Shared configuration and helpers for the self-supervised baselines."""
+"""Shared configuration, fit loop and helpers of the self-supervised
+baselines (CPC, NSP, SOP, RTD)."""
 
 from __future__ import annotations
 
@@ -6,43 +7,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.trainer import LoopConfig, apply_update, build_step, run_epochs
 from ..data.batches import iterate_batches
+from ..data.sequences import SequenceDataset
+from ..nn import Adam
 
-__all__ = ["PretrainConfig", "pretrain_batches", "leaf_grad",
-           "truncate_tail", "random_slice_pair"]
+__all__ = ["PretrainConfig", "Pretrainer", "leaf_grad", "truncate_tail",
+           "random_slice_pair"]
 
 
 @dataclass
-class PretrainConfig:
+class PretrainConfig(LoopConfig):
     """Hyper-parameters shared by CPC/NSP/SOP/RTD pre-training."""
 
-    num_epochs: int = 10
-    batch_size: int = 16
-    learning_rate: float = 0.002
-    clip_norm: float = 5.0
     max_seq_length: int = 150  # truncate long sequences for speed
-    seed: int = 0
-    verbose: bool = False
-    # Shuffle window (in batches) for the length-bucketed batch planner;
-    # None disables bucketing.
-    bucket_window: int | None = None
-    # Compute dtype of the fused training step (repro.runtime.training),
-    # which every baseline runs on: "float64" (default, the parity
-    # reference) or "float32" (mixed precision).
-    precision: str = "float64"
 
-    def __post_init__(self):
-        if self.num_epochs < 1:
-            raise ValueError("num_epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (negatives needed)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(
-                "unknown precision %r (use 'float32' or 'float64')"
-                % self.precision
-            )
+
+class Pretrainer:
+    """The fit loop and ``embed`` the pre-training baselines share.
+
+    A subclass sets ``encoder``, ``schema`` and ``history = []`` and
+    implements ``_backward(fused_step, batch, rng)``: its objective's
+    forward and backward on one batch (gradients accumulated, no update),
+    returning the loss.  ``_batches`` is its batch source; the default
+    yields padded batches of at least two sequences.  ``_parameters()``
+    lists what the optimizer trains (encoder plus ``head`` by default).
+    """
+
+    def _parameters(self):
+        return list(self.encoder.parameters()) + list(self.head.parameters())
+
+    def _batches(self, dataset, config, rng):
+        """One epoch of padded batches under the config's epoch plan."""
+        for batch in iterate_batches(dataset.sequences, dataset.schema,
+                                     config.batch_size, rng=rng,
+                                     bucket_window=config.bucket_window):
+            if batch.batch_size >= 2:
+                yield batch
+
+    def fit(self, dataset, config=None):
+        """Pre-train on all sequences (labels unused), each truncated to
+        its last ``config.max_seq_length`` events."""
+        config = config or PretrainConfig()
+        fused_step = build_step(self.encoder, config.precision)
+        rng = np.random.default_rng(config.seed)
+        truncated = SequenceDataset(
+            [truncate_tail(seq, config.max_seq_length) for seq in dataset],
+            dataset.schema,
+        )
+        optimizer = Adam(self._parameters(), lr=config.learning_rate)
+
+        def step(batch):
+            optimizer.zero_grad()
+            loss = self._backward(fused_step, batch, rng)
+            apply_update(optimizer, config.clip_norm)
+            return loss
+
+        run_epochs(self, config,
+                   lambda: self._batches(truncated, config, rng), step)
+        return self
+
+    def embed(self, dataset, batch_size=64):
+        from ..core.inference import embed_dataset
+
+        return embed_dataset(self.encoder, dataset, batch_size=batch_size)
 
 
 def leaf_grad(leaf):
@@ -57,17 +85,6 @@ def leaf_grad(leaf):
     error.
     """
     return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-
-def pretrain_batches(dataset, config, rng, drop_last=False):
-    """One epoch of padded batches under the config's batch plan.
-
-    All baselines draw their epochs through this helper so the bucketed
-    planner (``config.bucket_window``) applies uniformly.
-    """
-    return iterate_batches(dataset.sequences, dataset.schema,
-                           config.batch_size, rng=rng, drop_last=drop_last,
-                           bucket_window=config.bucket_window)
 
 
 def truncate_tail(sequence, max_length):

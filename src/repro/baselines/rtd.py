@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.sequences import SequenceDataset
 from ..encoders import RnnSeqEncoder, TrxEncoder
-from ..nn import Adam, Linear, Tensor, clip_grad_norm
+from ..nn import Linear, Tensor
 from ..nn import functional as F
-from ..runtime.training import FusedTrainStep
-from .pretrain_common import (PretrainConfig, leaf_grad, pretrain_batches,
-                              truncate_tail)
+from .pretrain_common import Pretrainer, leaf_grad
 
 __all__ = ["RTD", "corrupt_batch"]
 
@@ -78,7 +75,7 @@ def corrupt_batch(batch, schema, replace_prob, rng):
     return fields, replaced
 
 
-class RTD:
+class RTD(Pretrainer):
     """RTD pre-training for event sequences.
 
     ``cell`` selects the recurrent encoder (``"gru"``, the paper
@@ -95,9 +92,6 @@ class RTD:
         self.replace_prob = replace_prob
         self.head = Linear(hidden_size, 1, rng=rng)
         self.history = []
-
-    def _parameters(self):
-        return list(self.encoder.parameters()) + list(self.head.parameters())
 
     def _detection_loss(self, states, replaced, mask):
         """Per-event BCE of the detection head over valid positions.
@@ -125,44 +119,14 @@ class RTD:
         )
         return corrupted, replaced
 
-    def fit(self, dataset, config=None):
-        """Pre-train on all sequences (labels unused)."""
-        config = config or PretrainConfig()
-        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
-        rng = np.random.default_rng(config.seed)
-        truncated = SequenceDataset(
-            [truncate_tail(seq, config.max_seq_length) for seq in dataset],
-            dataset.schema,
-        )
-        optimizer = Adam(self._parameters(), lr=config.learning_rate)
-        self.encoder.train()
-        for epoch in range(config.num_epochs):
-            losses = []
-            for batch in pretrain_batches(truncated, config, rng):
-                if batch.batch_size < 2:
-                    continue
-                corrupted, replaced = self._corrupted(batch, rng)
-                cache = fused_step.forward(corrupted)
-                states = Tensor(cache.states, requires_grad=True)
-                loss = self._detection_loss(states, replaced, batch.mask)
-                optimizer.zero_grad()
-                # This graph stops at the states leaf: the head gets its
-                # gradients here and the encoder gets them from the
-                # fused BPTT below.
-                loss.backward()
-                fused_step.backward(cache, d_states=leaf_grad(states))
-                if config.clip_norm:
-                    clip_grad_norm(self._parameters(), config.clip_norm)
-                optimizer.step()
-                losses.append(loss.item())
-            mean_loss = float(np.mean(losses)) if losses else float("nan")
-            self.history.append(mean_loss)
-            if config.verbose:
-                print("rtd epoch %3d  loss %.4f" % (epoch, mean_loss))
-        self.encoder.eval()
-        return self
-
-    def embed(self, dataset, batch_size=64):
-        from ..core.inference import embed_dataset
-
-        return embed_dataset(self.encoder, dataset, batch_size=batch_size)
+    def _backward(self, fused_step, batch, rng):
+        """Detection loss on a corrupted twin of the batch: the head gets
+        its gradients from the autograd graph, which stops at the states
+        leaf, and the encoder gets them from the fused BPTT."""
+        corrupted, replaced = self._corrupted(batch, rng)
+        cache = fused_step.forward(corrupted)
+        states = Tensor(cache.states, requires_grad=True)
+        loss = self._detection_loss(states, replaced, batch.mask)
+        loss.backward()
+        fused_step.backward(cache, d_states=leaf_grad(states))
+        return loss.item()

@@ -20,53 +20,34 @@ the head.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from ..core.trainer import LoopConfig, apply_update, build_step, run_epochs
 from ..data.batches import iterate_batches
-from ..nn import Adam, Linear, clip_grad_norm
-from ..runtime.training import FusedTrainStep, softmax_head_probabilities
+from ..nn import Adam, Linear
+from ..runtime.training import softmax_head_probabilities
 
 __all__ = ["FineTuneConfig", "SequenceClassifier"]
 
 
 @dataclass
-class FineTuneConfig:
+class FineTuneConfig(LoopConfig):
     """Hyper-parameters of the supervised phase."""
 
-    num_epochs: int = 10
     batch_size: int = 32
-    learning_rate: float = 0.002
     # Separate (usually gentler) rate for the pre-trained encoder's
     # parameters; the head always trains at learning_rate.
     encoder_learning_rate: float | None = None  # defaults to learning_rate
-    clip_norm: float = 5.0
-    seed: int = 0
-    verbose: bool = False
-    # Length-bucketing shuffle window (in batches) for the batch planner;
-    # None keeps the fully random order.
-    bucket_window: int | None = None
-    # Compute dtype of the fused training step (repro.runtime.training):
-    # "float64" (default, the parity reference) or "float32" (mixed
-    # precision).
-    precision: str = "float64"
+
+    #: Cross-entropy needs no negatives: one sequence is a batch.
+    min_batch_size: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.num_epochs < 1:
-            raise ValueError("num_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        super().__post_init__()
         if self.encoder_learning_rate is None:
             self.encoder_learning_rate = self.learning_rate
-        elif self.encoder_learning_rate <= 0:
-            raise ValueError("encoder_learning_rate must be positive")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(
-                "unknown precision %r (use 'float32' or 'float64')"
-                % self.precision
-            )
 
 
 class SequenceClassifier:
@@ -95,35 +76,29 @@ class SequenceClassifier:
         if len(labeled) == 0:
             raise ValueError("no labeled sequences to fit on")
         rng = np.random.default_rng(config.seed)
-        fused_step = FusedTrainStep(self.encoder, precision=config.precision)
-        encoder_params = list(self.encoder.parameters())
-        head_params = list(self.head.parameters())
-        parameters = encoder_params + head_params
+        fused_step = build_step(self.encoder, config.precision)
         optimizer = Adam(
-            [{"params": encoder_params, "lr": config.encoder_learning_rate},
-             {"params": head_params, "lr": config.learning_rate}],
+            [{"params": self.encoder.parameters(),
+              "lr": config.encoder_learning_rate},
+             {"params": self.head.parameters(), "lr": config.learning_rate}],
             lr=config.learning_rate,
         )
-        self.encoder.train()
-        for epoch in range(config.num_epochs):
-            losses = []
-            for batch in iterate_batches(labeled.sequences, labeled.schema,
-                                         config.batch_size, rng=rng,
-                                         bucket_window=config.bucket_window):
-                targets = batch.label_array()
-                optimizer.zero_grad()
-                cache = fused_step.forward(batch)
-                value = fused_step.backward_classification(cache, self.head,
-                                                           targets)
-                if config.clip_norm:
-                    clip_grad_norm(parameters, config.clip_norm)
-                optimizer.step()
-                losses.append(value)
-            mean_loss = float(np.mean(losses))
-            self.history.append(mean_loss)
-            if config.verbose:
-                print("epoch %3d  loss %.4f" % (epoch, mean_loss))
-        self.encoder.eval()
+
+        def step(batch):
+            targets = batch.label_array()
+            optimizer.zero_grad()
+            cache = fused_step.forward(batch)
+            loss = fused_step.backward_classification(cache, self.head,
+                                                      targets)
+            apply_update(optimizer, config.clip_norm)
+            return loss
+
+        run_epochs(
+            self, config,
+            lambda: iterate_batches(labeled.sequences, labeled.schema,
+                                    config.batch_size, rng=rng,
+                                    bucket_window=config.bucket_window),
+            step)
         return self
 
     def predict_proba(self, dataset, batch_size=64, precision="float64"):

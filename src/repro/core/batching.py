@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.batches import collate
-from ..data.bucketing import plan_batches
+from ..data.bucketing import epoch_plan
 
 __all__ = ["coles_batches", "augment_batch"]
 
@@ -61,18 +61,9 @@ def coles_batches(dataset, strategy, batch_size, rng, drop_last=False,
         unchanged: each batch still holds all views of its N entities, and
         negatives still come from the other entities in the batch.
     """
-    if bucket_window is not None:
-        chunks = plan_batches(dataset.lengths(), batch_size, rng=rng,
-                              shuffle=True, window_batches=bucket_window,
-                              drop_last=drop_last)
-    else:
-        order = np.arange(len(dataset))
-        rng.shuffle(order)
-        chunks = [order[start:start + batch_size]
-                  for start in range(0, len(order), batch_size)]
-        if drop_last and chunks and len(chunks[-1]) < batch_size:
-            chunks.pop()
-    for chunk in chunks:
+    for chunk in epoch_plan(dataset.lengths(), batch_size, rng=rng,
+                            bucket_window=bucket_window,
+                            drop_last=drop_last):
         if len(chunk) < 2:
             continue
         batch = augment_batch([dataset[i] for i in chunk], dataset.schema,

@@ -95,24 +95,14 @@ def iterate_batches(sequences, schema, batch_size, rng=None, shuffle=True,
     """Yield :class:`PaddedBatch` objects over ``sequences``.
 
     Shuffles between epochs when ``rng`` is given; the generator covers one
-    epoch per call.  ``bucket_window`` (in batches) enables the
-    length-bucketed planner of :mod:`repro.data.bucketing`: sequences are
-    sorted by length within each shuffle window so batches pad far less.
+    epoch per call, planned by :func:`repro.data.bucketing.epoch_plan`.
+    ``bucket_window`` (in batches) sorts sequences by length within each
+    shuffle window so batches pad far less.
     """
-    if bucket_window is not None:
-        from .bucketing import iterate_bucketed_batches
+    from .bucketing import epoch_plan
 
-        yield from iterate_bucketed_batches(
-            sequences, schema, batch_size, rng=rng, shuffle=shuffle,
-            window_batches=bucket_window, drop_last=drop_last,
-        )
-        return
-    order = np.arange(len(sequences))
-    if shuffle:
-        rng = rng or np.random.default_rng()
-        rng.shuffle(order)
-    for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
+    lengths = [len(seq) for seq in sequences]
+    for chunk in epoch_plan(lengths, batch_size, rng=rng, shuffle=shuffle,
+                            bucket_window=bucket_window,
+                            drop_last=drop_last):
         yield collate([sequences[i] for i in chunk], schema)

@@ -14,6 +14,10 @@ keeps enough randomness for training:
 ``window_batches=None`` sorts globally (one window) — the right plan for
 inference, where batch composition is free to be anything because
 eval-mode encoders process sequences independently.
+
+:func:`epoch_plan` is the training side: one epoch's shuffled chunks,
+length-bucketed only when a ``bucket_window`` is set.  Every training
+loop draws its epochs from it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,30 @@ import numpy as np
 from .batches import collate
 
 __all__ = [
+    "epoch_plan",
     "plan_batches",
     "bucketed_order",
     "iterate_bucketed_batches",
     "padded_step_fraction",
 ]
+
+
+def _shuffled(count, rng, shuffle):
+    """``arange(count)``, shuffled in place by ``rng`` when ``shuffle``."""
+    order = np.arange(count)
+    if shuffle:
+        rng = rng or np.random.default_rng()
+        rng.shuffle(order)
+    return order
+
+
+def _chunks(order, batch_size, drop_last):
+    """Consecutive ``batch_size`` slices of ``order``."""
+    chunks = [order[start:start + batch_size]
+              for start in range(0, len(order), batch_size)]
+    if drop_last and chunks and len(chunks[-1]) < batch_size:
+        chunks.pop()
+    return chunks
 
 
 def bucketed_order(lengths, batch_size, rng=None, shuffle=True,
@@ -38,10 +61,7 @@ def bucketed_order(lengths, batch_size, rng=None, shuffle=True,
     of ``batch_size`` form the planned batches.
     """
     lengths = np.asarray(lengths)
-    order = np.arange(len(lengths))
-    if shuffle:
-        rng = rng or np.random.default_rng()
-        rng.shuffle(order)
+    order = _shuffled(len(lengths), rng, shuffle)
     if window_batches is not None and window_batches < 1:
         raise ValueError("window_batches must be >= 1 or None")
     window = (max(len(order), 1) if window_batches is None
@@ -66,11 +86,28 @@ def plan_batches(lengths, batch_size, rng=None, shuffle=False,
         raise ValueError("batch_size must be >= 1")
     order = bucketed_order(lengths, batch_size, rng=rng, shuffle=shuffle,
                            window_batches=window_batches)
-    batches = [order[start:start + batch_size]
-               for start in range(0, len(order), batch_size)]
-    if drop_last and batches and len(batches[-1]) < batch_size:
-        batches.pop()
-    return batches
+    return _chunks(order, batch_size, drop_last)
+
+
+def epoch_plan(lengths, batch_size, rng=None, shuffle=True,
+               bucket_window=None, drop_last=False):
+    """One training epoch's batches as index arrays.
+
+    The indices are shuffled (when ``shuffle``; one ``rng.shuffle`` draw,
+    made before anything else of the epoch) and cut into consecutive
+    ``batch_size`` chunks.  With ``bucket_window`` set (in batches) each
+    window of that many batches is first sorted by length, longest
+    first, so batch-mates pad far less; ``None`` keeps the shuffled
+    order.  ``drop_last`` drops a final short chunk.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if bucket_window is None:
+        order = _shuffled(len(lengths), rng, shuffle)
+    else:
+        order = bucketed_order(lengths, batch_size, rng=rng,
+                               shuffle=shuffle, window_batches=bucket_window)
+    return _chunks(order, batch_size, drop_last)
 
 
 def iterate_bucketed_batches(sequences, schema, batch_size, rng=None,

@@ -121,8 +121,11 @@ class Adam(Optimizer):
 def clip_grad_norm(parameters, max_norm):
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping norm (useful for logging).
+    Returns the pre-clipping norm (useful for logging).  A negative
+    ``max_norm`` raises ``ValueError``: it would reverse every gradient.
     """
+    if max_norm < 0:
+        raise ValueError("max_norm must be >= 0 (got %r)" % (max_norm,))
     parameters = [p for p in parameters if p.grad is not None]
     total = np.sqrt(sum(float((p.grad**2).sum()) for p in parameters))
     if total > max_norm and total > 0:

@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoders.seq_encoder import RnnSeqEncoder, TransformerSeqEncoder
 from ..nn.tensor import Tensor
 from . import attention, kernels
+from .engine import FusedEncoderRuntime
 
 __all__ = ["FusedTrainStep", "FusedForwardCache", "loss_gradient",
            "softmax_head_gradient", "softmax_head_probabilities"]
@@ -202,15 +202,17 @@ class FusedTrainStep:
     statistics, loss inputs and all gradients are computed in (or mapped
     back to) the original row order, so the sort is invisible to callers.
 
-    Like :class:`~repro.runtime.FusedEncoderRuntime`, weights are read
-    through :meth:`~repro.nn.rnn._RecurrentBase.export_weights` on every
-    call and gradients are written through
+    The packed plans come from a
+    :class:`~repro.runtime.FusedEncoderRuntime` of the same encoder and
+    precision that the step owns (:attr:`runtime`), so training and
+    serving share one plan-cache implementation.  Weights are read through
+    :meth:`~repro.nn.rnn._RecurrentBase.export_weights` on every call
+    and gradients are written through
     :meth:`~repro.nn.rnn._RecurrentBase.cell_parameters`, so the step
-    always trains the encoder's current parameters.  A cached
-    :class:`~repro.runtime.kernels.WeightPlan` in the step's precision
-    policy feeds the kernels; the optimizer rebinds ``param.data`` each
-    step, which invalidates the plan, so training always runs on the
-    freshly updated weights.
+    always trains the encoder's current parameters.  The optimizer
+    rebinds ``param.data`` each step, which invalidates the cached
+    :class:`~repro.runtime.kernels.WeightPlan`, so training always runs
+    on the freshly updated weights.
 
     Transformer encoders run the same contract through the fused
     attention kernels (:mod:`repro.runtime.attention`): graph-free
@@ -230,43 +232,16 @@ class FusedTrainStep:
     """
 
     def __init__(self, encoder, precision="float64"):
-        if not isinstance(encoder, (RnnSeqEncoder, TransformerSeqEncoder)):
-            raise TypeError(
-                "training runs on the fused runtime, which supports "
-                "RnnSeqEncoder and TransformerSeqEncoder only (got %s)"
-                % type(encoder).__name__
-            )
+        # Raises TypeError for encoders outside the two families.
+        self.runtime = FusedEncoderRuntime(encoder, precision=precision)
         self.encoder = encoder
-        self.dtype = kernels.resolve_precision(precision)
-        self.precision = kernels.precision_name(self.dtype)
-        self._weight_plan = None
-        self._encode_plan = None
+        self.dtype = self.runtime.dtype
+        self.precision = self.runtime.precision
 
     @property
     def is_recurrent(self):
         """Whether the step drives the RNN kernels (else the attention path)."""
-        return isinstance(self.encoder, RnnSeqEncoder)
-
-    def weight_plan(self):
-        """The cached packed weight plan, rebuilt after each optimizer step."""
-        if not self.is_recurrent:
-            if not attention.transformer_plan_matches(self._weight_plan,
-                                                      self.encoder):
-                self._weight_plan = attention.build_transformer_plan(
-                    self.encoder, self.precision)
-            return self._weight_plan
-        weights = self.encoder.rnn.export_weights()
-        if not kernels.plan_matches(self._weight_plan, weights):
-            self._weight_plan = kernels.build_weight_plan(weights,
-                                                          self.precision)
-        return self._weight_plan
-
-    def encode_plan(self):
-        """The cached pre-cast encode plan (see :class:`EncodePlan`)."""
-        trx = self.encoder.trx_encoder
-        if not kernels.encode_plan_matches(self._encode_plan, trx):
-            self._encode_plan = kernels.build_encode_plan(trx, self.precision)
-        return self._encode_plan
+        return self.runtime.is_recurrent
 
     # ------------------------------------------------------------------
     # forward
@@ -279,9 +254,8 @@ class FusedTrainStep:
         batch statistics.  In eval mode the running statistics are used,
         exactly like the autograd modules.
         """
-        x, bn_scaled = kernels.encode_events_train(self.encoder.trx_encoder,
-                                                   batch,
-                                                   plan=self.encode_plan())
+        x, bn_scaled = kernels.encode_events_train(
+            self.encoder.trx_encoder, batch, plan=self.runtime.encode_plan())
         if not self.is_recurrent:
             return self._forward_transformer(batch, x, bn_scaled)
         lengths = np.asarray(batch.lengths, dtype=np.intp)
@@ -289,7 +263,7 @@ class FusedTrainStep:
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm), dtype=np.intp)
         rnn_cache = kernels.rnn_forward_train(
-            self.weight_plan(), x[perm], lengths=lengths[perm])
+            self.runtime.weight_plan(), x[perm], lengths=lengths[perm])
         last = rnn_cache.last
         hidden_sorted = last[0] if rnn_cache.kind == "lstm" else last
         hidden = hidden_sorted[inverse]
@@ -305,8 +279,8 @@ class FusedTrainStep:
 
     def _forward_transformer(self, batch, x, bn_scaled):
         """The attention-path forward: no row sort, pooled state as hidden."""
-        cache = attention.transformer_forward_train(self.weight_plan(), x,
-                                                    mask=batch.mask)
+        cache = attention.transformer_forward_train(
+            self.runtime.weight_plan(), x, mask=batch.mask)
         identity = np.arange(len(batch.lengths), dtype=np.intp)
         hidden = cache.pooled
         if self.encoder.normalize:
@@ -350,7 +324,7 @@ class FusedTrainStep:
                                                               d_hidden)
         if not self.is_recurrent:
             grads = attention.transformer_backward(
-                self.weight_plan(), cache.rnn_cache, d_hidden,
+                self.runtime.weight_plan(), cache.rnn_cache, d_hidden,
                 d_states=(None if d_states is None
                           else np.asarray(d_states, dtype=self.dtype)))
             params = attention.transformer_parameters(self.encoder)

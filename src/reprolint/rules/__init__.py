@@ -14,6 +14,7 @@ from .rp003_plans import PlanInvalidationRule
 from .rp004_threads import ThreadFanoutMutationRule
 from .rp005_contracts import ArrayContractRule
 from .rp006_state_loops import PerEntityStateLoopRule
+from .rp007_step_sites import TrainingDriverRule
 
 __all__ = ["ALL_RULES", "all_rules", "rules_by_id"]
 
@@ -24,6 +25,7 @@ ALL_RULES = (
     ThreadFanoutMutationRule,
     ArrayContractRule,
     PerEntityStateLoopRule,
+    TrainingDriverRule,
 )
 
 

@@ -25,7 +25,7 @@ from reprolint.cli import main, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-ALL_IDS = ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006")
+ALL_IDS = ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007")
 
 
 def lint_fixture(name, select):
@@ -124,6 +124,32 @@ def test_rp006_clean_on_batch_calls():
     # gather/scatter in loops, per-entity calls outside loops, a cache's
     # put and a loop's once-evaluated iterable are all fine.
     findings, _ = lint_fixture("rp006_good.py", ["RP006"])
+    assert findings == []
+
+
+def test_rp007_flags_steps_and_clipping_outside_the_driver():
+    findings, _ = lint_fixture("rp007_bad.py", ["RP007"])
+    messages = [f.message for f in findings]
+    assert [f.line for f in findings] == [9, 12, 17, 18]
+    assert "FusedTrainStep()" in messages[0] and "build_step()" in messages[0]
+    assert "clip_grad_norm()" in messages[1]
+    assert "apply_update()" in messages[1]
+    assert "clip_grad_norm()" in messages[2]
+    assert "FusedTrainStep()" in messages[3]
+
+
+def test_rp007_clean_through_the_driver():
+    # build_step/apply_update calls and a non-call FusedTrainStep use.
+    findings, _ = lint_fixture("rp007_good.py", ["RP007"])
+    assert findings == []
+
+
+def test_rp007_allows_the_driver_module():
+    config = Config(rules={"RP007": {"scope": [],
+                                     "allowed_modules": ["rp007_bad.py"]}})
+    findings, _, files = lint_paths([str(FIXTURES / "rp007_bad.py")],
+                                    all_rules(["RP007"]), config)
+    assert files == 1
     assert findings == []
 
 

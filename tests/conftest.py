@@ -19,9 +19,10 @@ from tests.oracles import STEP_SITES  # noqa: E402
 def fused_forwards(monkeypatch):
     """Encoders each training loop's ``FusedTrainStep.forward`` ran on.
 
-    Every loop looks ``FusedTrainStep`` up in its own module; a recording
-    subclass goes in its place, so the list shows that (and on what) the
-    loop stepped through the fused runtime.
+    Every loop builds its step through ``repro.core.trainer.build_step``,
+    which looks ``FusedTrainStep`` up in the one module of
+    ``STEP_SITES``; a recording subclass goes in its place, so the list
+    shows that (and on what) the loop stepped through the fused runtime.
     """
     forwards = []
 

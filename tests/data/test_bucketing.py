@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.augmentations import RandomSlices
-from repro.baselines import PretrainConfig, pretrain_batches
 from repro.core.batching import coles_batches
 from repro.data import iterate_batches
 from repro.data.bucketing import (
     bucketed_order,
+    epoch_plan,
     iterate_bucketed_batches,
     padded_step_fraction,
     plan_batches,
@@ -90,6 +90,36 @@ class TestPlan:
         assert padded_step_fraction([5, 3], []) == 0.0
 
 
+class TestEpochPlan:
+    def test_no_window_is_one_shuffle_draw(self, skewed_lengths):
+        """Without a window the plan is the rng's permutation, chunked."""
+        chunks = epoch_plan(skewed_lengths, 16, rng=np.random.default_rng(4))
+        expected = np.random.default_rng(4).permutation(len(skewed_lengths))
+        np.testing.assert_array_equal(np.concatenate(chunks), expected)
+        assert [len(chunk) for chunk in chunks] == [16] * 6 + [4]
+
+    def test_window_matches_the_bucketed_planner(self, skewed_lengths):
+        """With a window the plan is the shuffled, window-sorted planner's."""
+        got = epoch_plan(skewed_lengths, 8, rng=np.random.default_rng(6),
+                         bucket_window=2)
+        want = plan_batches(skewed_lengths, 8, rng=np.random.default_rng(6),
+                            shuffle=True, window_batches=2)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+        for chunk in got:
+            assert (np.diff(skewed_lengths[chunk]) <= 0).all()
+
+    def test_unshuffled_and_drop_last(self, skewed_lengths):
+        chunks = epoch_plan(skewed_lengths, 16, shuffle=False, drop_last=True)
+        np.testing.assert_array_equal(np.concatenate(chunks), np.arange(96))
+
+    def test_validation(self, skewed_lengths):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            epoch_plan(skewed_lengths, 0, rng=rng)
+        with pytest.raises(ValueError):
+            epoch_plan(skewed_lengths, 8, rng=rng, bucket_window=0)
+
+
 class TestIterators:
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -127,11 +157,3 @@ class TestIterators:
             assert (counts >= 2).all()      # every entity has >= 2 views
             entity_ids.update(ids.tolist())
         assert len(entity_ids) == len(dataset)
-
-    def test_pretrain_batches_respects_config(self, dataset):
-        config = PretrainConfig(batch_size=8, bucket_window=2)
-        rng = np.random.default_rng(0)
-        seen = []
-        for batch in pretrain_batches(dataset, config, rng):
-            seen.extend(batch.seq_ids.tolist())
-        assert sorted(seen) == sorted(s.seq_id for s in dataset)

@@ -170,6 +170,17 @@ class TestClipping:
         p = Parameter(np.zeros(2))
         assert clip_grad_norm([p], 1.0) == 0.0
 
+    def test_negative_max_norm_rejected(self):
+        """A negative bound would flip every gradient, so Adam climbs the loss.
+
+        ``[3, 4, 0]`` must not silently become ``[-0.6, -0.8, -0]``.
+        """
+        p = Parameter(np.zeros(3))
+        p.grad = np.array([3.0, 4.0, 0.0])
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_grad_norm([p], -1.0)
+        np.testing.assert_array_equal(p.grad, [3.0, 4.0, 0.0])
+
 
 class TestScheduler:
     def test_step_lr_halves(self):

@@ -6,8 +6,11 @@ modules:
 
 - :class:`AutogradTrainStep` has :class:`~repro.runtime.FusedTrainStep`'s
   ``forward``/``backward``/``backward_classification`` interface but
-  builds the Tensor graph.  Inside :func:`autograd_steps` every training
-  loop (CoLES, CPC, RTD, NSP/SOP, fine-tuning) steps through it, so a
+  builds the Tensor graph.  Every training loop (CoLES, CPC, RTD,
+  NSP/SOP, fine-tuning) builds its step through the one
+  ``repro.core.trainer.build_step``, which looks ``FusedTrainStep`` up
+  in :mod:`repro.runtime.training` (the single :data:`STEP_SITES`
+  entry).  Inside :func:`autograd_steps` that name is the oracle, so a
   parity test runs the same loop on both and compares the weights;
 - :func:`tensor_embed` is the eval-mode autograd forward over a dataset
   in naive batch order, the reference for the inference paths.
@@ -24,10 +27,9 @@ from repro.encoders import RnnSeqEncoder
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
-#: Modules whose training loops look the ``FusedTrainStep`` name up.
-STEP_SITES = ("repro.runtime.training", "repro.baselines.cpc",
-              "repro.baselines.rtd", "repro.baselines.pair_tasks",
-              "repro.baselines.supervised")
+#: The module every training loop's step is looked up in:
+#: ``repro.core.trainer.build_step`` reads ``FusedTrainStep`` there.
+STEP_SITES = ("repro.runtime.training",)
 
 
 @dataclass
