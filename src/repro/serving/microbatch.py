@@ -83,9 +83,10 @@ class MicroBatcher:
         if self.time_field is not None:
             # The append-only contract: a chunk may not start before the
             # entity's buffered tail — or, when the buffer is empty, before
-            # the store's already-applied state (``last_time_of``).  Checked
-            # before any buffer mutation so a rejected chunk leaves no
-            # empty queue behind.
+            # its last event already drained from it (``last_time_of``:
+            # applied state, or a flush still computing).  Checked before
+            # any buffer mutation so a rejected chunk leaves no empty
+            # queue behind.
             if queue:
                 previous_end = queue[-1].fields[self.time_field][-1]
             elif self.last_time_of is not None:

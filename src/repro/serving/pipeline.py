@@ -26,9 +26,10 @@ same caveat the synchronous service has.
 
 **Threading.** Plain ``threading.Thread``, no ``asyncio``: the heavy
 work (fused kernels through BLAS) releases the GIL, the service's lock
-serialises all state mutation, and no shared state is ever mutated from
-thread-pool workers — reprolint's RP004 thread-purity contract holds
-with zero suppressions.
+guards its buffer, store and cache (a flush computes with it released,
+so queries of other entities go on meanwhile), and no shared state is
+ever mutated from thread-pool workers — reprolint's RP004 thread-purity
+contract holds with zero suppressions.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ class AsyncIngestPipeline:
                 chunk = self._queue.popleft()
                 self._inflight = len(chunk)
             try:
-                # The service's own lock serialises this against every
+                # The service's own lock guards this against every
                 # synchronous ingest/flush/query — the pipeline never
                 # touches store, batcher or cache directly.
                 self.service._apply_chunk(chunk)
@@ -229,14 +230,18 @@ class AsyncIngestPipeline:
         applying and flushing everything and re-raising deferred errors.
         ``drain=False`` skips the final flush and error check but still
         lets the flusher finish chunks already queued (nothing is
-        discarded).  Afterwards ``submit`` raises.
+        discarded).  Afterwards ``submit`` raises — also when the drain
+        re-raised a deferred error: the pipeline is closed and the
+        flusher joined before the error propagates.
         """
-        if drain and self._flusher.is_alive():
-            self.drain()
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._flusher.join()
+        try:
+            if drain and self._flusher.is_alive():
+                self.drain()
+        finally:
+            with self._cond:
+                self._closed = True
+                self._cond.notify_all()
+            self._flusher.join()
         return self
 
     def __enter__(self):

@@ -20,13 +20,19 @@ per-shard states from disk instead of RAM, and
 ``codec="int8"``/``"uint4"``/``"float16"`` compresses them at rest —
 see :mod:`repro.runtime.backends`.
 
-The service is **thread-safe**: one reentrant lock serialises every
-state mutation (buffer, store, cache, counters), which is what lets the
+The service is **thread-safe**: one lock guards the buffer, store, cache
+and counters, which is what lets the
 :class:`~repro.serving.AsyncIngestPipeline` apply chunks from its
 background flusher thread while producers keep submitting and readers
-keep querying.  Every operation records its wall-clock latency into a
+keep querying.  A flush holds that lock only to drain the buffer and to
+publish its result; the fused compute in between runs with the lock
+released, one flush at a time.  A query holds the lock for its own
+buffer checks, cache lookups and one store gather, and waits only when
+one of its own entities is buffered or in the flush that is computing.
+Every operation records its wall-clock latency into a
 :class:`~repro.serving.LatencyRecorder` (ops ``ingest`` / ``flush`` /
-``query``), surfaced as the ``latency_ms`` subtree of :meth:`stats`.
+``query``, plus ``lock_wait``: how long each query waited before it
+could read), surfaced as the ``latency_ms`` subtree of :meth:`stats`.
 
 Embeddings served this way match a cold
 :meth:`~repro.runtime.FusedEncoderRuntime.embed_dataset` recompute of the
@@ -36,6 +42,7 @@ full history to < 1e-10 — asserted by ``tests/serving/``.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
@@ -98,15 +105,28 @@ class EmbeddingService:
         self.schema = schema
         self.batch_size = int(batch_size)
         self.cache = EmbeddingCache(cache_capacity)
+        # Entity id -> end time of its chunk in the flush that is
+        # computing.  Until that flush publishes, the append-only check
+        # reads an in-flight entity's end time from here, not the store.
+        self._inflight = inflight = {}
+        store = self.store
+
+        def last_time_of(entity_id):
+            # A closure, not a bound method: the batcher must not hold the
+            # service, or each service lives until the cyclic collector.
+            end = inflight.get(entity_id)
+            return store.last_time(entity_id) if end is None else end
+
         self.batcher = MicroBatcher(flush_events=flush_events,
                                     time_field=schema.time_field,
-                                    last_time_of=self.store.last_time)
+                                    last_time_of=last_time_of)
         self.latency = LatencyRecorder()
-        # One coarse reentrant lock serialises every state mutation
-        # (batcher, store, cache, counters).  Correctness first: the
-        # fused kernels release the GIL inside BLAS, so a background
-        # flusher's compute still overlaps producers' python work.
-        self._lock = threading.RLock()
+        # One lock guards the batcher, store, cache, counters and the
+        # in-flight map; no method re-enters it.  A flush releases it
+        # while its fused kernels compute and notifies ``_published``
+        # once its states are in the store.
+        self._lock = threading.Lock()
+        self._published = threading.Condition(self._lock)
         self.events_ingested = 0
         self.chunks_ingested = 0
         self.flushes = 0
@@ -117,8 +137,13 @@ class EmbeddingService:
     # write path
     # ------------------------------------------------------------------
     def bulk_load(self, dataset, batch_size=None):
-        """Warm the store from a whole history dataset (day-0 ETL)."""
+        """Warm the store from a whole history dataset (day-0 ETL).
+
+        Refuses while updates are buffered, like :meth:`load`: the next
+        flush would apply them on top of states that already hold them.
+        """
         with self._lock:
+            self._refuse_pending("bulk-load")
             embeddings = self.store.bulk_load(
                 dataset, batch_size=batch_size or self.batch_size
             )
@@ -173,22 +198,66 @@ class EmbeddingService:
             return self._flush_locked(entity_ids)
 
     def _flush_locked(self, entity_ids=None):
-        """The flush body; the caller must hold (or be under) the lock."""
+        """The flush body: entered and left holding the lock.
+
+        Waits until no other flush is in flight, drains the buffer and
+        marks the drained entities in flight, then releases the lock
+        while :func:`~repro.runtime.advance_entities` computes.  The
+        state gather and the publish (store scatter plus cache
+        invalidation, one step) each take the lock again.
+        """
+        self._published.wait_for(lambda: not self._inflight)
         pending = self.batcher.drain(entity_ids)
         if not pending:
             return []
-        with self.latency.time("flush"):
-            result = advance_entities(self.store.runtime, pending,
-                                      self.schema, self.store.gather,
-                                      self.store.scatter,
-                                      batch_size=self.batch_size)
-            updated = [seq.seq_id for seq in pending]
-            self.cache.invalidate(updated)
-            self.flushes += 1
-            # The real fused batch count, straight from the bucketed
-            # plan — not re-derived as ceil(pending / batch_size) here.
-            self.flush_batches += result.batches
-        return updated
+        time_field = self.schema.time_field
+        for seq in pending:
+            self._inflight[seq.seq_id] = float(seq.fields[time_field][-1])
+        self._lock.release()
+        try:
+            with self.latency.time("flush"):
+                result = advance_entities(self.store.runtime, pending,
+                                          self.schema, self._gather,
+                                          self._publish,
+                                          batch_size=self.batch_size)
+        finally:
+            self._lock.acquire()
+            self._inflight.clear()
+            self._published.notify_all()
+        self.flushes += 1
+        # The real fused batch count, straight from the bucketed plan —
+        # not re-derived as ceil(pending / batch_size) here.
+        self.flush_batches += result.batches
+        return [seq.seq_id for seq in pending]
+
+    def _gather(self, entity_ids):
+        """The flush's state source: a store gather under the lock."""
+        with self._lock:
+            return self.store.gather(entity_ids)
+
+    def _publish(self, entity_ids, hidden, cell, last_times):
+        """The flush's state sink: scatter ``(N, H)`` states, invalidate.
+
+        ``hidden`` (``cell`` for LSTM) and the ``(N,)`` ``last_times``
+        go to the store, and the ids' cache entries are dropped, under
+        one lock hold: no reader sees the new state with an old cache
+        entry, or the reverse.
+        """
+        with self._lock:
+            self.store.scatter(entity_ids, hidden, cell, last_times)
+            self.cache.invalidate(entity_ids)
+
+    def _refuse_pending(self, action):
+        """Wait out any in-flight flush, then refuse if events are buffered.
+
+        The caller holds the lock; ``action`` names it in the error.
+        """
+        self._published.wait_for(lambda: not self._inflight)
+        if self.batcher.pending_events:
+            raise RuntimeError(
+                "cannot %s with %d buffered events pending: call flush() "
+                "first" % (action, self.batcher.pending_events)
+            )
 
     # ------------------------------------------------------------------
     # read path
@@ -198,19 +267,32 @@ class EmbeddingService:
 
         A requested entity with buffered events gets those events flushed
         first (only the requested entities' chunks — the rest of the
-        buffer keeps accumulating toward full micro-batches); remaining
-        lookups go through the LRU cache, and misses are computed from
-        the sharded store in one batch.  ``entity_ids`` may repeat — each
-        occurrence gets its own output row.
+        buffer keeps accumulating toward full micro-batches), and a
+        requested entity in a flush that is computing is waited for;
+        the read then reflects every event applied or buffered for
+        those entities.  Remaining lookups go through the LRU cache,
+        and misses are computed from the sharded store in one batch.
+        ``entity_ids`` may repeat — each occurrence gets its own output
+        row.  The wait until the read can start is recorded as op
+        ``lock_wait``.
         """
         entity_ids = list(entity_ids)
         with self.latency.time("query"):
+            entered = time.perf_counter()
             with self._lock:
                 self.queries += len(entity_ids)
-                stale = [entity_id for entity_id in entity_ids
-                         if self.batcher.has_pending(entity_id)]
-                if stale:
-                    self._flush_locked(stale)
+                while True:
+                    stale = [entity_id for entity_id in entity_ids
+                             if self.batcher.has_pending(entity_id)]
+                    if stale:
+                        self._flush_locked(stale)
+                    elif any(entity_id in self._inflight
+                             for entity_id in entity_ids):
+                        self._published.wait()
+                    else:
+                        break
+                self.latency.record("lock_wait",
+                                    time.perf_counter() - entered)
                 out = np.zeros(
                     (len(entity_ids), self.store.runtime.output_dim),
                     dtype=self.store.runtime.dtype)
@@ -242,6 +324,7 @@ class EmbeddingService:
     def __contains__(self, entity_id):
         with self._lock:
             return (entity_id in self.store
+                    or entity_id in self._inflight
                     or self.batcher.has_pending(entity_id))
 
     # ------------------------------------------------------------------
@@ -256,16 +339,13 @@ class EmbeddingService:
     def load(self, directory):
         """Replace all serving state with a saved bundle; returns self.
 
-        Refuses while updates are buffered — flush (or discard the
-        service) first, restoring under pending events would silently
-        apply them to state that is about to be replaced.
+        Waits out any in-flight flush, then refuses while updates are
+        buffered — flush (or discard the service) first, restoring under
+        pending events would silently apply them to state that is about
+        to be replaced.
         """
         with self._lock:
-            if self.batcher.pending_events:
-                raise RuntimeError(
-                    "cannot restore with %d buffered events pending: call "
-                    "flush() first" % self.batcher.pending_events
-                )
+            self._refuse_pending("restore")
             self.store.load(directory)
             self.cache.clear()
         return self
@@ -276,8 +356,8 @@ class EmbeddingService:
 
         ``latency_ms`` holds per-operation percentile summaries
         (``{op: {count, mean, p50, p95, p99, max}}`` — milliseconds) for
-        ``ingest`` / ``flush`` / ``query``, from the service's
-        :class:`~repro.serving.LatencyRecorder`.
+        ``ingest`` / ``flush`` / ``query`` / ``lock_wait``, from the
+        service's :class:`~repro.serving.LatencyRecorder`.
         """
         with self._lock:
             return {

@@ -249,6 +249,20 @@ class TestErrorsAndLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pipeline.submit(_chunk("b", [1.0], dataset.schema))
 
+    def test_close_that_reraises_still_closes(self, dataset):
+        """A deferred error re-raised on exit must not leave the flusher
+        running or the pipeline accepting chunks."""
+        service = _service(dataset, "gru", flush_events=10_000)
+        schema = dataset.schema
+        with pytest.raises(ValueError, match="out-of-order"):
+            with AsyncIngestPipeline(service) as pipeline:
+                pipeline.submit(_chunk("a", [5.0, 6.0], schema))
+                pipeline.submit(_chunk("a", [1.0], schema))
+        assert pipeline.stats()["closed"]
+        assert not pipeline._flusher.is_alive()
+        with pytest.raises(RuntimeError, match="closed"):
+            pipeline.submit(_chunk("b", [1.0], schema))
+
     def test_counters_consistent_under_concurrent_producers(self, dataset):
         """Multiple producer threads + background flusher: every counter
         adds up after drain."""
