@@ -311,6 +311,19 @@ def _pool_weights(mask, batch, steps, dtype):
     return weights.astype(dtype, copy=False)
 
 
+def _key_padding(mask):
+    """``~mask`` as the ``(B, T)`` key-padding array; None if no key is padded.
+
+    Without padding — no mask, or an all-True one (every single-client
+    request, every equal-length batch) — the score fill and its backward
+    multiply are skipped; the scores are bit-identical either way.
+    """
+    if mask is None:
+        return None
+    pad = ~np.asarray(mask, dtype=bool)
+    return pad if pad.any() else None
+
+
 def _keep_mask(module, shape, dtype):
     """One inverted-dropout keep mask, drawn exactly like ``F.dropout``.
 
@@ -348,7 +361,7 @@ def transformer_forward(plan, x, mask=None):
     batch, steps, _ = x.shape
     h = x @ plan.in_t + plan.in_b
     h += plan.positional(steps)
-    pad = None if mask is None else ~np.asarray(mask, dtype=bool)
+    pad = _key_padding(mask)
     for layer in plan.layers:
         normed, _, _ = _layer_norm(h, layer.ln1_w, layer.ln1_b, plan.ln_eps)
         qkv = normed @ layer.qkv_t + layer.qkv_b
@@ -413,7 +426,7 @@ class TransformerTrainCache:
 
     x: np.ndarray            # (B, T, D_trx) trx-encoder events
     mask: object             # the (B, T) boolean mask (or None)
-    pad: np.ndarray          # ~mask (or None)
+    pad: np.ndarray          # ~mask (None when no key is padded)
     layer_caches: list       # of _LayerCache, stack order
     xhat_f: np.ndarray       # (B, T, D) final_norm normalised values
     istd_f: np.ndarray       # (B, T, 1) final_norm inverse std
@@ -442,7 +455,7 @@ def transformer_forward_train(plan, x, mask=None):
     batch, steps, _ = x.shape
     h = x @ plan.in_t + plan.in_b
     h += plan.positional(steps)
-    pad = None if mask is None else ~np.asarray(mask, dtype=bool)
+    pad = _key_padding(mask)
     caches = []
     for layer, module in zip(plan.layers, plan.module.layers):
         h0 = h

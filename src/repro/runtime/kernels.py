@@ -3,35 +3,51 @@
 The autograd :class:`~repro.nn.Tensor` builds one Python graph node per op
 and per timestep.  These kernels drop to raw numpy instead:
 
-- the input projection of *all* timesteps is computed as one matmul
-  (``(B*T, D) @ (D, G*H)``) instead of T small ones, and is stored
-  time-major (``(T, B, G*H)``) so every step reads a contiguous block;
-- per step only the hidden projection remains, written into preallocated
-  scratch buffers (no per-step allocations on the packed path);
-- padding is never computed when the batch is sorted by length (the batch
-  planner's output): each step operates on the *active* row prefix only —
-  the numpy analogue of cuDNN's packed sequences.  Unsorted batches fall
-  back to mask-freezing, exactly like the Tensor path.
+- the input projection of *all* timesteps is computed up front, one GEMM
+  per gate block over ``(T*B, D)``, stored time-major (``(T, B, ·)``) so
+  every step reads contiguous rows;
+- per step only the recurrent projection remains — two GEMMs, one per
+  gate block — and the gate math runs on contiguous preallocated
+  buffers (no per-step allocations);
+- padding is never computed: rows run longest-first and each step
+  operates on the *active* row prefix only — the numpy analogue of
+  cuDNN's packed sequences.
 
-**Precision policy.**  Every kernel consumes a :class:`WeightPlan` — the
-per-weight work (dtype cast, transposes, bias folding) precomputed once
-per ``CellWeights`` generation:
+**Gate blocks.**  A :class:`WeightPlan` stores a cell's weights as two
+contiguous blocks rather than the interleaved ``(·, G*H)`` layout of
+:class:`~repro.nn.CellWeights`:
 
-- ``float64`` plans preserve the historical op order exactly (biases stay
-  per-step), so results match the Tensor path to float64 rounding
-  (< 1e-10) and gradients to < 1e-8 — the parity-test reference;
-- ``float32`` plans additionally fold the recurrent bias into the input
-  projection where algebraically exact (all LSTM gates; the GRU r/z
-  gates — the n-gate bias must stay inside the reset multiply), halving
-  bytes per GEMM for ~2x throughput at a property-bounded drift vs the
-  float64 reference.
+- the *sigmoid* block — GRU ``r|z``, LSTM ``i|f|o`` — with its weights
+  and folded bias pre-scaled by 0.5 (a power-of-two scale is exact), so
+  ``σ(a) = 0.5·tanh(a/2) + 0.5`` is one ``tanh``, ``*= 0.5``, ``+= 0.5``
+  over the whole block; tanh cannot overflow, so no clip is needed and
+  saturated gates are exactly 0 or 1;
+- the *tanh* block — GRU ``n``, LSTM ``g``.
 
-A raw :class:`~repro.nn.CellWeights` passed where a plan is expected is
-promoted to a float64 plan on the fly (:func:`as_plan`), so direct kernel
-callers keep reference semantics.  Plans hold *references* to their
-source parameter buffers; :func:`plan_matches` detects optimiser steps
-(optimisers rebind ``param.data``) so cached plans are rebuilt exactly
-when the weights change.
+Each block is kept input-side ``(D, ·)`` and recurrent ``(H, ·)``,
+C-contiguous.  Recurrent biases fold into the input side for every gate
+except the GRU n-gate, whose ``b_hn`` stays inside the reset product.
+A step is two GEMMs, the sigmoid and tanh on contiguous blocks, and the
+state update in place in the state buffer or training-cache row (GRU:
+``h -= n; h *= z; h += n``).
+
+**Precision policy.**  Plans are built once per ``CellWeights``
+generation in the policy dtype, ``float32`` or ``float64``; both run the
+same kernel code.  float64 is held to the parity bounds against the
+autograd reference (< 1e-10 forward, < 1e-8 gradients), float32 to a
+property-bounded drift from float64.  A raw
+:class:`~repro.nn.CellWeights` passed where a plan is expected is
+promoted to a float64 plan on the fly (:func:`as_plan`), so direct
+kernel callers keep reference semantics.  Plans hold *references* to
+their source parameter buffers; :func:`plan_matches` detects optimiser
+steps (optimisers rebind ``param.data``) so cached plans are rebuilt
+exactly when the weights change.
+
+**Row order.**  Every kernel has one packed path.  When ``lengths`` are
+not sorted longest-first, or a per-row prefix ``mask`` is given, the
+kernel sorts the rows longest-first with a stable sort, runs the packed
+loop and returns every result in the caller's row order.  A mask that is
+not a per-row prefix raises ``ValueError``.
 
 Two kernel families share those tricks:
 
@@ -39,16 +55,18 @@ Two kernel families share those tricks:
   :func:`rnn_forward` and :func:`encode_events` — forward only, nothing
   retained;
 - **training**: :func:`gru_forward_train` / :func:`lstm_forward_train`
-  stash the per-step activations a backward pass needs (time-major, in
-  the plan dtype), and :func:`gru_backward` / :func:`lstm_backward` run
-  hand-derived BPTT over that cache — loss gradient in, weight gradients
-  out, no graph ever built.  Per-gate input gradients accumulate into one
-  time-major buffer so the weight_ih/bias_ih/input gradients are three
-  fused matmuls at the end, mirroring the fused input projection of the
-  forward.
+  stash the per-step gate blocks and states a backward pass needs
+  (time-major, in the plan dtype), and :func:`gru_backward` /
+  :func:`lstm_backward` run hand-derived BPTT over that cache — loss
+  gradient in, weight gradients out, no graph ever built.  Pre-activation
+  gradients accumulate into one time-major buffer whose recurrent-side
+  and input-side parts are each one contiguous column range, so the
+  weight, bias and input gradients are a few big GEMMs at the end with
+  no concatenated copy.
 
 Weight layout is *not* re-declared here: plans are built from the
-:class:`~repro.nn.CellWeights` view exported by the ``nn.rnn`` modules.
+:class:`~repro.nn.CellWeights` view exported by the ``nn.rnn`` modules,
+and gradients are returned in its gate order.
 """
 
 from __future__ import annotations
@@ -60,7 +78,6 @@ import numpy as np
 __all__ = [
     "PRECISIONS",
     "resolve_precision",
-    "sigmoid",
     "l2_normalize_rows",
     "l2_normalize_rows_backward",
     "WeightPlan",
@@ -87,11 +104,19 @@ __all__ = [
 #: The two supported compute dtypes of the precision policy.
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
-#: ``|x|`` beyond which the logistic saturates exactly in both dtypes
-#: (``1 + exp(-60)`` rounds to ``1.0`` even in float64), so clipping the
-#: exponent changes nothing representable while preventing ``np.exp``
-#: overflow warnings in float32.
-_SIGMOID_CLIP = 60.0
+#: CellWeights gate indices (GRU ``r, z, n``; LSTM ``i, f, g, o``) of
+#: each cell's sigmoid block; gate 2 (GRU ``n``, LSTM ``g``) is the tanh
+#: block.
+_SIGMOID_GATES = {"gru": (0, 1), "lstm": (0, 1, 3)}
+_TANH_GATE = 2
+
+#: Gate order of the BPTT gradient buffer's (recurrent-side, input-side)
+#: column ranges.  The GRU buffer is ``[d_ghn | d_r | d_z | d_an]``: its
+#: first 3H columns are the recurrent side (n, r, z), its last 3H the
+#: input side (r, z, n).  The LSTM folds every bias, so both sides are
+#: the one ``[d_i | d_f | d_o | d_g]`` range.
+_GRAD_GATES = {"gru": ((2, 0, 1), (0, 1, 2)),
+               "lstm": ((0, 1, 3, 2), (0, 1, 3, 2))}
 
 
 def resolve_precision(precision):
@@ -121,31 +146,6 @@ def precision_name(dtype):
     return "float32" if np.dtype(dtype) == np.dtype(np.float32) else "float64"
 
 
-def sigmoid(x, out=None):
-    """Numerically-safe logistic function.
-
-    The exponent is clipped to ``±60`` before ``exp``: past that point
-    ``1 + exp(-|x|)`` already rounds to ``1.0`` in float64 (let alone
-    float32), so the clip is value-preserving while keeping float32
-    forwards free of overflow ``RuntimeWarning``s on saturated gates.
-    With ``out`` the computation runs fully in-place (``out is x`` is
-    allowed).
-    """
-    # Negate first, then cap the exponent from above only: exp of a
-    # large *negative* argument underflows silently to 0.0 (numpy's
-    # default underflow handling), which already yields the exact
-    # result 1.0 downstream — so a single-sided cap gives bit-identical
-    # values to a symmetric clip with one fewer ufunc dispatch.  This
-    # runs once per timestep on the serving hot path, where np.clip's
-    # python wrapper was measurable.
-    out = np.negative(x, out=out)
-    np.minimum(out, _SIGMOID_CLIP, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    return out
-
-
 def l2_normalize_rows(x, eps=1e-12):
     """Unit-normalise rows; mirrors ``nn.functional.l2_normalize``."""
     norm = np.sqrt(np.maximum((x * x).sum(axis=-1, keepdims=True), eps))
@@ -167,37 +167,52 @@ def l2_normalize_rows_backward(x, grad, eps=1e-12):
 
 
 # ----------------------------------------------------------------------
-# weight plans: per-generation precompute (cast, transpose, bias folding)
+# weight plans: per-generation precompute (gate blocks, cast, bias folding)
 # ----------------------------------------------------------------------
 
 @dataclass
 class WeightPlan:
-    """Packed, dtype-cast view of one :class:`~repro.nn.CellWeights`.
+    """Gate-block, dtype-cast view of one :class:`~repro.nn.CellWeights`.
 
     Built once per weight generation by :func:`build_weight_plan`; every
-    kernel call then runs off the pre-transposed, pre-cast buffers.  The
-    per-gate blocks stay stacked, so each timestep is a single recurrent
-    GEMM (``(B, H) @ (H, G*H)``) instead of slice-and-dispatch.
+    kernel call then runs off its pre-transposed, pre-cast buffers.  The
+    forward reads two blocks, each C-contiguous and stored input-side
+    ``(D, ·)`` and recurrent ``(H, ·)``:
+
+    - the sigmoid block (GRU ``r|z``, LSTM ``i|f|o``): ``w_ih_sig``,
+      ``w_hh_sig`` and the folded ``bias_sig``, all pre-scaled by 0.5 so
+      the kernels evaluate ``σ(a) = 0.5·tanh(a/2) + 0.5``;
+    - the tanh block (GRU ``n``, LSTM ``g``): ``w_ih_tanh``,
+      ``w_hh_tanh`` and the folded ``bias_tanh``.
+
+    Recurrent biases are folded into the input side except the GRU
+    n-gate's, kept separate in ``b_hn`` (None for LSTM) because it sits
+    inside the reset product.
+
+    BPTT reads the unscaled weights stacked in the gradient buffer's
+    gate order (``w_hh_grad`` for the recurrent side, ``w_ih_grad`` for
+    the input side); ``grad_rows`` maps those rows back to
+    :class:`~repro.nn.CellWeights` order.
 
     ``sources`` keeps references to the live parameter buffers the plan
     was built from; :func:`plan_matches` compares identities, which is
     exactly the granularity at which the optimisers invalidate weights
     (they rebind ``param.data`` rather than writing in place).
-
-    Bias handling is dtype-dependent (see the module docstring):
-    ``bias_step`` is the full per-step recurrent bias for float64 plans
-    (None when folded), ``b_hn`` is the GRU n-gate recurrent bias kept
-    per-step under float32 folding (None otherwise).
     """
 
     kind: str                 # "gru" | "lstm"
     hidden_size: int
     dtype: np.dtype
-    w_ih_t: np.ndarray        # (D, G*H) contiguous, policy dtype
-    w_hh_t: np.ndarray        # (H, G*H) contiguous, policy dtype
-    bias_x: np.ndarray        # (G*H,) input-side bias (+ folded parts)
-    bias_step: np.ndarray     # (G*H,) per-step recurrent bias, or None
+    w_ih_sig: np.ndarray      # (D, S*H) sigmoid block, 0.5-scaled
+    w_hh_sig: np.ndarray      # (H, S*H) sigmoid block, 0.5-scaled
+    bias_sig: np.ndarray      # (S*H,) 0.5 * (b_ih + b_hh)
+    w_ih_tanh: np.ndarray     # (D, H) tanh block
+    w_hh_tanh: np.ndarray     # (H, H) tanh block
+    bias_tanh: np.ndarray     # (H,) b_ih (+ b_hh for LSTM)
     b_hn: np.ndarray          # (H,) GRU n-gate recurrent bias, or None
+    w_ih_grad: np.ndarray     # (G*H, D) unscaled, input-side grad order
+    w_hh_grad: np.ndarray     # (G*H, H) unscaled, recurrent-side order
+    grad_rows: tuple          # (recurrent, input) CellWeights row indices
     init_state: np.ndarray    # (H,) policy dtype
     init_cell: np.ndarray = None   # (H,) policy dtype, LSTM only
     sources: tuple = field(default=(), repr=False)
@@ -205,12 +220,12 @@ class WeightPlan:
     @property
     def input_size(self):
         """Width ``D`` of the event representations the plan consumes."""
-        return self.w_ih_t.shape[0]
+        return self.w_ih_sig.shape[0]
 
     @property
     def num_gates(self):
         """Gate count ``G`` of the cell (3 for GRU, 4 for LSTM)."""
-        return self.w_ih_t.shape[1] // self.hidden_size
+        return self.w_ih_grad.shape[0] // self.hidden_size
 
 
 def _weight_sources(weights):
@@ -219,42 +234,53 @@ def _weight_sources(weights):
             weights.bias_hh, weights.init_state, weights.init_cell)
 
 
+def _gate_rows(gates, size):
+    """Row indices stacking the CellWeights gate blocks ``gates`` in order."""
+    return np.concatenate([np.arange(gate * size, (gate + 1) * size,
+                                     dtype=np.intp) for gate in gates])
+
+
 def build_weight_plan(weights, precision="float64"):
     """Precompute the per-weight work of the kernels for one generation.
 
     ``weights`` is a :class:`~repro.nn.CellWeights` view of the live
-    float64 parameter buffers; the plan stores pre-cast, pre-transposed
-    copies in the ``precision`` dtype.  ``float64`` keeps the recurrent
-    bias per-step (historical op order, bit-comparable to the Tensor
-    path); ``float32`` folds it into the input projection where exact
-    (everything except the GRU n-gate).
+    float64 parameter buffers; the plan stores the gate blocks as
+    pre-cast, pre-transposed, C-contiguous copies in the ``precision``
+    dtype (see :class:`WeightPlan`).  Biases fold in float64 before the
+    one cast, and the 0.5 scale of the sigmoid block is exact.
     """
+    if weights.kind not in _SIGMOID_GATES:
+        raise ValueError("unknown cell kind %r" % weights.kind)
     dtype = resolve_precision(precision)
     size = weights.hidden_size
-    fold = dtype == np.dtype(np.float32)
-    bias_x = np.asarray(weights.bias_ih, dtype=dtype)
-    bias_step = np.asarray(weights.bias_hh, dtype=dtype)
-    b_hn = None
-    if fold:
-        bias_x = bias_x.copy()
-        if weights.kind == "gru":
-            bias_x[:2 * size] += bias_step[:2 * size]
-            b_hn = np.ascontiguousarray(bias_step[2 * size:])
-        else:
-            bias_x += bias_step
-        bias_step = None
+    sig = _gate_rows(_SIGMOID_GATES[weights.kind], size)
+    tanh = _gate_rows((_TANH_GATE,), size)
+    rec_rows, inp_rows = (_gate_rows(gates, size)
+                          for gates in _GRAD_GATES[weights.kind])
+    folded = weights.bias_ih + weights.bias_hh
+    gru = weights.kind == "gru"
+
+    def cast(values):
+        """A C-contiguous copy in the plan dtype."""
+        return np.ascontiguousarray(values, dtype=dtype)
+
     return WeightPlan(
         kind=weights.kind,
         hidden_size=size,
         dtype=dtype,
-        w_ih_t=np.ascontiguousarray(weights.weight_ih.T, dtype=dtype),
-        w_hh_t=np.ascontiguousarray(weights.weight_hh.T, dtype=dtype),
-        bias_x=bias_x,
-        bias_step=bias_step,
-        b_hn=b_hn,
-        init_state=np.ascontiguousarray(weights.init_state, dtype=dtype),
+        w_ih_sig=cast(0.5 * weights.weight_ih[sig].T),
+        w_hh_sig=cast(0.5 * weights.weight_hh[sig].T),
+        bias_sig=cast(0.5 * folded[sig]),
+        w_ih_tanh=cast(weights.weight_ih[tanh].T),
+        w_hh_tanh=cast(weights.weight_hh[tanh].T),
+        bias_tanh=cast((weights.bias_ih if gru else folded)[tanh]),
+        b_hn=cast(weights.bias_hh[tanh]) if gru else None,
+        w_ih_grad=cast(weights.weight_ih[inp_rows]),
+        w_hh_grad=cast(weights.weight_hh[rec_rows]),
+        grad_rows=(rec_rows, inp_rows),
+        init_state=cast(weights.init_state),
         init_cell=(None if weights.init_cell is None else
-                   np.ascontiguousarray(weights.init_cell, dtype=dtype)),
+                   cast(weights.init_cell)),
         sources=_weight_sources(weights),
     )
 
@@ -335,65 +361,123 @@ def encode_plan_matches(plan, trx_encoder):
 
 
 # ----------------------------------------------------------------------
-# shared forward plumbing
+# shared plumbing: row schedule, time-major layout, gate blocks
 # ----------------------------------------------------------------------
 
-def _plan_input_gates(plan, x):
-    """Fused input projection, time-major: ``(B, T, D) -> (T, B, G*H)``.
+def _schedule(x, lengths, mask):
+    """The packed schedule of one kernel call: ``(perm, counts)``.
 
-    One GEMM over all timesteps against the pre-transposed contiguous
-    ``w_ih_t``, bias added in place, then laid out time-major so each
-    step of the recurrence reads one contiguous ``(B, G*H)`` block.
+    ``perm`` is the stable longest-first row order (None when the rows
+    already run longest-first) and ``counts`` the list of active row
+    counts per step in that order; without ``lengths`` and ``mask``
+    every row is active at every step.  A ``mask`` must be the per-row
+    prefix mask of ``lengths`` (of its own row sums when ``lengths`` is
+    None); any other mask raises ``ValueError``.
     """
-    batch, steps, dim = x.shape
-    # Transpose the *input* to time-major before the GEMM rather than
-    # the projected gates after it: the copy moves (T, B, D) elements
-    # instead of (T, B, G*H) — D is a fraction of G*H — and the GEMM
-    # then writes the time-major layout directly.  Each output row is
-    # the same dot product either way, so the float64 parity contract
-    # is unaffected.
-    xt = x.swapaxes(0, 1)
-    if xt.dtype != plan.dtype:
-        xt = xt.astype(plan.dtype, order="C", copy=False)
-    else:
-        xt = np.ascontiguousarray(xt)
-    gates = xt.reshape(steps * batch, dim) @ plan.w_ih_t
-    gates += plan.bias_x
-    return gates.reshape(steps, batch, -1)
-
-
-def _initial(vector, batch, dtype=np.float64):
-    """Broadcast a learnt ``(H,)`` initial state to a ``(B, H)`` buffer."""
-    return np.tile(np.asarray(vector, dtype=dtype), (batch, 1))
-
-
-def _initial_hidden(plan, batch, initial):
-    """The caller's initial state (cast+copied) or the learnt c_0."""
-    if initial is not None:
-        return np.array(initial, dtype=plan.dtype, copy=True)
-    return np.tile(plan.init_state, (batch, 1))
-
-
-def _active_counts(lengths, steps):
-    """Per-step active row count for a batch sorted longest-first.
-
-    Returns None when the batch is not sorted by non-increasing length
-    (the caller then uses the mask-freezing path).  Computed via
-    ``searchsorted`` over the (reversed, ascending) lengths — O(T log B)
-    with no B×T intermediate.
-    """
+    batch, steps = x.shape[:2]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if lengths is None:
+            lengths = mask.sum(axis=1)
+        prefix = (np.arange(steps, dtype=np.intp)
+                  < np.asarray(lengths, dtype=np.intp)[:, None])
+        if mask.shape != (batch, steps) or not np.array_equal(mask, prefix):
+            raise ValueError(
+                "mask must be a (B, T) per-row prefix mask (True exactly "
+                "for the first lengths[b] steps of row b)")
     if lengths is None:
-        return None
+        return None, [batch] * steps
     lengths = np.asarray(lengths, dtype=np.intp)
-    if len(lengths) > 1 and np.any(np.diff(lengths) > 0):
-        return None
-    return len(lengths) - np.searchsorted(
+    perm = None
+    if batch > 1 and np.any(lengths[1:] > lengths[:-1]):
+        perm = np.argsort(-lengths, kind="stable")
+        lengths = lengths[perm]
+    counts = batch - np.searchsorted(
         lengths[::-1], np.arange(steps, dtype=np.intp), side="right")
+    return perm, counts.tolist()
 
 
-def _mask_from_lengths(lengths, steps):
-    return (np.arange(steps, dtype=np.intp)[None, :]
-            < np.asarray(lengths, dtype=np.intp)[:, None])
+def _kernel_rows(values, dtype, perm):
+    """A fresh ``dtype`` copy of ``values`` with rows in kernel order."""
+    values = np.asarray(values, dtype=dtype)
+    return values.copy() if perm is None else values[perm]
+
+
+def _caller_rows(values, perm):
+    """Undo :func:`_kernel_rows`: rows back in the caller's order."""
+    if perm is None:
+        return values
+    out = np.empty_like(values)
+    out[perm] = values
+    return out
+
+
+def _time_major(values, dtype, perm):
+    """``(B, T, ·)`` -> C-contiguous ``(T, B, ·)`` ``dtype`` array, rows in
+    kernel order (one gather/copy)."""
+    seq = values.swapaxes(0, 1)
+    if perm is not None:
+        seq = np.take(seq, perm, axis=1)
+    if seq.dtype != dtype:
+        return seq.astype(dtype, order="C", copy=False)
+    return np.ascontiguousarray(seq)
+
+
+def _batch_major(seq, perm):
+    """Undo :func:`_time_major`: a new C-contiguous ``(B, T, ·)`` array in
+    the caller's row order."""
+    values = seq.swapaxes(0, 1)
+    out = np.empty(values.shape, dtype=seq.dtype)
+    if perm is None:
+        out[...] = values
+    else:
+        out[perm] = values
+    return out
+
+
+def _input_gates(plan, x_tm):
+    """The input projection of every step, one GEMM per gate block.
+
+    ``x_tm`` is the ``(T, B, D)`` time-major event array; returns the
+    sigmoid block ``(T, B, S*H)`` and the tanh block ``(T, B, H)``, each
+    with its folded bias added.  The kernels overwrite both in place
+    with the step's gate values.
+    """
+    steps, batch, dim = x_tm.shape
+    flat = x_tm.reshape(steps * batch, dim)
+    sig = flat @ plan.w_ih_sig
+    sig += plan.bias_sig
+    tanh = flat @ plan.w_ih_tanh
+    tanh += plan.bias_tanh
+    return (sig.reshape(steps, batch, sig.shape[1]),
+            tanh.reshape(steps, batch, tanh.shape[1]))
+
+
+def _initial_states(plan, batch, initial, perm):
+    """Kernel-order copies of the initial ``(hidden, cell)`` state.
+
+    ``initial`` is the caller's ``(B, H)`` state (an ``(h, c)`` pair for
+    LSTM) in any float dtype, or None for the learnt c_0; ``cell`` is
+    None for the GRU.
+    """
+    if initial is None:
+        return tuple(None if part is None else np.tile(part, (batch, 1))
+                     for part in (plan.init_state, plan.init_cell))
+    parts = initial if plan.kind == "lstm" else (initial, None)
+    return tuple(None if part is None else
+                 _kernel_rows(part, plan.dtype, perm) for part in parts)
+
+
+def _sigmoid_block(block):
+    """In-place σ of a 0.5-scaled gate block: ``0.5·tanh(a/2) + 0.5``.
+
+    The plan pre-scales the sigmoid block by 0.5, so ``block`` holds
+    ``a/2``.  tanh saturates to ±1 without overflow: no clip, and
+    saturated gates come out exactly 0 or 1 in both dtypes.
+    """
+    np.tanh(block, out=block)
+    block *= 0.5
+    block += 0.5
 
 
 # ----------------------------------------------------------------------
@@ -412,11 +496,11 @@ def gru_forward(weights, x, lengths=None, mask=None, initial=None,
     x:
         Event representations ``(B, T, D)`` (raw numpy, any float dtype).
     lengths:
-        True sequence lengths ``(B,)``.  When sorted longest-first (the
-        batch planner's output) each step runs on the active prefix only.
+        True sequence lengths ``(B,)``, in any row order; each step runs
+        on the active row prefix of the longest-first order.
     mask:
-        Optional boolean ``(B, T)``; used when ``lengths`` is absent or
-        unsorted.  False entries freeze the state.
+        Optional boolean ``(B, T)`` per-row prefix mask, an alternative
+        to ``lengths``; any other mask raises ``ValueError``.
     initial:
         Optional ``(B, H)`` state overriding the learnt c_0.
     return_outputs:
@@ -426,79 +510,46 @@ def gru_forward(weights, x, lengths=None, mask=None, initial=None,
     -------
     (outputs, last): outputs is None unless requested; last is ``(B, H)``
     in the plan dtype, the state after each sequence's final real event.
+    Both are in the caller's row order.
     """
     plan = as_plan(weights)
-    dt = plan.dtype
     batch, steps, _ = x.shape
     size = plan.hidden_size
-    two = 2 * size
-    hidden = _initial_hidden(plan, batch, initial)
-    gates_x = _plan_input_gates(plan, x)
-    outputs = (np.empty((batch, steps, size), dtype=dt)
+    perm, counts = _schedule(x, lengths, mask)
+    hidden, _ = _initial_states(plan, batch, initial, perm)
+    gx_sig, gx_n = _input_gates(plan, _time_major(x, plan.dtype, perm))
+    outputs = (np.empty((steps, batch, size), dtype=plan.dtype)
                if return_outputs else None)
-    counts = _active_counts(lengths, steps)
-    if counts is None and lengths is not None and mask is None:
-        mask = _mask_from_lengths(lengths, steps)
-    gh = np.empty((batch, 3 * size), dtype=dt)
-    rz = np.empty((batch, two), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    # Hoisted loop invariants: attribute loads and per-plan branches are
-    # measurable at one python-level iteration per timestep.
-    w_hh_t = plan.w_hh_t
-    bias_step = plan.bias_step
-    b_hn = plan.b_hn
-    count_list = None if counts is None else counts.tolist()
-    # float64 keeps the seed's exact h-update op order (the 1e-10 parity
-    # contract); float32 uses the algebraically-equal 3-op form
-    # ``h + z*(h_prev - h_cand)`` — one fewer dispatch per step, and the
-    # float32 path is drift-bounded rather than order-pinned.
-    fast_update = dt == np.dtype(np.float32)
-    for t in range(steps):
-        active = batch if count_list is None else count_list[t]
+    sig = np.empty((batch, 2 * size), dtype=plan.dtype)
+    ghn = np.empty((batch, size), dtype=plan.dtype)
+    # Hoisted loop invariants: attribute loads are measurable at one
+    # python-level iteration per timestep.
+    w_sig, w_n, b_hn = plan.w_hh_sig, plan.w_hh_tanh, plan.b_hn
+    for t, active in enumerate(counts):
         if active == 0:
             if outputs is not None:
-                outputs[:, t:] = hidden[:, None, :]
+                outputs[t:] = hidden
             break
-        h_act = hidden[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, w_hh_t, out=gh_a)
-        if bias_step is not None:
-            gh_a += bias_step
-        # One sigmoid over the contiguous (r, z) block — identical
-        # elementwise values, half the ufunc dispatches.
-        g = rz[:active]
-        np.add(gx[:, :two], gh_a[:, :two], out=g)
-        sigmoid(g, out=g)
-        reset = g[:, :size]
-        update = g[:, size:]
-        ghn = gh_a[:, two:]
-        if b_hn is not None:
-            ghn += b_hn
-        ghn *= reset
-        ghn += gx[:, two:]
-        candidate = np.tanh(ghn, out=ghn)
-        out_h = new_h[:active]
-        if fast_update:
-            # new_h = candidate + update * (h_prev - candidate)
-            np.subtract(h_act, candidate, out=out_h)
-            out_h *= update
-            out_h += candidate
-        else:
-            # new_h = (1 - update) * candidate + update * h_prev
-            np.subtract(1.0, update, out=out_h)
-            out_h *= candidate
-            t_a = tmp[:active]
-            np.multiply(update, h_act, out=t_a)
-            out_h += t_a
-        if count_list is None and mask is not None:
-            np.copyto(hidden, out_h, where=mask[:, t:t + 1])
-        else:
-            hidden[:active] = out_h
+        h = hidden[:active]
+        s = sig[:active]
+        np.dot(h, w_sig, out=s)
+        s += gx_sig[t, :active]
+        _sigmoid_block(s)                  # s = [r | z]
+        g = ghn[:active]
+        np.dot(h, w_n, out=g)
+        g += b_hn
+        g *= s[:, :size]
+        n = gx_n[t, :active]
+        n += g
+        np.tanh(n, out=n)
+        # h' = (1 - z) * n + z * h, in place
+        h -= n
+        h *= s[:, size:]
+        h += n
         if outputs is not None:
-            outputs[:, t] = hidden
-    return outputs, hidden
+            outputs[t] = hidden
+    return (None if outputs is None else _batch_major(outputs, perm),
+            _caller_rows(hidden, perm))
 
 
 def lstm_forward(weights, x, lengths=None, mask=None, initial=None,
@@ -508,74 +559,42 @@ def lstm_forward(weights, x, lengths=None, mask=None, initial=None,
     Same contract as :func:`gru_forward`.
     """
     plan = as_plan(weights)
-    dt = plan.dtype
     batch, steps, _ = x.shape
     size = plan.hidden_size
-    two, three = 2 * size, 3 * size
-    if initial is not None:
-        hidden = np.array(initial[0], dtype=dt, copy=True)
-        cell = np.array(initial[1], dtype=dt, copy=True)
-    else:
-        hidden = np.tile(plan.init_state, (batch, 1))
-        cell = np.tile(plan.init_cell, (batch, 1))
-    gates_x = _plan_input_gates(plan, x)
-    outputs = (np.empty((batch, steps, size), dtype=dt)
+    perm, counts = _schedule(x, lengths, mask)
+    hidden, cell = _initial_states(plan, batch, initial, perm)
+    gx_sig, gx_g = _input_gates(plan, _time_major(x, plan.dtype, perm))
+    outputs = (np.empty((steps, batch, size), dtype=plan.dtype)
                if return_outputs else None)
-    counts = _active_counts(lengths, steps)
-    if counts is None and lengths is not None and mask is None:
-        mask = _mask_from_lengths(lengths, steps)
-    gh = np.empty((batch, 4 * size), dtype=dt)
-    sig = np.empty((batch, two), dtype=dt)
-    cand = np.empty((batch, size), dtype=dt)
-    out_gate_buf = np.empty((batch, size), dtype=dt)
-    new_c = np.empty((batch, size), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    for t in range(steps):
-        active = batch if counts is None else int(counts[t])
+    sig = np.empty((batch, 3 * size), dtype=plan.dtype)
+    scratch = np.empty((batch, size), dtype=plan.dtype)
+    w_sig, w_g = plan.w_hh_sig, plan.w_hh_tanh
+    for t, active in enumerate(counts):
         if active == 0:
             if outputs is not None:
-                outputs[:, t:] = hidden[:, None, :]
+                outputs[t:] = hidden
             break
-        h_act = hidden[:active]
-        c_act = cell[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, plan.w_hh_t, out=gh_a)
-        if plan.bias_step is not None:
-            gh_a += plan.bias_step
-        # One sigmoid over the contiguous (i, f) block — identical
-        # elementwise values, fewer ufunc dispatches.
-        g = sig[:active]
-        np.add(gx[:, :two], gh_a[:, :two], out=g)
-        sigmoid(g, out=g)
-        in_gate = g[:, :size]
-        forget = g[:, size:]
-        cd = cand[:active]
-        np.add(gx[:, two:three], gh_a[:, two:three], out=cd)
-        np.tanh(cd, out=cd)
-        og = out_gate_buf[:active]
-        np.add(gx[:, three:], gh_a[:, three:], out=og)
-        sigmoid(og, out=og)
-        # new_c = forget * c_prev + in * candidate
-        nc = new_c[:active]
-        np.multiply(forget, c_act, out=nc)
-        t_a = tmp[:active]
-        np.multiply(in_gate, cd, out=t_a)
-        nc += t_a
-        nh = new_h[:active]
-        np.tanh(nc, out=t_a)
-        np.multiply(og, t_a, out=nh)
-        if counts is None and mask is not None:
-            step_mask = mask[:, t:t + 1]
-            np.copyto(hidden, nh, where=step_mask)
-            np.copyto(cell, nc, where=step_mask)
-        else:
-            hidden[:active] = nh
-            cell[:active] = nc
+        h = hidden[:active]
+        c = cell[:active]
+        s = sig[:active]
+        np.dot(h, w_sig, out=s)
+        s += gx_sig[t, :active]
+        _sigmoid_block(s)                  # s = [i | f | o]
+        tmp = scratch[:active]
+        g = gx_g[t, :active]
+        np.dot(h, w_g, out=tmp)
+        g += tmp
+        np.tanh(g, out=g)
+        # c' = f * c + i * g;  h' = o * tanh(c'), in place
+        c *= s[:, size:2 * size]
+        g *= s[:, :size]
+        c += g
+        np.tanh(c, out=tmp)
+        np.multiply(s[:, 2 * size:], tmp, out=h)
         if outputs is not None:
-            outputs[:, t] = hidden
-    return outputs, (hidden, cell)
+            outputs[t] = hidden
+    return (None if outputs is None else _batch_major(outputs, perm),
+            (_caller_rows(hidden, perm), _caller_rows(cell, perm)))
 
 
 def rnn_forward(weights, x, lengths=None, mask=None, initial=None,
@@ -585,9 +604,10 @@ def rnn_forward(weights, x, lengths=None, mask=None, initial=None,
     ``weights`` is a :class:`~repro.nn.CellWeights` view or an already
     packed :class:`WeightPlan`; ``x`` is the ``(B, T, D)`` event array
     (cast to the plan dtype on entry); ``lengths`` are per-row step
-    counts (ints), ``mask`` the ``(B, T)`` boolean validity mask, and
-    ``initial`` the ``(B, H)`` seed state (an ``(h, c)`` pair for LSTM)
-    in any float dtype — it is copied into the plan dtype.
+    counts (ints, any row order), ``mask`` an optional ``(B, T)``
+    boolean per-row prefix mask, and ``initial`` the ``(B, H)`` seed
+    state (an ``(h, c)`` pair for LSTM) in any float dtype — it is
+    copied into the plan dtype.
     """
     if weights.kind == "gru":
         return gru_forward(weights, x, lengths=lengths, mask=mask,
@@ -608,128 +628,92 @@ class RnnTrainCache:
 
     Produced by :func:`gru_forward_train` / :func:`lstm_forward_train` and
     consumed exactly once by the matching backward kernel.  Per-step
-    arrays are **time-major** (``(T, B, ·)``) so both directions of BPTT
-    touch contiguous blocks; rows beyond a step's active count hold stale
-    values in ``gates``/``gate_hidden`` — the backward kernels never read
-    them.  Everything is stored in the plan dtype.
+    arrays are **time-major** (``(T, B, ·)``), contiguous per gate block
+    and in the kernel's longest-first row order (``perm``; None when the
+    caller's rows already ran longest-first).  Rows beyond a step's
+    active count hold stale values in ``sig``/``cand``/``gate_hidden`` —
+    the backward kernels never read them.  Everything is stored in the
+    plan dtype; :attr:`states`, :attr:`x` and ``last`` are in the
+    caller's row order.
     """
 
     kind: str                # "gru" | "lstm"
     plan: WeightPlan         # the plan the forward ran with
-    x: np.ndarray            # (B, T, D) event representations, plan dtype
-    gates: np.ndarray        # (T, B, G*H): r,z,n (GRU) or i,f,g,o (LSTM)
-    hidden_seq: np.ndarray   # (T, B, H) post-step hidden states
-    hidden_0: np.ndarray     # (B, H) initial hidden state
-    counts: np.ndarray       # (T,) active rows per step, or None
-    mask: np.ndarray         # (B, T) boolean, or None (full batch)
+    perm: np.ndarray         # kernel row order, or None
+    counts: list             # active rows per step
+    x_tm: np.ndarray         # (T, B, D) event representations
+    sig: np.ndarray          # (T, B, S*H) σ block: r|z (GRU), i|f|o (LSTM)
+    cand: np.ndarray         # (T, B, H) tanh block: n (GRU), g (LSTM)
+    hidden_seq: np.ndarray   # (T+1, B, H) states; [0] is the initial one
     last: object             # (B, H) or (h, c) — the forward result
-    gate_hidden: np.ndarray = None  # (T, B, H) GRU only: gh_n (for dr)
-    cell_seq: np.ndarray = None     # (T, B, H) LSTM only: post-step cells
-    cell_0: np.ndarray = None       # (B, H) LSTM only: initial cell
+    gate_hidden: np.ndarray = None  # (T, B, H) GRU only: W_hn h + b_hn
+    cell_seq: np.ndarray = None     # (T+1, B, H) LSTM only: cells
     tanh_cell: np.ndarray = None    # (T, B, H) LSTM only: tanh(c_t)
 
     @property
     def states(self):
-        """Per-step hidden states in batch-major ``(B, T, H)`` layout."""
-        return self.hidden_seq.transpose(1, 0, 2)
+        """Per-step hidden states ``(B, T, H)`` in the caller's row order.
 
+        States at padded steps hold the frozen value of the row's last
+        real step, like the autograd ``cell(x, mask=...)`` outputs.
+        """
+        return _batch_major(self.hidden_seq[1:], self.perm)
 
-def _train_setup(weights, x, lengths, mask):
-    """Shared preamble of the training forwards: plan + step schedule."""
-    plan = as_plan(weights)
-    batch, steps, _ = x.shape
-    if x.dtype != plan.dtype:
-        x = x.astype(plan.dtype, copy=False)
-    gates_x = _plan_input_gates(plan, x)
-    counts = _active_counts(lengths, steps)
-    if counts is None and lengths is not None and mask is None:
-        mask = _mask_from_lengths(lengths, steps)
-    return plan, x, batch, steps, gates_x, counts, mask
+    @property
+    def x(self):
+        """The ``(B, T, D)`` events the recurrence consumed, caller order."""
+        return _batch_major(self.x_tm, self.perm)
 
 
 def gru_forward_train(weights, x, lengths=None, mask=None, initial=None):
     """GRU forward stashing what :func:`gru_backward` needs.
 
-    Same contract as :func:`gru_forward` (active-prefix execution when
-    ``lengths`` is sorted longest-first, mask-freezing otherwise), but
-    returns an :class:`RnnTrainCache` whose ``last`` field carries the
-    final ``(B, H)`` state.
+    Same contract as :func:`gru_forward`, but returns an
+    :class:`RnnTrainCache` whose ``last`` field carries the final
+    ``(B, H)`` state.
     """
-    plan, x, batch, steps, gates_x, counts, mask = _train_setup(
-        weights, x, lengths, mask)
-    dt = plan.dtype
+    plan = as_plan(weights)
+    batch, steps, _ = x.shape
     size = plan.hidden_size
-    two = 2 * size
-    hidden = _initial_hidden(plan, batch, initial)
-    hidden_0 = hidden.copy()
-    gates = np.empty((steps, batch, 3 * size), dtype=dt)
-    gate_hidden = np.empty((steps, batch, size), dtype=dt)
-    hidden_seq = np.empty((steps, batch, size), dtype=dt)
-    gh = np.empty((batch, 3 * size), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    # Hoisted loop invariants (see gru_forward): the same rationale, the
-    # loop runs once per timestep on the training hot path.
-    w_hh_t = plan.w_hh_t
-    bias_step = plan.bias_step
-    b_hn = plan.b_hn
-    count_list = None if counts is None else counts.tolist()
-    fast_update = dt == np.dtype(np.float32)
-    for t in range(steps):
-        active = batch if count_list is None else count_list[t]
+    perm, counts = _schedule(x, lengths, mask)
+    x_tm = _time_major(x, plan.dtype, perm)
+    sig, cand = _input_gates(plan, x_tm)
+    hidden_seq = np.empty((steps + 1, batch, size), dtype=plan.dtype)
+    hidden_seq[0], _ = _initial_states(plan, batch, initial, perm)
+    gate_hidden = np.empty((steps, batch, size), dtype=plan.dtype)
+    scratch_sig = np.empty((batch, 2 * size), dtype=plan.dtype)
+    scratch = np.empty((batch, size), dtype=plan.dtype)
+    w_sig, w_n, b_hn = plan.w_hh_sig, plan.w_hh_tanh, plan.b_hn
+    for t, active in enumerate(counts):
+        prev = hidden_seq[t]
         if active == 0:
-            hidden_seq[t:] = hidden[None, :, :]
+            hidden_seq[t + 1:] = prev
             break
-        h_act = hidden[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, w_hh_t, out=gh_a)
-        if bias_step is not None:
-            gh_a += bias_step
-        gate_block = gates[t, :active]
-        np.add(gx[:, :two], gh_a[:, :two], out=gate_block[:, :two])
-        sigmoid(gate_block[:, :two], out=gate_block[:, :two])
-        reset = gate_block[:, :size]
-        update = gate_block[:, size:two]
-        ghn = gh_a[:, two:]
-        if b_hn is not None:
-            ghn += b_hn
-        gate_hidden[t, :active] = ghn
-        candidate = gate_block[:, two:]
-        np.multiply(ghn, reset, out=candidate)
-        candidate += gx[:, two:]
-        np.tanh(candidate, out=candidate)
-        if count_list is None and mask is not None:
-            # Mask-freezing path: stage in scratch, then masked-copy.
-            out_h = new_h[:active]
-        else:
-            # Packed path: write the update straight into the cached
-            # step row — no staging copy, frozen rows carried below.
-            out_h = hidden_seq[t, :active]
-        if fast_update:
-            # new_h = candidate + update * (h_prev - candidate): same
-            # 3-op form as the float32 inference path (drift-bounded);
-            # the backward's analytic formulas are order-independent.
-            np.subtract(h_act, candidate, out=out_h)
-            out_h *= update
-            out_h += candidate
-        else:
-            # float64 keeps the seed's exact op order (1e-8 parity).
-            np.subtract(1.0, update, out=out_h)
-            out_h *= candidate
-            t_a = tmp[:active]
-            np.multiply(update, h_act, out=t_a)
-            out_h += t_a
-        if count_list is None and mask is not None:
-            np.copyto(hidden, out_h, where=mask[:, t:t + 1])
-            hidden_seq[t] = hidden
-        else:
-            if active < batch:
-                hidden_seq[t, active:] = hidden[active:]
-            hidden = hidden_seq[t]
-    return RnnTrainCache(kind="gru", plan=plan, x=x, gates=gates,
-                         hidden_seq=hidden_seq, hidden_0=hidden_0,
-                         counts=counts, mask=mask, last=hidden,
+        h = prev[:active]
+        s = sig[t, :active]
+        tmp = scratch_sig[:active]
+        np.dot(h, w_sig, out=tmp)
+        s += tmp
+        _sigmoid_block(s)                  # s = [r | z]
+        ghn = gate_hidden[t, :active]
+        np.dot(h, w_n, out=ghn)
+        ghn += b_hn
+        reset_ghn = scratch[:active]
+        np.multiply(ghn, s[:, :size], out=reset_ghn)
+        n = cand[t, :active]
+        n += reset_ghn
+        np.tanh(n, out=n)
+        # h' = (1 - z) * n + z * h, written straight into the cache row
+        new_h = hidden_seq[t + 1, :active]
+        np.subtract(h, n, out=new_h)
+        new_h *= s[:, size:]
+        new_h += n
+        if active < batch:
+            hidden_seq[t + 1, active:] = prev[active:]
+    return RnnTrainCache(kind="gru", plan=plan, perm=perm, counts=counts,
+                         x_tm=x_tm, sig=sig, cand=cand,
+                         hidden_seq=hidden_seq,
+                         last=_caller_rows(hidden_seq[-1], perm),
                          gate_hidden=gate_hidden)
 
 
@@ -739,82 +723,62 @@ def lstm_forward_train(weights, x, lengths=None, mask=None, initial=None):
     ``initial`` and ``cache.last`` are ``(h, c)`` pairs; otherwise the
     contract of :func:`gru_forward_train`.
     """
-    plan, x, batch, steps, gates_x, counts, mask = _train_setup(
-        weights, x, lengths, mask)
-    dt = plan.dtype
+    plan = as_plan(weights)
+    batch, steps, _ = x.shape
     size = plan.hidden_size
-    two, three = 2 * size, 3 * size
-    if initial is not None:
-        hidden = np.array(initial[0], dtype=dt, copy=True)
-        cell = np.array(initial[1], dtype=dt, copy=True)
-    else:
-        hidden = np.tile(plan.init_state, (batch, 1))
-        cell = np.tile(plan.init_cell, (batch, 1))
-    hidden_0 = hidden.copy()
-    cell_0 = cell.copy()
-    gates = np.empty((steps, batch, 4 * size), dtype=dt)
-    hidden_seq = np.empty((steps, batch, size), dtype=dt)
-    cell_seq = np.empty((steps, batch, size), dtype=dt)
-    tanh_cell = np.empty((steps, batch, size), dtype=dt)
-    gh = np.empty((batch, 4 * size), dtype=dt)
-    new_c = np.empty((batch, size), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    for t in range(steps):
-        active = batch if counts is None else int(counts[t])
+    perm, counts = _schedule(x, lengths, mask)
+    x_tm = _time_major(x, plan.dtype, perm)
+    sig, cand = _input_gates(plan, x_tm)
+    hidden_seq = np.empty((steps + 1, batch, size), dtype=plan.dtype)
+    cell_seq = np.empty((steps + 1, batch, size), dtype=plan.dtype)
+    hidden_seq[0], cell_seq[0] = _initial_states(plan, batch, initial, perm)
+    tanh_cell = np.empty((steps, batch, size), dtype=plan.dtype)
+    scratch_sig = np.empty((batch, 3 * size), dtype=plan.dtype)
+    scratch = np.empty((batch, size), dtype=plan.dtype)
+    w_sig, w_g = plan.w_hh_sig, plan.w_hh_tanh
+    for t, active in enumerate(counts):
+        h_prev, c_prev = hidden_seq[t], cell_seq[t]
         if active == 0:
-            hidden_seq[t:] = hidden[None, :, :]
-            cell_seq[t:] = cell[None, :, :]
+            hidden_seq[t + 1:] = h_prev
+            cell_seq[t + 1:] = c_prev
             break
-        h_act = hidden[:active]
-        c_act = cell[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, plan.w_hh_t, out=gh_a)
-        if plan.bias_step is not None:
-            gh_a += plan.bias_step
-        gate_block = gates[t, :active]
-        np.add(gx[:, :two], gh_a[:, :two], out=gate_block[:, :two])
-        sigmoid(gate_block[:, :two], out=gate_block[:, :two])
-        in_gate = gate_block[:, :size]
-        forget = gate_block[:, size:two]
-        candidate = gate_block[:, two:three]
-        np.add(gx[:, two:three], gh_a[:, two:three], out=candidate)
-        np.tanh(candidate, out=candidate)
-        out_gate = gate_block[:, three:]
-        np.add(gx[:, three:], gh_a[:, three:], out=out_gate)
-        sigmoid(out_gate, out=out_gate)
-        nc = new_c[:active]
-        np.multiply(forget, c_act, out=nc)
-        t_a = tmp[:active]
-        np.multiply(in_gate, candidate, out=t_a)
-        nc += t_a
-        tanh_new = tanh_cell[t, :active]
-        np.tanh(nc, out=tanh_new)
-        nh = new_h[:active]
-        np.multiply(out_gate, tanh_new, out=nh)
-        if counts is None and mask is not None:
-            step_mask = mask[:, t:t + 1]
-            np.copyto(hidden, nh, where=step_mask)
-            np.copyto(cell, nc, where=step_mask)
-        else:
-            hidden[:active] = nh
-            cell[:active] = nc
-        hidden_seq[t] = hidden
-        cell_seq[t] = cell
-    return RnnTrainCache(kind="lstm", plan=plan, x=x, gates=gates,
-                         hidden_seq=hidden_seq, hidden_0=hidden_0,
-                         counts=counts, mask=mask, last=(hidden, cell),
-                         cell_seq=cell_seq, cell_0=cell_0,
-                         tanh_cell=tanh_cell)
+        h = h_prev[:active]
+        s = sig[t, :active]
+        tmp_sig = scratch_sig[:active]
+        np.dot(h, w_sig, out=tmp_sig)
+        s += tmp_sig
+        _sigmoid_block(s)                  # s = [i | f | o]
+        tmp = scratch[:active]
+        g = cand[t, :active]
+        np.dot(h, w_g, out=tmp)
+        g += tmp
+        np.tanh(g, out=g)
+        # c' = f * c + i * g;  h' = o * tanh(c'), into the cache rows
+        new_c = cell_seq[t + 1, :active]
+        np.multiply(s[:, size:2 * size], c_prev[:active], out=new_c)
+        np.multiply(s[:, :size], g, out=tmp)
+        new_c += tmp
+        tanh_c = tanh_cell[t, :active]
+        np.tanh(new_c, out=tanh_c)
+        np.multiply(s[:, 2 * size:], tanh_c, out=hidden_seq[t + 1, :active])
+        if active < batch:
+            hidden_seq[t + 1, active:] = h_prev[active:]
+            cell_seq[t + 1, active:] = c_prev[active:]
+    last = (_caller_rows(hidden_seq[-1], perm),
+            _caller_rows(cell_seq[-1], perm))
+    return RnnTrainCache(kind="lstm", plan=plan, perm=perm, counts=counts,
+                         x_tm=x_tm, sig=sig, cand=cand,
+                         hidden_seq=hidden_seq, last=last,
+                         cell_seq=cell_seq, tanh_cell=tanh_cell)
 
 
 def rnn_forward_train(weights, x, lengths=None, mask=None, initial=None):
     """Dispatch to the GRU or LSTM training forward by ``weights.kind``.
 
     Same argument contract as :func:`rnn_forward` — ``x`` is ``(B, T,
-    D)``, ``mask`` ``(B, T)`` boolean, ``initial`` ``(B, H)`` (pair for
-    LSTM) — but returns the activation-caching forward used by BPTT.
+    D)``, ``mask`` an optional ``(B, T)`` boolean per-row prefix mask,
+    ``initial`` ``(B, H)`` (pair for LSTM) — but returns the
+    activation-caching forward used by BPTT.
     """
     if weights.kind == "gru":
         return gru_forward_train(weights, x, lengths=lengths, mask=mask,
@@ -825,40 +789,47 @@ def rnn_forward_train(weights, x, lengths=None, mask=None, initial=None):
     raise ValueError("unknown cell kind %r" % weights.kind)
 
 
-def _step_rows(cache, t):
-    """(active, mask_col) execution descriptor of step ``t`` in backward.
+def _backward_setup(cache, d_last, d_outputs):
+    """Kernel-order ``d_hidden`` (a fresh ``(B, H)`` buffer) and the
+    per-step gradients as a ``(T, B, H)`` array, or None."""
+    plan, perm = cache.plan, cache.perm
+    d_hidden = _kernel_rows(d_last, plan.dtype, perm)
+    d_steps = (None if d_outputs is None else _time_major(
+        np.asarray(d_outputs, dtype=plan.dtype), plan.dtype, perm))
+    return d_hidden, d_steps
 
-    ``active`` is the row-prefix length for the packed path (0 skips the
-    step); ``mask_col`` is the ``(B, 1)`` boolean column for the
-    mask-freezing path (None on the packed path).
+
+def _cell_order(grad, rows):
+    """Gradient rows stacked in gradient-buffer gate order, scattered back
+    to :class:`~repro.nn.CellWeights` order."""
+    out = np.empty_like(grad)
+    out[rows] = grad
+    return out
+
+
+def _finish_grads(cache, grad, recurrent_cols, input_cols):
+    """The fused tail of BPTT: every weight/bias/input gradient as a few
+    big GEMMs over the ``(T, B, ·)`` gradient buffer ``grad``.
+
+    ``recurrent_cols``/``input_cols`` are the two column ranges of the
+    buffer (slices; each one contiguous range, so no concatenated copy).
     """
-    batch = cache.x.shape[0]
-    if cache.counts is not None:
-        return int(cache.counts[t]), None
-    if cache.mask is not None:
-        return batch, cache.mask[:, t:t + 1]
-    return batch, None
-
-
-def _finish_input_grads(plan, x, d_gates_x):
-    """The fused tail of BPTT: input-side gradients as three big matmuls.
-
-    ``d_gates_x`` arrives time-major ``(T, B, G*H)`` and is flattened to
-    the batch-major order of ``x`` once, here.
-    """
-    batch, steps, dim = x.shape
-    # Work in the time-major order d_gates_x already has: transposing
-    # the (D-wide) input and output instead of the (G*H-wide) gate
-    # gradient moves a fraction of the bytes.  Each weight/bias entry is
-    # the same reduction over the same rows either way.
-    flat_xt = np.ascontiguousarray(x.swapaxes(0, 1)).reshape(
-        batch * steps, dim)
-    flat_g = d_gates_x.reshape(batch * steps, -1)
-    d_x_tm = (flat_g @ plan.w_ih_t.T).reshape(steps, batch, dim)
+    plan = cache.plan
+    steps, batch, dim = cache.x_tm.shape
+    size = plan.hidden_size
+    rec_rows, inp_rows = plan.grad_rows
+    flat = grad.reshape(steps * batch, grad.shape[2])
+    d_rec = flat[:, recurrent_cols]
+    d_in = flat[:, input_cols]
+    h_prev = cache.hidden_seq[:-1].reshape(steps * batch, size)
+    d_x = (d_in @ plan.w_ih_grad).reshape(steps, batch, dim)
     return {
-        "weight_ih": flat_g.T @ flat_xt,
-        "bias_ih": flat_g.sum(axis=0),
-        "d_x": np.ascontiguousarray(d_x_tm.swapaxes(0, 1)),
+        "weight_ih": _cell_order(
+            d_in.T @ cache.x_tm.reshape(steps * batch, dim), inp_rows),
+        "bias_ih": _cell_order(d_in.sum(axis=0), inp_rows),
+        "weight_hh": _cell_order(d_rec.T @ h_prev, rec_rows),
+        "bias_hh": _cell_order(d_rec.sum(axis=0), rec_rows),
+        "d_x": _batch_major(d_x, cache.perm),
     }
 
 
@@ -868,7 +839,7 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     Parameters
     ----------
     weights:
-        The weights/plan the forward ran with (the cached plan wins).
+        The weights/plan the forward ran with (the cached plan is used).
     cache:
         The :class:`RnnTrainCache` from :func:`gru_forward_train`.
     d_last:
@@ -877,101 +848,64 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
         Optional loss gradient wrt every per-step state, ``(B, T, H)``
         (CPC-style objectives).
 
+    Both gradients are in the caller's row order and any float dtype.
+
     Returns
     -------
     dict with ``d_x`` (gradient wrt the event representations, ``(B, T,
-    D)``) and per-parameter gradients ``weight_ih``, ``weight_hh``,
-    ``bias_ih``, ``bias_hh``, ``init_state`` — the exact quantities the
+    D)``, caller order) and per-parameter gradients ``weight_ih``,
+    ``weight_hh``, ``bias_ih``, ``bias_hh``, ``init_state`` in
+    :class:`~repro.nn.CellWeights` order — the exact quantities the
     autograd path accumulates, to < 1e-8 under the float64 policy.
     """
-    plan = cache.plan if cache.plan is not None else as_plan(weights)
-    dt = plan.dtype
-    batch, steps, _ = cache.x.shape
+    plan = cache.plan
+    steps, batch, _ = cache.x_tm.shape
     size = plan.hidden_size
-    two = 2 * size
-    d_hidden = np.array(d_last, dtype=dt, copy=True)
-    d_gates_x = np.zeros((steps, batch, 3 * size), dtype=dt)
-    # Pre-activation gradients wrt the recurrent projection, stashed
-    # time-major so d_weight_hh/d_bias_hh reduce to ONE big GEMM/sum
-    # after the loop instead of a small GEMM + accumulate per step.
-    d_gates_h = np.zeros((steps, batch, 3 * size), dtype=dt)
-    w_hh = plan.w_hh_t.T
-    hidden_seq, hidden_0 = cache.hidden_seq, cache.hidden_0
-    gates, gate_hidden = cache.gates, cache.gate_hidden
-    count_list = (None if cache.counts is None else cache.counts.tolist())
-    freeze_mask = cache.mask
-    # Per-step scratch (views sliced to the active prefix): the loop
-    # runs once per timestep, where temporary allocations are
-    # measurable on the training hot path.
-    s1 = np.empty((batch, size), dtype=dt)
-    s2 = np.empty((batch, size), dtype=dt)
-    s3 = np.empty((batch, size), dtype=dt)
+    two, three = 2 * size, 3 * size
+    d_hidden, d_steps = _backward_setup(cache, d_last, d_outputs)
+    # [d_ghn | d_r | d_z | d_an]: the first 3H columns are the recurrent
+    # side, the last 3H the input side (d_an = d_gx_n; d_ghn = d_an * r).
+    grad = np.zeros((steps, batch, 4 * size), dtype=plan.dtype)
+    sig, cand, gate_hidden = cache.sig, cache.cand, cache.gate_hidden
+    hidden_seq, counts = cache.hidden_seq, cache.counts
+    w_hh = plan.w_hh_grad
+    scratch_sig = np.empty((batch, two), dtype=plan.dtype)
+    scratch = np.empty((batch, size), dtype=plan.dtype)
     for t in range(steps - 1, -1, -1):
-        if d_outputs is not None:
-            d_hidden += d_outputs[:, t]
-        if count_list is not None:
-            active, mask_col = count_list[t], None
-        elif freeze_mask is not None:
-            active, mask_col = batch, freeze_mask[:, t:t + 1]
-        else:
-            active, mask_col = batch, None
+        if d_steps is not None:
+            d_hidden += d_steps[t]
+        active = counts[t]
         if active == 0:
             continue
-        dh = d_hidden[:active] if mask_col is None else d_hidden * mask_col
-        h_prev = (hidden_seq[t - 1, :active] if t > 0
-                  else hidden_0[:active])
-        gate_block = gates[t, :active]
-        reset = gate_block[:, :size]
-        update = gate_block[:, size:two]
-        candidate = gate_block[:, two:]
-        gh_n = gate_hidden[t, :active]
-        dgh = d_gates_h[t, :active]
-        dgx = d_gates_x[t, :active]
-        c1, c2, c3 = s1[:active], s2[:active], s3[:active]
-        # sigmoid' for the whole (r, z) block in one 2H-wide pass; the
-        # per-gate upstream gradients scale the halves below.
-        np.subtract(1.0, gate_block[:, :two], out=dgh[:, :two])
-        dgh[:, :two] *= gate_block[:, :two]
-        # da_n = dh * (1 - update) * (1 - candidate^2), written straight
-        # into the n-column of d_gates_x.
-        da_n = dgx[:, two:]
-        np.subtract(1.0, update, out=c1)
-        c1 *= dh
-        np.multiply(candidate, candidate, out=c2)
-        np.subtract(1.0, c2, out=c2)
-        np.multiply(c1, c2, out=da_n)
-        np.multiply(da_n, reset, out=dgh[:, two:])
-        # d_reset = da_n * gh_n scales the r half ...
-        np.multiply(da_n, gh_n, out=c3)
-        dgh[:, :size] *= c3
-        # ... and d_update = dh * (h_prev - candidate) the z half.
-        np.subtract(h_prev, candidate, out=c1)
-        c1 *= dh
-        dgh[:, size:two] *= c1
-        # d_prev = dh * update + dgh @ w_hh
-        if mask_col is None:
-            # dh aliases d_hidden[:active]: updating it in place IS the
-            # carry to step t-1 (no copy-back needed).
-            dh *= update
-            np.dot(dgh, w_hh, out=c3)
-            dh += c3
-        else:
-            np.multiply(dh, update, out=c2)
-            np.dot(dgh, w_hh, out=c3)
-            c2 += c3
-            d_hidden = np.where(mask_col, c2, d_hidden)
-    # The r/z columns of the input-side gate gradient equal the
-    # recurrent-side ones (the pre-activations are a sum); one bulk copy
-    # instead of a per-step one.
-    d_gates_x[:, :, :two] = d_gates_h[:, :, :two]
-    flat_gh = d_gates_h.reshape(steps * batch, -1)
-    if steps > 1:
-        h_prev_seq = np.concatenate([hidden_0[None], hidden_seq[:-1]])
-    else:
-        h_prev_seq = hidden_0[None]
-    grads = _finish_input_grads(plan, cache.x, d_gates_x)
-    grads["weight_hh"] = flat_gh.T @ h_prev_seq.reshape(steps * batch, size)
-    grads["bias_hh"] = flat_gh.sum(axis=0)
+        dh = d_hidden[:active]
+        s = sig[t, :active]
+        z = s[:, size:]
+        n = cand[t, :active]
+        g = grad[t, :active]
+        tmp = scratch[:active]
+        # d_an = dh * (1 - z) * (1 - n^2)
+        np.multiply(n, n, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= dh
+        d_an = g[:, three:]
+        np.subtract(1.0, z, out=d_an)
+        d_an *= tmp
+        np.multiply(d_an, s[:, :size], out=g[:, :size])
+        # d_r = d_an * ghn * σ'(r);  d_z = dh * (h_prev - n) * σ'(z)
+        np.multiply(d_an, gate_hidden[t, :active], out=g[:, size:two])
+        d_z = g[:, two:three]
+        np.subtract(hidden_seq[t, :active], n, out=d_z)
+        d_z *= dh
+        slope = scratch_sig[:active]
+        np.subtract(1.0, s, out=slope)
+        slope *= s
+        g[:, size:three] *= slope
+        # d_h_prev = dh * z + [d_ghn | d_r | d_z] @ W_hh(n, r, z); dh
+        # aliases d_hidden[:active], so this IS the carry to step t-1.
+        dh *= z
+        np.dot(g[:, :three], w_hh, out=tmp)
+        dh += tmp
+    grads = _finish_grads(cache, grad, slice(0, three), slice(size, None))
     grads["init_state"] = d_hidden.sum(axis=0)
     return grads
 
@@ -985,65 +919,58 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
     both are cast to the plan dtype.  The result additionally carries
     ``init_cell``.
     """
-    plan = cache.plan if cache.plan is not None else as_plan(weights)
-    dt = plan.dtype
-    batch, steps, _ = cache.x.shape
+    plan = cache.plan
+    steps, batch, _ = cache.x_tm.shape
     size = plan.hidden_size
     two, three = 2 * size, 3 * size
-    d_hidden = np.array(d_last, dtype=dt, copy=True)
-    d_cell = np.zeros((batch, size), dtype=dt)
-    d_gates_x = np.zeros((steps, batch, 4 * size), dtype=dt)
-    d_weight_hh = np.zeros((4 * size, size), dtype=dt)
-    d_bias_hh = np.zeros(4 * size, dtype=dt)
-    w_hh = plan.w_hh_t.T
-    d_gh = np.empty((batch, 4 * size), dtype=dt)
+    d_hidden, d_steps = _backward_setup(cache, d_last, d_outputs)
+    d_cell = np.zeros((batch, size), dtype=plan.dtype)
+    # [d_i | d_f | d_o | d_g]: every LSTM bias folds, so the recurrent
+    # and input sides share this one range.
+    grad = np.zeros((steps, batch, 4 * size), dtype=plan.dtype)
+    sig, cand, tanh_cell = cache.sig, cache.cand, cache.tanh_cell
+    cell_seq, counts = cache.cell_seq, cache.counts
+    w_hh = plan.w_hh_grad
+    scratch_sig = np.empty((batch, three), dtype=plan.dtype)
+    scratch = np.empty((batch, size), dtype=plan.dtype)
     for t in range(steps - 1, -1, -1):
-        if d_outputs is not None:
-            d_hidden += d_outputs[:, t]
-        active, mask_col = _step_rows(cache, t)
+        if d_steps is not None:
+            d_hidden += d_steps[t]
+        active = counts[t]
         if active == 0:
             continue
-        if mask_col is None:
-            dh = d_hidden[:active]
-            dc = d_cell[:active]
-        else:
-            dh = d_hidden * mask_col
-            dc = d_cell * mask_col
-        h_prev = (cache.hidden_seq[t - 1, :active] if t > 0
-                  else cache.hidden_0[:active])
-        c_prev = (cache.cell_seq[t - 1, :active] if t > 0
-                  else cache.cell_0[:active])
-        gate_block = cache.gates[t, :active]
-        in_gate = gate_block[:, :size]
-        forget = gate_block[:, size:two]
-        candidate = gate_block[:, two:three]
-        out_gate = gate_block[:, three:]
-        tanh_c = cache.tanh_cell[t, :active]
-        d_out = dh * tanh_c
-        dc = dc + dh * out_gate * (1.0 - tanh_c * tanh_c)
-        d_in = dc * candidate
-        d_forget = dc * c_prev
-        d_candidate = dc * in_gate
-        d_cell_prev = dc * forget
-        dgh = d_gh[:active]
-        np.multiply(d_in * in_gate, 1.0 - in_gate, out=dgh[:, :size])
-        np.multiply(d_forget * forget, 1.0 - forget, out=dgh[:, size:two])
-        np.multiply(d_candidate, 1.0 - candidate * candidate,
-                    out=dgh[:, two:three])
-        np.multiply(d_out * out_gate, 1.0 - out_gate, out=dgh[:, three:])
-        d_gates_x[t, :active] = dgh
-        d_prev = dgh @ w_hh
-        d_weight_hh += dgh.T @ h_prev
-        d_bias_hh += dgh.sum(axis=0)
-        if mask_col is None:
-            d_hidden[:active] = d_prev
-            d_cell[:active] = d_cell_prev
-        else:
-            d_hidden = np.where(mask_col, d_prev, d_hidden)
-            d_cell = np.where(mask_col, d_cell_prev, d_cell)
-    grads = _finish_input_grads(plan, cache.x, d_gates_x)
-    grads["weight_hh"] = d_weight_hh
-    grads["bias_hh"] = d_bias_hh
+        dh = d_hidden[:active]
+        dc = d_cell[:active]
+        s = sig[t, :active]
+        cg = cand[t, :active]
+        tanh_c = tanh_cell[t, :active]
+        g = grad[t, :active]
+        tmp = scratch[:active]
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= s[:, two:]
+        tmp *= dh
+        dc += tmp
+        # [d_i | d_f | d_o] = [dc * g | dc * c_prev | dh * tanh(c)] * σ'
+        np.multiply(dc, cg, out=g[:, :size])
+        np.multiply(dc, cell_seq[t, :active], out=g[:, size:two])
+        np.multiply(dh, tanh_c, out=g[:, two:three])
+        slope = scratch_sig[:active]
+        np.subtract(1.0, s, out=slope)
+        slope *= s
+        g[:, :three] *= slope
+        # d_g = dc * i * (1 - g^2)
+        d_g = g[:, three:]
+        np.multiply(cg, cg, out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
+        d_g *= s[:, :size]
+        d_g *= dc
+        # carries to step t-1 (dh, dc alias the d_hidden/d_cell rows)
+        dc *= s[:, size:two]
+        np.dot(g, w_hh, out=dh)
+    every = slice(None)
+    grads = _finish_grads(cache, grad, every, every)
     grads["init_state"] = d_hidden.sum(axis=0)
     grads["init_cell"] = d_cell.sum(axis=0)
     return grads
@@ -1054,7 +981,8 @@ def rnn_backward(weights, cache, d_last, d_outputs=None):
 
     ``d_last`` is the ``(B, H)`` gradient wrt the final hidden state,
     ``d_outputs`` the optional ``(B, T, H)`` per-step state gradients
-    (both accepted in any float dtype, cast to the plan dtype).
+    (both in the caller's row order, any float dtype, cast to the plan
+    dtype).
     """
     if cache.kind == "gru":
         return gru_backward(weights, cache, d_last, d_outputs=d_outputs)

@@ -152,10 +152,8 @@ class FusedForwardCache:
     """
 
     batch: object            # the PaddedBatch the step ran on
-    rnn_cache: object        # kernels.RnnTrainCache (rows sorted) or
-    #                          attention.TransformerTrainCache (batch order)
-    perm: np.ndarray         # batch-order -> sorted-order permutation
-    inverse: np.ndarray      # sorted-order -> batch-order permutation
+    rnn_cache: object        # kernels.RnnTrainCache or
+    #                          attention.TransformerTrainCache
     hidden: np.ndarray       # (B, H) final states, batch order, pre-head
     embeddings: np.ndarray   # (B, H) post-head embeddings, batch order
     bn_scaled: np.ndarray    # (B, T, F) normalised numericals (or None)
@@ -169,7 +167,7 @@ class FusedForwardCache:
         step.  Per-step objectives (CPC, RTD) wrap this in a leaf tensor
         and feed the leaf gradient back as ``d_states``.
         """
-        return self.rnn_cache.states[self.inverse]
+        return self.rnn_cache.states
 
     @property
     def events(self):
@@ -179,7 +177,7 @@ class FusedForwardCache:
         norm included).  CPC scores its predictions against these;
         gradients taken wrt them feed back as ``d_events``.
         """
-        return self.rnn_cache.x[self.inverse]
+        return self.rnn_cache.x
 
 
 class FusedTrainStep:
@@ -195,12 +193,11 @@ class FusedTrainStep:
         step.backward(cache, d_emb)
         optimizer.step()
 
-    The forward sorts the batch rows longest-first so the recurrence (and
-    its BPTT) runs on shrinking active row prefixes — training batches
-    from the CoLES augmentation pipeline arrive unsorted, and mask-frozen
-    padded steps would otherwise burn most of the kernel time.  Batch
-    statistics, loss inputs and all gradients are computed in (or mapped
-    back to) the original row order, so the sort is invisible to callers.
+    Training batches from the CoLES augmentation pipeline arrive
+    unsorted; the recurrent kernels sort their rows longest-first
+    themselves, so the recurrence and its BPTT run on shrinking active
+    row prefixes while batch statistics, loss inputs and all gradients
+    stay in the batch's own row order.
 
     The packed plans come from a
     :class:`~repro.runtime.FusedEncoderRuntime` of the same encoder and
@@ -218,9 +215,8 @@ class FusedTrainStep:
     attention kernels (:mod:`repro.runtime.attention`): graph-free
     forward with training-mode batch norm and stream-aligned dropout
     draws, hand-derived backward (softmax-Jacobian attention, LayerNorm,
-    GELU), gradients into the same live parameters.  Rows are not
-    re-sorted on that path — attention cost is set by the padded batch
-    shape, not by active row prefixes.
+    GELU), gradients into the same live parameters.  Attention cost is
+    set by the padded batch shape, not by active row prefixes.
 
     ``precision`` selects the compute/cache dtype of the fused step:
     ``"float64"`` (the default — gradient-equivalent to autograd, the
@@ -256,41 +252,21 @@ class FusedTrainStep:
         """
         x, bn_scaled = kernels.encode_events_train(
             self.encoder.trx_encoder, batch, plan=self.runtime.encode_plan())
-        if not self.is_recurrent:
-            return self._forward_transformer(batch, x, bn_scaled)
-        lengths = np.asarray(batch.lengths, dtype=np.intp)
-        perm = np.argsort(-lengths, kind="stable")
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(len(perm), dtype=np.intp)
-        rnn_cache = kernels.rnn_forward_train(
-            self.runtime.weight_plan(), x[perm], lengths=lengths[perm])
-        last = rnn_cache.last
-        hidden_sorted = last[0] if rnn_cache.kind == "lstm" else last
-        hidden = hidden_sorted[inverse]
+        if self.is_recurrent:
+            cache = kernels.rnn_forward_train(
+                self.runtime.weight_plan(), x, lengths=batch.lengths)
+            hidden = cache.last[0] if cache.kind == "lstm" else cache.last
+        else:
+            cache = attention.transformer_forward_train(
+                self.runtime.weight_plan(), x, mask=batch.mask)
+            hidden = cache.pooled
         if self.encoder.normalize:
             embeddings = kernels.l2_normalize_rows(hidden)
         else:
             # reprolint: disable=RP001 -- defensive copy preserves the
             # kernel's policy dtype by construction.
             embeddings = np.array(hidden, copy=True)
-        return FusedForwardCache(batch=batch, rnn_cache=rnn_cache, perm=perm,
-                                 inverse=inverse, hidden=hidden,
-                                 embeddings=embeddings, bn_scaled=bn_scaled)
-
-    def _forward_transformer(self, batch, x, bn_scaled):
-        """The attention-path forward: no row sort, pooled state as hidden."""
-        cache = attention.transformer_forward_train(
-            self.runtime.weight_plan(), x, mask=batch.mask)
-        identity = np.arange(len(batch.lengths), dtype=np.intp)
-        hidden = cache.pooled
-        if self.encoder.normalize:
-            embeddings = kernels.l2_normalize_rows(hidden)
-        else:
-            # reprolint: disable=RP001 -- defensive copy preserves the
-            # kernel's policy dtype by construction.
-            embeddings = np.array(hidden, copy=True)
-        return FusedForwardCache(batch=batch, rnn_cache=cache, perm=identity,
-                                 inverse=identity, hidden=hidden,
+        return FusedForwardCache(batch=batch, rnn_cache=cache, hidden=hidden,
                                  embeddings=embeddings, bn_scaled=bn_scaled)
 
     # ------------------------------------------------------------------
@@ -322,29 +298,21 @@ class FusedTrainStep:
             if self.encoder.normalize:
                 d_hidden = kernels.l2_normalize_rows_backward(cache.hidden,
                                                               d_hidden)
-        if not self.is_recurrent:
+        if d_states is not None:
+            d_states = np.asarray(d_states, dtype=self.dtype)
+        if self.is_recurrent:
+            grads = kernels.rnn_backward(cache.rnn_cache.plan,
+                                         cache.rnn_cache, d_hidden,
+                                         d_outputs=d_states)
+            params = self.encoder.rnn.cell_parameters()
+        else:
             grads = attention.transformer_backward(
                 self.runtime.weight_plan(), cache.rnn_cache, d_hidden,
-                d_states=(None if d_states is None
-                          else np.asarray(d_states, dtype=self.dtype)))
+                d_states=d_states)
             params = attention.transformer_parameters(self.encoder)
-            for name, param in params.items():
-                _accumulate(param, grads.get(name))
-            d_x = grads["d_x"]
-            if d_events is not None:
-                d_x = d_x + np.asarray(d_events, dtype=self.dtype)
-            self._encode_events_backward(cache.batch, d_x, cache.bn_scaled)
-            return
-        d_outputs = None
-        if d_states is not None:
-            d_outputs = np.asarray(d_states, dtype=self.dtype)[cache.perm]
-        weights = self.encoder.rnn.export_weights()
-        grads = kernels.rnn_backward(weights, cache.rnn_cache,
-                                     d_hidden[cache.perm],
-                                     d_outputs=d_outputs)
-        for name, param in self.encoder.rnn.cell_parameters().items():
+        for name, param in params.items():
             _accumulate(param, grads.get(name))
-        d_x = grads["d_x"][cache.inverse]
+        d_x = grads["d_x"]
         if d_events is not None:
             d_x = d_x + np.asarray(d_events, dtype=self.dtype)
         self._encode_events_backward(cache.batch, d_x, cache.bn_scaled)

@@ -33,8 +33,8 @@ def _random_lengths(rng, batch, steps, sort=False):
 def test_raw_cell_forward_matches_tensor(cell_cls, kind, sort):
     """Fused recurrence == Tensor recurrence for random shapes/lengths.
 
-    ``sort=True`` exercises the packed (shrinking active window) path,
-    ``sort=False`` the mask-freezing fallback.
+    ``sort=True`` feeds rows longest-first, ``sort=False`` unsorted rows
+    that the kernel sorts itself.
     """
     rng = np.random.default_rng(2 * (kind == "lstm") + int(sort))
     for trial in range(4):
@@ -70,17 +70,77 @@ def test_raw_cell_forward_matches_tensor(cell_cls, kind, sort):
         np.testing.assert_allclose(out_states, ref_states.data, atol=ATOL)
 
 
+def _state_parts(state):
+    """The arrays of a final state: ``(h,)`` for GRU, ``(h, c)`` for LSTM."""
+    return state if isinstance(state, tuple) else (state,)
+
+
 def test_packed_and_masked_paths_agree():
-    """The two kernel execution strategies are interchangeable."""
+    """``lengths=`` and the equivalent prefix ``mask=`` run the same
+    packed path, for both cells."""
     rng = np.random.default_rng(7)
-    cell = GRU(6, 10, rng=rng)
     x = rng.standard_normal((5, 12, 6))
     lengths = np.sort(rng.integers(1, 13, size=5))[::-1]
     mask = np.arange(12)[None, :] < lengths[:, None]
+    for cell in (GRU(6, 10, rng=rng), LSTM(6, 10, rng=rng)):
+        weights = cell.export_weights()
+        _, packed = kernels.rnn_forward(weights, x, lengths=lengths)
+        _, masked = kernels.rnn_forward(weights, x, mask=mask)
+        for got, want in zip(_state_parts(masked), _state_parts(packed)):
+            np.testing.assert_allclose(got, want, atol=ATOL)
+
+
+@pytest.mark.parametrize("cell_cls", [GRU, LSTM])
+def test_forward_invariant_to_row_order(cell_cls):
+    """Shuffled rows give the sorted rows' results, in the caller's order.
+
+    The kernels sort rows longest-first themselves; ``initial``, the
+    per-step outputs and the final state all come back in the caller's
+    row order (float64, to 1e-12).  A prefix ``mask`` instead of
+    ``lengths`` takes the same path.
+    """
+    rng = np.random.default_rng(11)
+    batch, steps, dim, size = 7, 9, 4, 5
+    cell = cell_cls(dim, size, rng=rng)
     weights = cell.export_weights()
-    _, packed = kernels.gru_forward(weights, x, lengths=lengths)
-    _, masked = kernels.gru_forward(weights, x, mask=mask)
-    np.testing.assert_allclose(packed, masked, atol=ATOL)
+    x = rng.standard_normal((batch, steps, dim))
+    lengths = np.sort(rng.integers(0, steps + 1, size=batch))[::-1]
+    lengths[0] = steps
+    hidden0 = rng.standard_normal((batch, size))
+    initial = ((hidden0, rng.standard_normal((batch, size)))
+               if cell_cls is LSTM else hidden0)
+    outputs, last = kernels.rnn_forward(weights, x, lengths=lengths,
+                                        initial=initial, return_outputs=True)
+    shuffle = rng.permutation(batch)
+    shuffled_initial = ((initial[0][shuffle], initial[1][shuffle])
+                        if cell_cls is LSTM else initial[shuffle])
+    mask = np.arange(steps)[None, :] < lengths[shuffle, None]
+    for rows in ({"lengths": lengths[shuffle]}, {"mask": mask}):
+        got_outputs, got_last = kernels.rnn_forward(
+            weights, x[shuffle], initial=shuffled_initial,
+            return_outputs=True, **rows)
+        np.testing.assert_allclose(got_outputs, outputs[shuffle], rtol=0,
+                                   atol=1e-12)
+        for got, want in zip(_state_parts(got_last), _state_parts(last)):
+            np.testing.assert_allclose(got, want[shuffle], rtol=0,
+                                       atol=1e-12)
+
+
+def test_non_prefix_mask_raises():
+    """Only per-row prefix masks describe a packed schedule."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 5, 3))
+    mask = np.ones((2, 5), dtype=bool)
+    mask[1, 2] = False   # a gap: row 1 resumes after a padded step
+    for cell in (GRU(3, 4, rng=rng), LSTM(3, 4, rng=rng)):
+        weights = cell.export_weights()
+        with pytest.raises(ValueError, match="prefix"):
+            kernels.rnn_forward(weights, x, mask=mask)
+        with pytest.raises(ValueError, match="prefix"):
+            kernels.rnn_forward_train(weights, x, mask=mask)
+        with pytest.raises(ValueError, match="prefix"):
+            kernels.rnn_forward(weights, x, lengths=[5, 4],
+                                mask=np.ones((2, 5), dtype=bool))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ computes the *same gradients* as the Tensor graph (to < 1e-8) for every
 contrastive loss, both cell kinds, and variable-length batches in any row
 order — so every training loop walks the autograd optimisation
 trajectory, only faster.  These tests randomize shapes, lengths, losses
-and the packed/masked execution paths.
+and row orders.
 """
 
 import numpy as np
@@ -54,8 +54,8 @@ def _tensor_cell_grads(cell, x, mask, d_last, d_outputs):
 def test_rnn_backward_matches_autograd(cell_cls, kind, sort, per_step):
     """Hand-derived BPTT == autograd for random shapes/lengths/objectives.
 
-    ``sort=True`` exercises the packed (shrinking active window) path,
-    ``sort=False`` the mask-freezing fallback; ``per_step`` additionally
+    ``sort=True`` feeds rows longest-first, ``sort=False`` unsorted rows
+    that the kernel sorts itself; ``per_step`` additionally
     feeds a gradient into every per-step state (the CPC-style
     ``d_outputs`` interface).
     """
@@ -88,21 +88,88 @@ def test_rnn_backward_matches_autograd(cell_cls, kind, sort, per_step):
 
 
 def test_packed_and_masked_backward_agree():
-    """The two BPTT execution strategies produce identical gradients."""
+    """``lengths=`` and the equivalent prefix ``mask=`` give identical
+    gradients, for both cells."""
     rng = np.random.default_rng(5)
-    cell = GRU(6, 10, rng=rng)
     x = rng.standard_normal((5, 12, 6))
     lengths = np.sort(rng.integers(1, 13, size=5))[::-1]
     mask = np.arange(12)[None, :] < lengths[:, None]
     d_last = rng.standard_normal((5, 10))
+    for cell in (GRU(6, 10, rng=rng), LSTM(6, 10, rng=rng)):
+        weights = cell.export_weights()
+        packed = kernels.rnn_backward(
+            weights, kernels.rnn_forward_train(weights, x, lengths=lengths),
+            d_last)
+        masked = kernels.rnn_backward(
+            weights, kernels.rnn_forward_train(weights, x, mask=mask), d_last)
+        assert packed.keys() == masked.keys()
+        for name, value in packed.items():
+            np.testing.assert_allclose(masked[name], value, atol=1e-12,
+                                       err_msg=name)
+
+
+@pytest.mark.parametrize("cell_cls", [GRU, LSTM])
+def test_train_kernels_invariant_to_row_order(cell_cls):
+    """Shuffled rows train exactly like the sorted rows (float64, 1e-12).
+
+    The cache's ``states``/``x``/``last`` and BPTT's ``d_x`` come back in
+    the caller's row order; ``d_last`` and ``d_outputs`` are taken in it;
+    the weight gradients only change by summation order.
+    """
+    rng = np.random.default_rng(19)
+    batch, steps, dim, size = 6, 8, 3, 4
+    cell = cell_cls(dim, size, rng=rng)
     weights = cell.export_weights()
-    packed = kernels.rnn_backward(
-        weights, kernels.gru_forward_train(weights, x, lengths=lengths), d_last)
-    masked = kernels.rnn_backward(
-        weights, kernels.gru_forward_train(weights, x, mask=mask), d_last)
-    for name, value in packed.items():
-        np.testing.assert_allclose(masked[name], value, atol=1e-12,
+    x = rng.standard_normal((batch, steps, dim))
+    lengths = np.sort(rng.integers(1, steps + 1, size=batch))[::-1]
+    lengths[0] = steps
+    d_last = rng.standard_normal((batch, size))
+    d_outputs = rng.standard_normal((batch, steps, size))
+    shuffle = rng.permutation(batch)
+    runs = {}
+    for key, rows in (("sorted", np.arange(batch)), ("shuffled", shuffle)):
+        cache = kernels.rnn_forward_train(weights, x[rows],
+                                          lengths=lengths[rows])
+        grads = kernels.rnn_backward(weights, cache, d_last[rows],
+                                     d_outputs=d_outputs[rows])
+        last = cache.last if cell_cls is LSTM else (cache.last,)
+        runs[key] = (cache, last, grads)
+    (ref_cache, ref_last, ref), (cache, last, grads) = (runs["sorted"],
+                                                        runs["shuffled"])
+
+    def close(got, want, name):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
                                    err_msg=name)
+
+    close(cache.states, ref_cache.states[shuffle], "states")
+    np.testing.assert_array_equal(cache.x, x[shuffle])
+    for got, want in zip(last, ref_last):
+        close(got, want[shuffle], "last")
+    close(grads["d_x"], ref["d_x"][shuffle], "d_x")
+    assert grads.keys() == ref.keys()
+    for name in ref.keys() - {"d_x"}:
+        close(grads[name], ref[name], name)
+
+
+@pytest.mark.parametrize("cell_cls", [GRU, LSTM])
+def test_zero_step_batch(cell_cls):
+    """A batch with no steps keeps the initial state and has no input
+    gradient (the kernels' reshapes must not infer a width from 0)."""
+    rng = np.random.default_rng(2)
+    cell = cell_cls(3, 4, rng=rng)
+    weights = cell.export_weights()
+    x = np.zeros((2, 0, 3))
+    outputs, last = kernels.rnn_forward(weights, x, lengths=[0, 0],
+                                        return_outputs=True)
+    assert outputs.shape == (2, 0, 4)
+    hidden = last[0] if cell_cls is LSTM else last
+    np.testing.assert_array_equal(hidden, np.zeros((2, 4)))
+    cache = kernels.rnn_forward_train(weights, x)
+    d_last = rng.standard_normal((2, 4))
+    grads = kernels.rnn_backward(weights, cache, d_last)
+    assert grads["d_x"].shape == (2, 0, 3)
+    np.testing.assert_array_equal(grads["weight_hh"], 0.0)
+    np.testing.assert_allclose(grads["init_state"], d_last.sum(axis=0))
 
 
 def _coles_batch(seed=3):

@@ -14,6 +14,8 @@ Contracts under test (the transformer analogue of
   for every entry of every weight in the stack;
 - **fully-padded rows** — an all-False mask row degrades to a zero pooled
   embedding on both engines, never a NaN (the ``-1e9`` finite fill);
+- **unpadded masks** — an all-True mask skips the fill and matches
+  ``mask=None`` bitwise, forward and backward;
 - **dropout stream parity** — with ``dropout > 0`` the train forward
   consumes the same rng draws in the same order as the autograd path, so
   shared rng state yields identical activations;
@@ -173,6 +175,34 @@ def test_backward_matches_finite_differences():
             assert numeric == pytest.approx(
                 analytic.reshape(-1)[idx], abs=1e-5, rel=1e-4
             ), "%s[%d]" % (name, idx)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_full_mask_matches_no_mask_bitwise(precision):
+    """An all-True mask pads no key, so the score fill is skipped: forward
+    outputs and train-forward/backward gradients are bitwise those of
+    ``mask=None``."""
+    rng = np.random.default_rng(13)
+    batch, steps, dim = 3, 6, 4
+    encoder = _encoder(3, dim, 2, 2, seed=5)
+    plan = build_transformer_plan(encoder, precision)
+    x = rng.standard_normal((batch, steps, 3)).astype(precision)
+    d_pooled = rng.standard_normal((batch, dim)).astype(precision)
+    d_states = rng.standard_normal((batch, steps, dim)).astype(precision)
+    masks = {"full": np.ones((batch, steps), dtype=bool), "none": None}
+    outputs, grads = {}, {}
+    for key, mask in masks.items():
+        outputs[key] = attention.transformer_forward(plan, x, mask=mask)
+        cache = attention.transformer_forward_train(plan, x, mask=mask)
+        grads[key] = attention.transformer_backward(plan, cache, d_pooled,
+                                                    d_states=d_states)
+        grads[key]["pooled"] = cache.pooled
+    for full, none in zip(outputs["full"], outputs["none"]):
+        np.testing.assert_array_equal(full, none)
+    assert grads["full"].keys() == grads["none"].keys()
+    for name, value in grads["none"].items():
+        np.testing.assert_array_equal(grads["full"][name], value,
+                                      err_msg=name)
 
 
 @pytest.mark.parametrize("engine", ["fused", "tensor"])

@@ -10,8 +10,8 @@ execution policy layer):
   service flushes — and repeated runs are bit-identical too;
 - per-entity state round-trips across precision policies through
   ``state_of``/``put_state`` and the state bundle format;
-- the numerically-safe sigmoid keeps float32 forwards free of
-  ``RuntimeWarning`` even on saturated gates (satellite regression).
+- saturated gates come out exactly 0 or 1 and forwards stay free of
+  floating-point ``RuntimeWarning`` in both dtypes.
 """
 
 import warnings
@@ -240,40 +240,103 @@ def test_weight_plan_invalidated_by_optimizer_rebind(dataset, cell):
 
 
 def test_float32_plan_folds_biases():
+    """The gate-block plan layout, in both dtypes.
+
+    The sigmoid block (GRU r|z, LSTM i|f|o) holds exactly 0.5x the live
+    weights and the live folded bias ``b_ih + b_hh`` — bitwise, the
+    power-of-two scale is exact; the tanh block (GRU n, LSTM g) is
+    unscaled; every block is C-contiguous; the GRU n-gate recurrent bias
+    stays separate (it sits inside the reset product).
+    """
     rng = np.random.default_rng(0)
-    gru = GRU(5, 7, rng=rng)
-    lstm = LSTM(5, 7, rng=rng)
-    f64_plan = kernels.build_weight_plan(gru.export_weights(), "float64")
-    assert f64_plan.bias_step is not None and f64_plan.b_hn is None
-    f32_gru = kernels.build_weight_plan(gru.export_weights(), "float32")
-    assert f32_gru.bias_step is None and f32_gru.b_hn is not None
-    f32_lstm = kernels.build_weight_plan(lstm.export_weights(), "float32")
-    assert f32_lstm.bias_step is None and f32_lstm.b_hn is None
-    for plan in (f64_plan, f32_gru, f32_lstm):
-        assert plan.w_ih_t.flags["C_CONTIGUOUS"]
-        assert plan.w_hh_t.flags["C_CONTIGUOUS"]
+    size = 7
+    cells = {"gru": GRU(5, size, rng=rng), "lstm": LSTM(5, size, rng=rng)}
+    for cell in cells.values():
+        for param in (cell.bias_ih, cell.bias_hh):
+            param.data = rng.standard_normal(param.data.shape)
+    # CellWeights gate indices: GRU r, z, n; LSTM i, f, g, o.
+    sigmoid_gates = {"gru": (0, 1), "lstm": (0, 1, 3)}
+
+    def rows(array, gates):
+        return np.concatenate([array[g * size:(g + 1) * size]
+                               for g in gates])
+
+    for kind, cell in cells.items():
+        weights = cell.export_weights()
+        folded = weights.bias_ih + weights.bias_hh
+        sig = sigmoid_gates[kind]
+        for precision in ("float32", "float64"):
+            dtype = np.dtype(precision)
+            plan = kernels.build_weight_plan(weights, precision)
+
+            def cast(values, dtype=dtype):
+                return np.asarray(values, dtype=dtype)
+
+            np.testing.assert_array_equal(
+                plan.w_ih_sig, cast(rows(weights.weight_ih, sig)).T * 0.5)
+            np.testing.assert_array_equal(
+                plan.w_hh_sig, cast(rows(weights.weight_hh, sig)).T * 0.5)
+            np.testing.assert_array_equal(plan.bias_sig,
+                                          cast(rows(folded, sig)) * 0.5)
+            np.testing.assert_array_equal(
+                plan.w_ih_tanh, cast(rows(weights.weight_ih, (2,))).T)
+            np.testing.assert_array_equal(
+                plan.w_hh_tanh, cast(rows(weights.weight_hh, (2,))).T)
+            if kind == "gru":
+                np.testing.assert_array_equal(
+                    plan.bias_tanh, cast(rows(weights.bias_ih, (2,))))
+                np.testing.assert_array_equal(
+                    plan.b_hn, cast(rows(weights.bias_hh, (2,))))
+            else:
+                np.testing.assert_array_equal(plan.bias_tanh,
+                                              cast(rows(folded, (2,))))
+                assert plan.b_hn is None
+            for block in (plan.w_ih_sig, plan.w_hh_sig, plan.bias_sig,
+                          plan.w_ih_tanh, plan.w_hh_tanh, plan.bias_tanh):
+                assert block.dtype == dtype
+                assert block.flags["C_CONTIGUOUS"]
+            assert plan.w_ih_sig.shape == (5, len(sig) * size)
+            assert plan.w_hh_tanh.shape == (size, size)
 
 
 # ----------------------------------------------------------------------
-# satellite regression: the numerically-safe sigmoid
+# saturated gates: exact 0/1, no floating-point warnings
 # ----------------------------------------------------------------------
 
 def test_sigmoid_saturates_without_warnings():
-    x = np.array([-1e6, -100.0, -60.0, 0.0, 60.0, 100.0, 1e6],
-                 dtype=np.float32)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = kernels.sigmoid(x.copy())
-    np.testing.assert_allclose(
-        out, 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60))), rtol=1e-6)
-    assert out[0] > 0.0 and out[-1] == 1.0
+    """Gate pre-activations of +-1e4 give sigmoid gates of exactly 0 and
+    1, with no floating-point warning, for both cells in both dtypes."""
+    size, steps = 3, 4
+    for kind in ("gru", "lstm"):
+        cell = (GRU if kind == "gru" else LSTM)(1, size,
+                                                rng=np.random.default_rng(2))
+        signs = np.where(np.arange(cell.weight_ih.data.shape[0]) % 2,
+                         1.0, -1.0)
+        cell.weight_ih.data = (1e4 * signs)[:, None]
+        cell.weight_hh.data = np.zeros_like(cell.weight_hh.data)
+        # Every sigmoid-block gate (GRU r|z, LSTM i|f|o) sees exactly
+        # +-1e4; the sign of its CellWeights row decides 0 or 1.
+        sig_rows = (np.arange(2 * size) if kind == "gru" else
+                    np.r_[np.arange(2 * size), np.arange(3 * size, 4 * size)])
+        for precision in ("float32", "float64"):
+            plan = kernels.build_weight_plan(cell.export_weights(), precision)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="raise"):
+                    cache = kernels.rnn_forward_train(plan,
+                                                      np.ones((2, steps, 1)))
+            gates = cache.sig
+            assert gates.dtype == np.dtype(precision)
+            expected = (signs[sig_rows] > 0).astype(gates.dtype)
+            np.testing.assert_array_equal(
+                gates, np.broadcast_to(expected, gates.shape),
+                err_msg="%s/%s" % (kind, precision))
 
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 def test_float32_forward_emits_no_runtime_warning(kind):
     """Saturating inputs (huge pre-activations) through a float32 forward
-    must not leak overflow RuntimeWarnings — the regression the safe
-    sigmoid exists for."""
+    must not leak overflow RuntimeWarnings."""
     rng = np.random.default_rng(1)
     cell = (GRU if kind == "gru" else LSTM)(4, 6, rng=rng)
     # Scale the input weights so gate pre-activations saturate hard.
