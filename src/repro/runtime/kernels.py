@@ -4,14 +4,16 @@ The autograd :class:`~repro.nn.Tensor` builds one Python graph node per op
 and per timestep.  These kernels drop to raw numpy instead:
 
 - the input projection of *all* timesteps is computed up front, one GEMM
-  per gate block over ``(T*B, D)``, stored time-major (``(T, B, ·)``) so
-  every step reads contiguous rows;
+  per gate block, stored time-major so every step reads contiguous rows;
 - per step only the recurrent projection remains — two GEMMs, one per
   gate block — and the gate math runs on contiguous preallocated
   buffers (no per-step allocations);
-- padding is never computed: rows run longest-first and each step
+- padding is never stepped: rows run longest-first and each step
   operates on the *active* row prefix only — the numpy analogue of
-  cuDNN's packed sequences.
+  cuDNN's packed sequences.  The training kernels go one step further
+  and never touch a padded cell at all (see below); the inference
+  forwards project the padded cells of their ``(T, B)`` grid, a few
+  percent of a length-bucketed batch, and store nothing per cell.
 
 **Gate blocks.**  A :class:`WeightPlan` stores a cell's weights as two
 contiguous blocks rather than the interleaved ``(·, G*H)`` layout of
@@ -28,8 +30,8 @@ Each block is kept input-side ``(D, ·)`` and recurrent ``(H, ·)``,
 C-contiguous.  Recurrent biases fold into the input side for every gate
 except the GRU n-gate, whose ``b_hn`` stays inside the reset product.
 A step is two GEMMs, the sigmoid and tanh on contiguous blocks, and the
-state update in place in the state buffer or training-cache row (GRU:
-``h -= n; h *= z; h += n``).
+state update in place in the ``(B, H)`` state buffer (GRU: ``h -= n; h
+*= z; h += n``).
 
 **Precision policy.**  Plans are built once per ``CellWeights``
 generation in the policy dtype, ``float32`` or ``float64``; both run the
@@ -46,8 +48,9 @@ exactly when the weights change.
 **Row order.**  Every kernel has one packed path.  When ``lengths`` are
 not sorted longest-first, or a per-row prefix ``mask`` is given, the
 kernel sorts the rows longest-first with a stable sort, runs the packed
-loop and returns every result in the caller's row order.  A mask that is
-not a per-row prefix raises ``ValueError``.
+loop and returns every result in the caller's row order.  ``lengths``
+must have shape ``(B,)`` and values in ``[0, T]``, and a ``mask`` must
+be a per-row prefix mask; anything else raises ``ValueError``.
 
 Two kernel families share those tricks:
 
@@ -55,14 +58,23 @@ Two kernel families share those tricks:
   :func:`rnn_forward` and :func:`encode_events` — forward only, nothing
   retained;
 - **training**: :func:`gru_forward_train` / :func:`lstm_forward_train`
-  stash the per-step gate blocks and states a backward pass needs
-  (time-major, in the plan dtype), and :func:`gru_backward` /
+  stash the per-cell gate blocks and previous states a backward pass
+  needs (in the plan dtype), and :func:`gru_backward` /
   :func:`lstm_backward` run hand-derived BPTT over that cache — loss
-  gradient in, weight gradients out, no graph ever built.  Pre-activation
-  gradients accumulate into one time-major buffer whose recurrent-side
-  and input-side parts are each one contiguous column range, so the
-  weight, bias and input gradients are a few big GEMMs at the end with
-  no concatenated copy.
+  gradient in, weight gradients out, no graph ever built.  Both work in
+  one **packed cell layout**: the ``N = lengths.sum()`` real cells of
+  the ``(B, T)`` grid, time-major and longest-first within a step, so
+  step ``t``'s active rows are one contiguous range of every ``(N, ·)``
+  array, and one flat ``row * T + step`` index per call maps each cell
+  back to the caller's grid.  The forward gathers the real cells' events
+  once and projects only them; the state lives in a ``(B, H)`` buffer.
+  Pre-activation gradients fill one ``(N, 4H)`` buffer whose
+  recurrent-side and input-side parts are each one contiguous column
+  range, so the weight, bias and input gradients are a few big GEMMs
+  over the real cells at the end, with no concatenated copy; ``d_x`` is
+  scattered into a zero grid.  Per-step gradients of padded steps read
+  the row's frozen final state, so they fold into the final-state
+  gradient before BPTT starts.
 
 Weight layout is *not* re-declared here: plans are built from the
 :class:`~repro.nn.CellWeights` view exported by the ``nn.rnn`` modules,
@@ -71,6 +83,8 @@ and gradients are returned in its gate order.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,28 +384,36 @@ def _schedule(x, lengths, mask):
     ``perm`` is the stable longest-first row order (None when the rows
     already run longest-first) and ``counts`` the list of active row
     counts per step in that order; without ``lengths`` and ``mask``
-    every row is active at every step.  A ``mask`` must be the per-row
+    every row is active at every step.  ``lengths`` must have shape
+    ``(B,)`` and values in ``[0, T]``, and a ``mask`` must be the per-row
     prefix mask of ``lengths`` (of its own row sums when ``lengths`` is
-    None); any other mask raises ``ValueError``.
+    None); anything else raises ``ValueError``.
     """
     batch, steps = x.shape[:2]
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.shape != (batch,):
+            raise ValueError("lengths must have shape (B,) = (%d,), got %s"
+                             % (batch, lengths.shape))
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if lengths is None:
             lengths = mask.sum(axis=1)
-        prefix = (np.arange(steps, dtype=np.intp)
-                  < np.asarray(lengths, dtype=np.intp)[:, None])
+        prefix = np.arange(steps, dtype=np.intp) < lengths[:, None]
         if mask.shape != (batch, steps) or not np.array_equal(mask, prefix):
             raise ValueError(
                 "mask must be a (B, T) per-row prefix mask (True exactly "
                 "for the first lengths[b] steps of row b)")
     if lengths is None:
         return None, [batch] * steps
-    lengths = np.asarray(lengths, dtype=np.intp)
     perm = None
     if batch > 1 and np.any(lengths[1:] > lengths[:-1]):
         perm = np.argsort(-lengths, kind="stable")
         lengths = lengths[perm]
+    # Longest-first, so the bounds are the two ends.
+    if batch and (lengths[0] > steps or lengths[-1] < 0):
+        raise ValueError("lengths must lie in [0, T] = [0, %d], got [%d, %d]"
+                         % (steps, lengths[-1], lengths[0]))
     counts = batch - np.searchsorted(
         lengths[::-1], np.arange(steps, dtype=np.intp), side="right")
     return perm, counts.tolist()
@@ -435,22 +457,24 @@ def _batch_major(seq, perm):
     return out
 
 
-def _input_gates(plan, x_tm):
+def _input_gates(plan, x):
     """The input projection of every step, one GEMM per gate block.
 
-    ``x_tm`` is the ``(T, B, D)`` time-major event array; returns the
-    sigmoid block ``(T, B, S*H)`` and the tanh block ``(T, B, H)``, each
-    with its folded bias added.  The kernels overwrite both in place
-    with the step's gate values.
+    ``x`` holds one event per row along its last axis: the inference
+    forwards' time-major ``(T, B, D)`` grid or the training forwards'
+    ``(N, D)`` packed cells.  Returns the sigmoid block ``(..., S*H)``
+    and the tanh block ``(..., H)`` in the same leading shape, each with
+    its folded bias added.  The kernels overwrite both in place with the
+    step's gate values.
     """
-    steps, batch, dim = x_tm.shape
-    flat = x_tm.reshape(steps * batch, dim)
+    lead, dim = x.shape[:-1], x.shape[-1]
+    flat = x.reshape(math.prod(lead), dim)
     sig = flat @ plan.w_ih_sig
     sig += plan.bias_sig
     tanh = flat @ plan.w_ih_tanh
     tanh += plan.bias_tanh
-    return (sig.reshape(steps, batch, sig.shape[1]),
-            tanh.reshape(steps, batch, tanh.shape[1]))
+    return (sig.reshape(lead + sig.shape[1:]),
+            tanh.reshape(lead + tanh.shape[1:]))
 
 
 def _initial_states(plan, batch, initial, perm):
@@ -496,8 +520,9 @@ def gru_forward(weights, x, lengths=None, mask=None, initial=None,
     x:
         Event representations ``(B, T, D)`` (raw numpy, any float dtype).
     lengths:
-        True sequence lengths ``(B,)``, in any row order; each step runs
-        on the active row prefix of the longest-first order.
+        True sequence lengths ``(B,)`` in ``[0, T]``, in any row order;
+        each step runs on the active row prefix of the longest-first
+        order.
     mask:
         Optional boolean ``(B, T)`` per-row prefix mask, an alternative
         to ``lengths``; any other mask raises ``ValueError``.
@@ -622,47 +647,93 @@ def rnn_forward(weights, x, lengths=None, mask=None, initial=None,
 # training kernels: forward with an activation cache + hand-derived BPTT
 # ----------------------------------------------------------------------
 
+def _pack(x, lengths, mask):
+    """The packed cell layout of one training call: ``(perm, cells, spans)``.
+
+    A *cell* is one real ``(row, step)`` of the caller's ``(B, T)`` grid;
+    there are ``N = lengths.sum()`` of them.  ``cells`` holds each one's
+    flat grid index ``row * T + step``, time-major and in the kernel's
+    longest-first row order within a step, and ``spans`` the ``(start,
+    stop)`` cell range of each step that has an active row — so step
+    ``t``'s cells are ``spans[t]``, and they belong to the first ``stop -
+    start`` rows of the kernel order.  ``perm`` is as in
+    :func:`_schedule`.
+    """
+    perm, counts = _schedule(x, lengths, mask)
+    counts = [count for count in counts if count]
+    stops = list(itertools.accumulate(counts))
+    starts = [stop - count for stop, count in zip(stops, counts)]
+    # Step t's cells are kernel rows 0 .. counts[t] - 1 at step t.
+    times = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    rows = (np.arange(len(times), dtype=np.intp)
+            - np.repeat(np.array(starts, dtype=np.intp), counts))
+    if perm is not None:
+        rows = perm[rows]
+    return perm, rows * x.shape[1] + times, list(zip(starts, stops))
+
+
+def _gather_cells(values, cells):
+    """The ``(N, ·)`` rows of a ``(B, T, ·)`` array at the cell index."""
+    batch, steps, width = values.shape
+    return np.take(values.reshape(batch * steps, width), cells, axis=0)
+
+
+def _scatter_cells(values, cells, batch, steps):
+    """Undo :func:`_gather_cells`: a zero ``(B, T, ·)`` array holding the
+    ``(N, ·)`` ``values`` at their cells."""
+    width = values.shape[1]
+    out = np.zeros((batch, steps, width), dtype=values.dtype)
+    out.reshape(batch * steps, width)[cells] = values
+    return out
+
+
 @dataclass
 class RnnTrainCache:
-    """Per-step activations stashed by a training forward pass.
+    """Per-cell activations stashed by a training forward pass.
 
     Produced by :func:`gru_forward_train` / :func:`lstm_forward_train` and
-    consumed exactly once by the matching backward kernel.  Per-step
-    arrays are **time-major** (``(T, B, ·)``), contiguous per gate block
-    and in the kernel's longest-first row order (``perm``; None when the
-    caller's rows already ran longest-first).  Rows beyond a step's
-    active count hold stale values in ``sig``/``cand``/``gate_hidden`` —
-    the backward kernels never read them.  Everything is stored in the
-    plan dtype; :attr:`states`, :attr:`x` and ``last`` are in the
-    caller's row order.
+    consumed exactly once by the matching backward kernel.  Per-cell
+    arrays hold one row per real cell and nothing for padding: ``(N,
+    ·)`` with ``N = lengths.sum()``, packed time-major in the kernel's
+    longest-first row order, so step ``t`` reads the contiguous rows
+    ``spans[t]`` of every one of them (see :func:`_pack`).  ``cells``
+    maps each row back to the caller's ``(B, T)`` grid.  Everything is
+    stored in the plan dtype; ``x`` and ``last`` (and the
+    :attr:`states` view) are in the caller's row order.
     """
 
     kind: str                # "gru" | "lstm"
     plan: WeightPlan         # the plan the forward ran with
     perm: np.ndarray         # kernel row order, or None
-    counts: list             # active rows per step
-    x_tm: np.ndarray         # (T, B, D) event representations
-    sig: np.ndarray          # (T, B, S*H) σ block: r|z (GRU), i|f|o (LSTM)
-    cand: np.ndarray         # (T, B, H) tanh block: n (GRU), g (LSTM)
-    hidden_seq: np.ndarray   # (T+1, B, H) states; [0] is the initial one
+    cells: np.ndarray        # (N,) flat grid index row * T + step per cell
+    spans: list              # (start, stop) cell range of each active step
+    x: np.ndarray            # (B, T, D) events the recurrence consumed
+    x_cells: np.ndarray      # (N, D) the events of the real cells
+    sig: np.ndarray          # (N, S*H) σ block: r|z (GRU), i|f|o (LSTM)
+    cand: np.ndarray         # (N, H) tanh block: n (GRU), g (LSTM)
+    h_prev: np.ndarray       # (N, H) hidden state each cell read
     last: object             # (B, H) or (h, c) — the forward result
-    gate_hidden: np.ndarray = None  # (T, B, H) GRU only: W_hn h + b_hn
-    cell_seq: np.ndarray = None     # (T+1, B, H) LSTM only: cells
-    tanh_cell: np.ndarray = None    # (T, B, H) LSTM only: tanh(c_t)
+    gate_hidden: np.ndarray = None  # (N, H) GRU only: W_hn h + b_hn
+    c_prev: np.ndarray = None       # (N, H) LSTM only: cell each cell read
+    tanh_cell: np.ndarray = None    # (N, H) LSTM only: tanh(c_t)
 
     @property
     def states(self):
         """Per-step hidden states ``(B, T, H)`` in the caller's row order.
 
         States at padded steps hold the frozen value of the row's last
-        real step, like the autograd ``cell(x, mask=...)`` outputs.
+        real step, like the autograd ``cell(x, mask=...)`` outputs: the
+        state after a cell is the next cell's ``h_prev``, or ``last``
+        for a row's final cell and its padded steps.
         """
-        return _batch_major(self.hidden_seq[1:], self.perm)
-
-    @property
-    def x(self):
-        """The ``(B, T, D)`` events the recurrence consumed, caller order."""
-        return _batch_major(self.x_tm, self.perm)
+        last = self.last[0] if self.kind == "lstm" else self.last
+        (batch, steps), size = self.x.shape[:2], last.shape[1]
+        out = np.empty((batch, steps, size), dtype=last.dtype)
+        out[...] = last[:, None]
+        later = self.spans[0][1] if self.spans else 0   # cells of step >= 1
+        out.reshape(batch * steps, size)[self.cells[later:] - 1] = (
+            self.h_prev[later:])
+        return out
 
 
 def gru_forward_train(weights, x, lengths=None, mask=None, initial=None):
@@ -673,47 +744,43 @@ def gru_forward_train(weights, x, lengths=None, mask=None, initial=None):
     ``(B, H)`` state.
     """
     plan = as_plan(weights)
-    batch, steps, _ = x.shape
+    batch = x.shape[0]
     size = plan.hidden_size
-    perm, counts = _schedule(x, lengths, mask)
-    x_tm = _time_major(x, plan.dtype, perm)
-    sig, cand = _input_gates(plan, x_tm)
-    hidden_seq = np.empty((steps + 1, batch, size), dtype=plan.dtype)
-    hidden_seq[0], _ = _initial_states(plan, batch, initial, perm)
-    gate_hidden = np.empty((steps, batch, size), dtype=plan.dtype)
+    x = np.asarray(x, dtype=plan.dtype)
+    perm, cells, spans = _pack(x, lengths, mask)
+    x_cells = _gather_cells(x, cells)
+    sig, cand = _input_gates(plan, x_cells)
+    hidden, _ = _initial_states(plan, batch, initial, perm)
+    h_prev = np.empty_like(cand)
+    gate_hidden = np.empty_like(cand)
     scratch_sig = np.empty((batch, 2 * size), dtype=plan.dtype)
     scratch = np.empty((batch, size), dtype=plan.dtype)
     w_sig, w_n, b_hn = plan.w_hh_sig, plan.w_hh_tanh, plan.b_hn
-    for t, active in enumerate(counts):
-        prev = hidden_seq[t]
-        if active == 0:
-            hidden_seq[t + 1:] = prev
-            break
-        h = prev[:active]
-        s = sig[t, :active]
+    for start, stop in spans:
+        active = stop - start
+        h = hidden[:active]
+        h_prev[start:stop] = h
+        s = sig[start:stop]
         tmp = scratch_sig[:active]
         np.dot(h, w_sig, out=tmp)
         s += tmp
         _sigmoid_block(s)                  # s = [r | z]
-        ghn = gate_hidden[t, :active]
+        ghn = gate_hidden[start:stop]
         np.dot(h, w_n, out=ghn)
         ghn += b_hn
         reset_ghn = scratch[:active]
         np.multiply(ghn, s[:, :size], out=reset_ghn)
-        n = cand[t, :active]
+        n = cand[start:stop]
         n += reset_ghn
         np.tanh(n, out=n)
-        # h' = (1 - z) * n + z * h, written straight into the cache row
-        new_h = hidden_seq[t + 1, :active]
-        np.subtract(h, n, out=new_h)
-        new_h *= s[:, size:]
-        new_h += n
-        if active < batch:
-            hidden_seq[t + 1, active:] = prev[active:]
-    return RnnTrainCache(kind="gru", plan=plan, perm=perm, counts=counts,
-                         x_tm=x_tm, sig=sig, cand=cand,
-                         hidden_seq=hidden_seq,
-                         last=_caller_rows(hidden_seq[-1], perm),
+        # h' = (1 - z) * n + z * h, in place
+        h -= n
+        h *= s[:, size:]
+        h += n
+    return RnnTrainCache(kind="gru", plan=plan, perm=perm, cells=cells,
+                         spans=spans, x=x, x_cells=x_cells, sig=sig,
+                         cand=cand, h_prev=h_prev,
+                         last=_caller_rows(hidden, perm),
                          gate_hidden=gate_hidden)
 
 
@@ -724,52 +791,48 @@ def lstm_forward_train(weights, x, lengths=None, mask=None, initial=None):
     contract of :func:`gru_forward_train`.
     """
     plan = as_plan(weights)
-    batch, steps, _ = x.shape
+    batch = x.shape[0]
     size = plan.hidden_size
-    perm, counts = _schedule(x, lengths, mask)
-    x_tm = _time_major(x, plan.dtype, perm)
-    sig, cand = _input_gates(plan, x_tm)
-    hidden_seq = np.empty((steps + 1, batch, size), dtype=plan.dtype)
-    cell_seq = np.empty((steps + 1, batch, size), dtype=plan.dtype)
-    hidden_seq[0], cell_seq[0] = _initial_states(plan, batch, initial, perm)
-    tanh_cell = np.empty((steps, batch, size), dtype=plan.dtype)
+    x = np.asarray(x, dtype=plan.dtype)
+    perm, cells, spans = _pack(x, lengths, mask)
+    x_cells = _gather_cells(x, cells)
+    sig, cand = _input_gates(plan, x_cells)
+    hidden, cell = _initial_states(plan, batch, initial, perm)
+    h_prev = np.empty_like(cand)
+    c_prev = np.empty_like(cand)
+    tanh_cell = np.empty_like(cand)
     scratch_sig = np.empty((batch, 3 * size), dtype=plan.dtype)
     scratch = np.empty((batch, size), dtype=plan.dtype)
     w_sig, w_g = plan.w_hh_sig, plan.w_hh_tanh
-    for t, active in enumerate(counts):
-        h_prev, c_prev = hidden_seq[t], cell_seq[t]
-        if active == 0:
-            hidden_seq[t + 1:] = h_prev
-            cell_seq[t + 1:] = c_prev
-            break
-        h = h_prev[:active]
-        s = sig[t, :active]
+    for start, stop in spans:
+        active = stop - start
+        h = hidden[:active]
+        c = cell[:active]
+        h_prev[start:stop] = h
+        c_prev[start:stop] = c
+        s = sig[start:stop]
         tmp_sig = scratch_sig[:active]
         np.dot(h, w_sig, out=tmp_sig)
         s += tmp_sig
         _sigmoid_block(s)                  # s = [i | f | o]
         tmp = scratch[:active]
-        g = cand[t, :active]
+        g = cand[start:stop]
         np.dot(h, w_g, out=tmp)
         g += tmp
         np.tanh(g, out=g)
-        # c' = f * c + i * g;  h' = o * tanh(c'), into the cache rows
-        new_c = cell_seq[t + 1, :active]
-        np.multiply(s[:, size:2 * size], c_prev[:active], out=new_c)
+        # c' = f * c + i * g;  h' = o * tanh(c'), in place
+        c *= s[:, size:2 * size]
         np.multiply(s[:, :size], g, out=tmp)
-        new_c += tmp
-        tanh_c = tanh_cell[t, :active]
-        np.tanh(new_c, out=tanh_c)
-        np.multiply(s[:, 2 * size:], tanh_c, out=hidden_seq[t + 1, :active])
-        if active < batch:
-            hidden_seq[t + 1, active:] = h_prev[active:]
-            cell_seq[t + 1, active:] = c_prev[active:]
-    last = (_caller_rows(hidden_seq[-1], perm),
-            _caller_rows(cell_seq[-1], perm))
-    return RnnTrainCache(kind="lstm", plan=plan, perm=perm, counts=counts,
-                         x_tm=x_tm, sig=sig, cand=cand,
-                         hidden_seq=hidden_seq, last=last,
-                         cell_seq=cell_seq, tanh_cell=tanh_cell)
+        c += tmp
+        tanh_c = tanh_cell[start:stop]
+        np.tanh(c, out=tanh_c)
+        np.multiply(s[:, 2 * size:], tanh_c, out=h)
+    return RnnTrainCache(kind="lstm", plan=plan, perm=perm, cells=cells,
+                         spans=spans, x=x, x_cells=x_cells, sig=sig,
+                         cand=cand, h_prev=h_prev,
+                         last=(_caller_rows(hidden, perm),
+                               _caller_rows(cell, perm)),
+                         c_prev=c_prev, tanh_cell=tanh_cell)
 
 
 def rnn_forward_train(weights, x, lengths=None, mask=None, initial=None):
@@ -790,13 +853,24 @@ def rnn_forward_train(weights, x, lengths=None, mask=None, initial=None):
 
 
 def _backward_setup(cache, d_last, d_outputs):
-    """Kernel-order ``d_hidden`` (a fresh ``(B, H)`` buffer) and the
-    per-step gradients as a ``(T, B, H)`` array, or None."""
-    plan, perm = cache.plan, cache.perm
-    d_hidden = _kernel_rows(d_last, plan.dtype, perm)
-    d_steps = (None if d_outputs is None else _time_major(
-        np.asarray(d_outputs, dtype=plan.dtype), plan.dtype, perm))
-    return d_hidden, d_steps
+    """Kernel-order ``d_hidden`` (a fresh ``(B, H)`` buffer) and the real
+    cells' per-step gradients as an ``(N, H)`` array, or None.
+
+    A padded step's state is the row's frozen final state, so its
+    ``d_outputs`` fold into ``d_hidden`` up front and BPTT never visits
+    a padded cell.
+    """
+    dtype, perm = cache.plan.dtype, cache.perm
+    d_hidden = _kernel_rows(d_last, dtype, perm)
+    if d_outputs is None:
+        return d_hidden, None
+    d_outputs = np.asarray(d_outputs, dtype=dtype)
+    batch, steps = d_outputs.shape[:2]
+    padded = np.ones(batch * steps, dtype=bool)
+    padded[cache.cells] = False
+    folded = d_outputs.sum(axis=1, where=padded.reshape(batch, steps, 1))
+    d_hidden += folded if perm is None else folded[perm]
+    return d_hidden, _gather_cells(d_outputs, cache.cells)
 
 
 def _cell_order(grad, rows):
@@ -809,27 +883,25 @@ def _cell_order(grad, rows):
 
 def _finish_grads(cache, grad, recurrent_cols, input_cols):
     """The fused tail of BPTT: every weight/bias/input gradient as a few
-    big GEMMs over the ``(T, B, ·)`` gradient buffer ``grad``.
+    big GEMMs over the ``(N, 4H)`` per-cell gradient buffer ``grad``.
 
     ``recurrent_cols``/``input_cols`` are the two column ranges of the
     buffer (slices; each one contiguous range, so no concatenated copy).
+    Both bias gradients read one column sum of the whole buffer.
     """
     plan = cache.plan
-    steps, batch, dim = cache.x_tm.shape
-    size = plan.hidden_size
     rec_rows, inp_rows = plan.grad_rows
-    flat = grad.reshape(steps * batch, grad.shape[2])
-    d_rec = flat[:, recurrent_cols]
-    d_in = flat[:, input_cols]
-    h_prev = cache.hidden_seq[:-1].reshape(steps * batch, size)
-    d_x = (d_in @ plan.w_ih_grad).reshape(steps, batch, dim)
+    d_rec = grad[:, recurrent_cols]
+    d_in = grad[:, input_cols]
+    bias = grad.sum(axis=0)
+    batch, steps = cache.x.shape[:2]
     return {
-        "weight_ih": _cell_order(
-            d_in.T @ cache.x_tm.reshape(steps * batch, dim), inp_rows),
-        "bias_ih": _cell_order(d_in.sum(axis=0), inp_rows),
-        "weight_hh": _cell_order(d_rec.T @ h_prev, rec_rows),
-        "bias_hh": _cell_order(d_rec.sum(axis=0), rec_rows),
-        "d_x": _batch_major(d_x, cache.perm),
+        "weight_ih": _cell_order(d_in.T @ cache.x_cells, inp_rows),
+        "bias_ih": _cell_order(bias[input_cols], inp_rows),
+        "weight_hh": _cell_order(d_rec.T @ cache.h_prev, rec_rows),
+        "bias_hh": _cell_order(bias[recurrent_cols], rec_rows),
+        "d_x": _scatter_cells(d_in @ plan.w_ih_grad, cache.cells, batch,
+                              steps),
     }
 
 
@@ -853,35 +925,35 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     Returns
     -------
     dict with ``d_x`` (gradient wrt the event representations, ``(B, T,
-    D)``, caller order) and per-parameter gradients ``weight_ih``,
-    ``weight_hh``, ``bias_ih``, ``bias_hh``, ``init_state`` in
-    :class:`~repro.nn.CellWeights` order — the exact quantities the
-    autograd path accumulates, to < 1e-8 under the float64 policy.
+    D)``, caller order, exactly 0 at padded steps) and per-parameter
+    gradients ``weight_ih``, ``weight_hh``, ``bias_ih``, ``bias_hh``,
+    ``init_state`` in :class:`~repro.nn.CellWeights` order — the exact
+    quantities the autograd path accumulates, to < 1e-8 under the
+    float64 policy.
     """
     plan = cache.plan
-    steps, batch, _ = cache.x_tm.shape
+    batch = cache.x.shape[0]
     size = plan.hidden_size
     two, three = 2 * size, 3 * size
-    d_hidden, d_steps = _backward_setup(cache, d_last, d_outputs)
+    d_hidden, d_cells = _backward_setup(cache, d_last, d_outputs)
     # [d_ghn | d_r | d_z | d_an]: the first 3H columns are the recurrent
     # side, the last 3H the input side (d_an = d_gx_n; d_ghn = d_an * r).
-    grad = np.zeros((steps, batch, 4 * size), dtype=plan.dtype)
+    # Every row is one cell, and each step writes all of its cells' rows.
+    grad = np.empty((len(cache.cells), 4 * size), dtype=plan.dtype)
     sig, cand, gate_hidden = cache.sig, cache.cand, cache.gate_hidden
-    hidden_seq, counts = cache.hidden_seq, cache.counts
+    h_prev = cache.h_prev
     w_hh = plan.w_hh_grad
     scratch_sig = np.empty((batch, two), dtype=plan.dtype)
     scratch = np.empty((batch, size), dtype=plan.dtype)
-    for t in range(steps - 1, -1, -1):
-        if d_steps is not None:
-            d_hidden += d_steps[t]
-        active = counts[t]
-        if active == 0:
-            continue
+    for start, stop in reversed(cache.spans):
+        active = stop - start
         dh = d_hidden[:active]
-        s = sig[t, :active]
+        if d_cells is not None:
+            dh += d_cells[start:stop]
+        s = sig[start:stop]
         z = s[:, size:]
-        n = cand[t, :active]
-        g = grad[t, :active]
+        n = cand[start:stop]
+        g = grad[start:stop]
         tmp = scratch[:active]
         # d_an = dh * (1 - z) * (1 - n^2)
         np.multiply(n, n, out=tmp)
@@ -892,9 +964,9 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
         d_an *= tmp
         np.multiply(d_an, s[:, :size], out=g[:, :size])
         # d_r = d_an * ghn * σ'(r);  d_z = dh * (h_prev - n) * σ'(z)
-        np.multiply(d_an, gate_hidden[t, :active], out=g[:, size:two])
+        np.multiply(d_an, gate_hidden[start:stop], out=g[:, size:two])
         d_z = g[:, two:three]
-        np.subtract(hidden_seq[t, :active], n, out=d_z)
+        np.subtract(h_prev[start:stop], n, out=d_z)
         d_z *= dh
         slope = scratch_sig[:active]
         np.subtract(1.0, s, out=slope)
@@ -920,31 +992,30 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
     ``init_cell``.
     """
     plan = cache.plan
-    steps, batch, _ = cache.x_tm.shape
+    batch = cache.x.shape[0]
     size = plan.hidden_size
     two, three = 2 * size, 3 * size
-    d_hidden, d_steps = _backward_setup(cache, d_last, d_outputs)
+    d_hidden, d_cells = _backward_setup(cache, d_last, d_outputs)
     d_cell = np.zeros((batch, size), dtype=plan.dtype)
     # [d_i | d_f | d_o | d_g]: every LSTM bias folds, so the recurrent
-    # and input sides share this one range.
-    grad = np.zeros((steps, batch, 4 * size), dtype=plan.dtype)
+    # and input sides share this one range.  Each step writes all of
+    # its cells' rows.
+    grad = np.empty((len(cache.cells), 4 * size), dtype=plan.dtype)
     sig, cand, tanh_cell = cache.sig, cache.cand, cache.tanh_cell
-    cell_seq, counts = cache.cell_seq, cache.counts
+    c_prev = cache.c_prev
     w_hh = plan.w_hh_grad
     scratch_sig = np.empty((batch, three), dtype=plan.dtype)
     scratch = np.empty((batch, size), dtype=plan.dtype)
-    for t in range(steps - 1, -1, -1):
-        if d_steps is not None:
-            d_hidden += d_steps[t]
-        active = counts[t]
-        if active == 0:
-            continue
+    for start, stop in reversed(cache.spans):
+        active = stop - start
         dh = d_hidden[:active]
+        if d_cells is not None:
+            dh += d_cells[start:stop]
         dc = d_cell[:active]
-        s = sig[t, :active]
-        cg = cand[t, :active]
-        tanh_c = tanh_cell[t, :active]
-        g = grad[t, :active]
+        s = sig[start:stop]
+        cg = cand[start:stop]
+        tanh_c = tanh_cell[start:stop]
+        g = grad[start:stop]
         tmp = scratch[:active]
         # dc += dh * o * (1 - tanh(c)^2)
         np.multiply(tanh_c, tanh_c, out=tmp)
@@ -954,7 +1025,7 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
         dc += tmp
         # [d_i | d_f | d_o] = [dc * g | dc * c_prev | dh * tanh(c)] * σ'
         np.multiply(dc, cg, out=g[:, :size])
-        np.multiply(dc, cell_seq[t, :active], out=g[:, size:two])
+        np.multiply(dc, c_prev[start:stop], out=g[:, size:two])
         np.multiply(dh, tanh_c, out=g[:, two:three])
         slope = scratch_sig[:active]
         np.subtract(1.0, s, out=slope)

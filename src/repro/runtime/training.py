@@ -194,10 +194,12 @@ class FusedTrainStep:
         optimizer.step()
 
     Training batches from the CoLES augmentation pipeline arrive
-    unsorted; the recurrent kernels sort their rows longest-first
-    themselves, so the recurrence and its BPTT run on shrinking active
-    row prefixes while batch statistics, loss inputs and all gradients
-    stay in the batch's own row order.
+    unsorted, and their random slices leave much of the ``(B, T)`` grid
+    padded.  The recurrent kernels sort the rows longest-first and pack
+    the batch's real cells themselves, so the input projection, the
+    recurrence, its activation cache and its BPTT touch only the real
+    cells, on shrinking active row prefixes, while batch statistics,
+    loss inputs and all gradients stay in the batch's own row order.
 
     The packed plans come from a
     :class:`~repro.runtime.FusedEncoderRuntime` of the same encoder and

@@ -127,20 +127,28 @@ def test_forward_invariant_to_row_order(cell_cls):
 
 
 def test_non_prefix_mask_raises():
-    """Only per-row prefix masks describe a packed schedule."""
+    """Only per-row prefix masks, and only ``(B,)`` lengths in ``[0, T]``,
+    describe a packed schedule."""
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 3))
-    mask = np.ones((2, 5), dtype=bool)
-    mask[1, 2] = False   # a gap: row 1 resumes after a padded step
+    gap = np.ones((2, 5), dtype=bool)
+    gap[1, 2] = False   # a gap: row 1 resumes after a padded step
+    cases = [
+        (dict(mask=gap), "prefix"),
+        (dict(lengths=[5, 4], mask=np.ones((2, 5), dtype=bool)), "prefix"),
+        (dict(lengths=[5]), "shape"),            # fewer lengths than rows
+        (dict(lengths=[5, 4, 3]), "shape"),      # more lengths than rows
+        (dict(lengths=[[5, 4]]), "shape"),
+        (dict(lengths=[5, -1]), r"\[0, T\]"),    # negative
+        (dict(lengths=[7, 5]), r"\[0, T\]"),     # beyond T, longest-first
+        (dict(lengths=[3, 6]), r"\[0, T\]"),     # beyond T, unsorted
+    ]
     for cell in (GRU(3, 4, rng=rng), LSTM(3, 4, rng=rng)):
         weights = cell.export_weights()
-        with pytest.raises(ValueError, match="prefix"):
-            kernels.rnn_forward(weights, x, mask=mask)
-        with pytest.raises(ValueError, match="prefix"):
-            kernels.rnn_forward_train(weights, x, mask=mask)
-        with pytest.raises(ValueError, match="prefix"):
-            kernels.rnn_forward(weights, x, lengths=[5, 4],
-                                mask=np.ones((2, 5), dtype=bool))
+        for kernel in (kernels.rnn_forward, kernels.rnn_forward_train):
+            for kwargs, match in cases:
+                with pytest.raises(ValueError, match=match):
+                    kernel(weights, x, **kwargs)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,8 @@ trajectory, only faster.  These tests randomize shapes, lengths, losses
 and row orders.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,14 +112,18 @@ def test_packed_and_masked_backward_agree():
 
 @pytest.mark.parametrize("cell_cls", [GRU, LSTM])
 def test_train_kernels_invariant_to_row_order(cell_cls):
-    """Shuffled rows train exactly like the sorted rows (float64, 1e-12).
+    """Shuffled rows train exactly like the sorted rows (float64, 1e-12),
+    and extra padding steps change nothing (bitwise).
 
     The cache's ``states``/``x``/``last`` and BPTT's ``d_x`` come back in
     the caller's row order; ``d_last`` and ``d_outputs`` are taken in it;
-    the weight gradients only change by summation order.
+    the weight gradients only change by summation order.  The padded run
+    appends steps of NaN events with zero ``d_outputs``: the kernels
+    never read a padded cell, so nothing else moves and ``d_x`` is
+    exactly 0 on the added steps.
     """
     rng = np.random.default_rng(19)
-    batch, steps, dim, size = 6, 8, 3, 4
+    batch, steps, dim, size, extra = 6, 8, 3, 4, 5
     cell = cell_cls(dim, size, rng=rng)
     weights = cell.export_weights()
     x = rng.standard_normal((batch, steps, dim))
@@ -126,12 +132,19 @@ def test_train_kernels_invariant_to_row_order(cell_cls):
     d_last = rng.standard_normal((batch, size))
     d_outputs = rng.standard_normal((batch, steps, size))
     shuffle = rng.permutation(batch)
+    padded_x = np.concatenate([x, np.full((batch, extra, dim), np.nan)],
+                              axis=1)
+    padded_d = np.concatenate([d_outputs, np.zeros((batch, extra, size))],
+                              axis=1)
     runs = {}
-    for key, rows in (("sorted", np.arange(batch)), ("shuffled", shuffle)):
-        cache = kernels.rnn_forward_train(weights, x[rows],
+    for key, rows, events, d_steps in (
+            ("sorted", np.arange(batch), x, d_outputs),
+            ("shuffled", shuffle, x, d_outputs),
+            ("padded", np.arange(batch), padded_x, padded_d)):
+        cache = kernels.rnn_forward_train(weights, events[rows],
                                           lengths=lengths[rows])
         grads = kernels.rnn_backward(weights, cache, d_last[rows],
-                                     d_outputs=d_outputs[rows])
+                                     d_outputs=d_steps[rows])
         last = cache.last if cell_cls is LSTM else (cache.last,)
         runs[key] = (cache, last, grads)
     (ref_cache, ref_last, ref), (cache, last, grads) = (runs["sorted"],
@@ -149,6 +162,60 @@ def test_train_kernels_invariant_to_row_order(cell_cls):
     assert grads.keys() == ref.keys()
     for name in ref.keys() - {"d_x"}:
         close(grads[name], ref[name], name)
+
+    cache, last, grads = runs["padded"]
+    for got, want in zip(last, ref_last):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(cache.states[:, :steps], ref_cache.states)
+    np.testing.assert_array_equal(grads["d_x"][:, :steps], ref["d_x"])
+    assert np.all(grads["d_x"][:, steps:] == 0.0)
+    assert grads.keys() == ref.keys()
+    for name in ref.keys() - {"d_x"}:
+        np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+
+
+@pytest.mark.parametrize("cell_cls", [GRU, LSTM])
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_train_cache_holds_only_real_cells(cell_cls, precision):
+    """Every per-step array of a training cache has ``lengths.sum()``
+    rows, one per real cell, packed time-major.
+
+    Only ``x`` and ``last`` keep the caller's layout; the padded ``(T,
+    B)`` grid is never materialised.  ``cells`` maps the packed rows to
+    exactly the real cells of the grid, and ``spans`` gives each step
+    the rows active at it.
+    """
+    rng = np.random.default_rng(23)
+    batch, steps, dim, size = 7, 11, 3, 5
+    cell = cell_cls(dim, size, rng=rng)
+    plan = kernels.build_weight_plan(cell.export_weights(), precision)
+    lengths = np.array([11, 0, 4, 9, 1, 11, 6])   # unsorted, one empty row
+    x = rng.standard_normal((batch, steps, dim))
+    cache = kernels.rnn_forward_train(plan, x, lengths=lengths)
+    cells = int(lengths.sum())
+    caller_layout = {"x", "perm", "last"}
+    per_cell = {f.name: getattr(cache, f.name)
+                for f in dataclasses.fields(cache)
+                if f.name not in caller_layout
+                and isinstance(getattr(cache, f.name), np.ndarray)}
+    gates = {"gate_hidden"} if cell_cls is GRU else {"c_prev", "tanh_cell"}
+    assert {"cells", "x_cells", "sig", "cand", "h_prev"} | gates <= (
+        per_cell.keys())
+    for name, value in per_cell.items():
+        assert value.shape[0] == cells, name
+        if name != "cells":
+            assert value.dtype == np.dtype(precision), name
+    real = np.arange(steps)[None, :] < lengths[:, None]
+    np.testing.assert_array_equal(np.sort(cache.cells),
+                                  np.flatnonzero(real))
+    np.testing.assert_array_equal(cache.x_cells,
+                                  x.reshape(-1, dim)[cache.cells]
+                                  .astype(precision))
+    active = real.sum(axis=0)
+    assert [stop - start for start, stop in cache.spans] == (
+        active[active > 0].tolist())
+    for t, (start, stop) in enumerate(cache.spans):
+        np.testing.assert_array_equal(cache.cells[start:stop] % steps, t)
 
 
 @pytest.mark.parametrize("cell_cls", [GRU, LSTM])
