@@ -16,9 +16,22 @@ The module follows the same three contracts as the recurrent kernels:
   :func:`transformer_plan_matches` invalidates on parameter-buffer
   identity exactly like :func:`repro.runtime.kernels.plan_matches`;
 - **precision policy** — plans carry the ``"float32"``/``"float64"``
-  compute dtype; float64 preserves the autograd modules' op order and
-  is the parity reference (< 1e-10 forward, < 1e-8 gradients,
-  property-tested by ``tests/runtime/test_fused_transformer.py``);
+  compute dtype, and a float32 plan computes in float32 end to end:
+  forward outputs, train caches and gradients (checked by
+  ``tests/runtime/test_precision.py::test_float32_plan_stays_float32``).
+  Every scalar that meets an array is a Python float or a plan-dtype
+  scalar (:attr:`TransformerPlan.scale`): under NEP 50 a numpy float64
+  scalar would promote the whole stack to float64.  float64 is the
+  parity reference (< 1e-10 forward, < 1e-8 gradients, property-tested
+  by ``tests/runtime/test_fused_transformer.py``);
+- **attention step** — the plan's query block is pre-scaled by
+  ``1/sqrt(head_dim)`` (in float64, before the cast), so the only full
+  ``(B, heads, T, T)`` passes are ``q @ k.T``, the in-place key-padding
+  fill, the row max, ``exp`` in place, the row sums and ``@ v``.  The
+  inference forward normalises late, dividing the ``(T, head_dim)``
+  result of ``exp @ v`` by the sums; the train forward divides the
+  weights in place, because its cache keeps the probabilities.  The
+  backward chains the scale into the query weight and bias gradients;
 - **training parity** — the train forward mirrors the autograd path's
   dropout draws (same rng objects, same draw order) and the backward
   reproduces autograd's ``masked_fill`` semantics (no gradient through
@@ -28,6 +41,7 @@ The module follows the same three contracts as the recurrent kernels:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +66,9 @@ __all__ = [
 #: of a ``nan`` softmax.
 MASK_FILL = -1e9
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+#: GELU constants as Python floats: a numpy float64 scalar here would
+#: promote a float32 plan's feed-forward block to float64 (NEP 50).
+_GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
@@ -67,13 +83,15 @@ class TransformerLayerPlan:
     Linear weights are stored transposed (``x @ w_t + b`` evaluates the
     layer) and the query/key/value projections are packed side by side
     into a single ``(D, 3D)`` matrix so each layer runs one input GEMM
-    instead of three.
+    instead of three.  The query columns of ``qkv_t`` and ``qkv_b`` are
+    pre-scaled by ``1/sqrt(head_dim)``, so ``q @ k.T`` already is the
+    scaled score matrix.
     """
 
     ln1_w: np.ndarray        # (D,) norm1 scale
     ln1_b: np.ndarray        # (D,) norm1 shift
-    qkv_t: np.ndarray        # (D, 3D) packed [query | key | value]
-    qkv_b: np.ndarray        # (3D,)
+    qkv_t: np.ndarray        # (D, 3D) packed [scaled query | key | value]
+    qkv_b: np.ndarray        # (3D,) [scaled query | key | value]
     out_t: np.ndarray        # (D, D) attention output projection
     out_b: np.ndarray        # (D,)
     ln2_w: np.ndarray        # (D,) norm2 scale
@@ -113,8 +131,12 @@ class TransformerPlan:
 
     @property
     def scale(self):
-        """The ``1/sqrt(head_dim)`` attention score scale."""
-        return 1.0 / np.sqrt(self.head_dim)
+        """The ``1/sqrt(head_dim)`` score scale, a plan-dtype scalar.
+
+        The forward never multiplies by it (the query block carries it);
+        the backward chains it into the query weight and bias gradients.
+        """
+        return self.dtype.type(1.0 / np.sqrt(self.head_dim))
 
     def positional(self, steps):
         """The ``(1, steps, D)`` positional slice in the plan dtype."""
@@ -171,18 +193,20 @@ def build_transformer_plan(encoder, precision="float64"):
 
     ``encoder`` is a :class:`~repro.encoders.TransformerSeqEncoder`;
     ``precision`` selects the compute dtype of every packed buffer
-    (float64 is the Tensor-path parity reference).
+    (float64 is the Tensor-path parity reference).  The query block is
+    scaled by ``1/sqrt(head_dim)`` in float64 before the one cast.
     """
     dtype = kernels.resolve_precision(precision)
     transformer = encoder.transformer
     layers = []
     for layer in transformer.layers:
         attn = layer.attention
+        scale = 1.0 / np.sqrt(attn.head_dim)
         qkv_t = np.concatenate(
-            [attn.query.weight.data.T, attn.key.weight.data.T,
+            [attn.query.weight.data.T * scale, attn.key.weight.data.T,
              attn.value.weight.data.T], axis=1)
-        qkv_b = np.concatenate([attn.query.bias.data, attn.key.bias.data,
-                                attn.value.bias.data])
+        qkv_b = np.concatenate([attn.query.bias.data * scale,
+                                attn.key.bias.data, attn.value.bias.data])
         layers.append(TransformerLayerPlan(
             ln1_w=_cast(layer.norm1.weight.data, dtype),
             ln1_b=_cast(layer.norm1.bias.data, dtype),
@@ -262,18 +286,44 @@ def _layer_norm_backward(d_out, xhat, inv_std, weight):
     return d_x, (d_out * xhat).sum(axis=axes), d_out.sum(axis=axes)
 
 
-def _softmax(scores):
-    """Max-shifted softmax over the last axis (``F.softmax`` as numpy)."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
-    return shifted
+def _scores(q, k, pad):
+    """Fresh ``(B, heads, T, T)`` scores ``q @ k.T``, padded keys filled.
+
+    ``q`` comes from the pre-scaled query block, so no scale pass
+    follows; the key-padding fill writes ``MASK_FILL`` in place.
+    """
+    scores = q @ k.transpose(0, 1, 3, 2)
+    if pad is not None:
+        np.copyto(scores, MASK_FILL, where=pad[:, None, None, :])
+    return scores
+
+
+def _exp_rows(scores):
+    """Unnormalised softmax in place; returns the ``(..., 1)`` row sums.
+
+    ``scores`` becomes ``exp(scores - rowmax)``; dividing it (or ``it @
+    v``) by the returned sums completes ``F.softmax`` over the last axis.
+    """
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores.sum(axis=-1, keepdims=True)
 
 
 def _gelu(x):
-    """Tanh-approximation GELU, op-for-op ``nn.functional.gelu``."""
-    inner = (x + x * x * x * _GELU_A) * _GELU_C
-    return x * 0.5 * (np.tanh(inner) + 1.0)
+    """Tanh-approximation GELU in place on ``x``; returns ``x``.
+
+    Op-for-op ``nn.functional.gelu``, with one temporary.
+    """
+    inner = x * x
+    inner *= x
+    inner *= _GELU_A
+    inner += x
+    inner *= _GELU_C
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    x *= 0.5
+    x *= inner
+    return x
 
 
 def _gelu_backward(x, d_out):
@@ -370,16 +420,21 @@ def transformer_forward(plan, x, mask=None):
                          plan.head_dim)
         v = _split_heads(qkv[..., 2 * plan.dim:], plan.num_heads,
                          plan.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * plan.scale
-        if pad is not None:
-            scores = np.where(pad[:, None, None, :],
-                              scores.dtype.type(MASK_FILL), scores)
-        attn = _softmax(scores)
-        merged = _merge_heads(attn @ v)
-        h = h + (merged @ layer.out_t + layer.out_b)
+        scores = _scores(q, k, pad)
+        sums = _exp_rows(scores)
+        # Normalise late: divide the (T, head_dim) mix, not the (T, T)
+        # exp weights.
+        mixed = scores @ v
+        mixed /= sums
+        out = _merge_heads(mixed) @ layer.out_t
+        out += layer.out_b
+        h += out
         normed, _, _ = _layer_norm(h, layer.ln2_w, layer.ln2_b, plan.ln_eps)
-        hidden = _gelu(normed @ layer.ff1_t + layer.ff1_b)
-        h = h + (hidden @ layer.ff2_t + layer.ff2_b)
+        hidden = normed @ layer.ff1_t
+        hidden += layer.ff1_b
+        out = _gelu(hidden) @ layer.ff2_t
+        out += layer.ff2_b
+        h += out
     states, _, _ = _layer_norm(h, plan.final_w, plan.final_b, plan.ln_eps)
     weights = _pool_weights(mask, batch, steps, plan.dtype)
     pooled = (states * weights[:, :, None]).sum(axis=1)
@@ -397,7 +452,7 @@ class _LayerCache:
     h0: np.ndarray           # (B, T, D) block input
     xhat1: np.ndarray        # (B, T, D) norm1 normalised values
     istd1: np.ndarray        # (B, T, 1) norm1 inverse std
-    q: np.ndarray            # (B, heads, T, head_dim)
+    q: np.ndarray            # (B, heads, T, head_dim) pre-scaled queries
     k: np.ndarray            # (B, heads, T, head_dim)
     v: np.ndarray            # (B, heads, T, head_dim)
     attn: np.ndarray         # (B, heads, T, T) post-softmax, pre-dropout
@@ -467,11 +522,9 @@ def transformer_forward_train(plan, x, mask=None):
                          plan.head_dim)
         v = _split_heads(qkv[..., 2 * plan.dim:], plan.num_heads,
                          plan.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * plan.scale
-        if pad is not None:
-            scores = np.where(pad[:, None, None, :],
-                              scores.dtype.type(MASK_FILL), scores)
-        attn = _softmax(scores)
+        attn = _scores(q, k, pad)
+        # The cache needs the probabilities: normalise the weights in place.
+        attn /= _exp_rows(attn)
         attn_keep = _keep_mask(module.attention.dropout, attn.shape,
                                plan.dtype)
         attn_used = _apply_keep(attn, attn_keep)
@@ -482,7 +535,7 @@ def transformer_forward_train(plan, x, mask=None):
         normed2, xhat2, istd2 = _layer_norm(h1, layer.ln2_w, layer.ln2_b,
                                             plan.ln_eps)
         ff_pre = normed2 @ layer.ff1_t + layer.ff1_b
-        ff_act = _gelu(ff_pre)
+        ff_act = _gelu(ff_pre.copy())
         hidden = ff_act @ layer.ff2_t + layer.ff2_b
         hid_keep = _keep_mask(module.dropout, hidden.shape, plan.dtype)
         h = h1 + _apply_keep(hidden, hid_keep)
@@ -562,14 +615,15 @@ def transformer_backward(plan, cache, d_pooled, d_states=None):
                                    plan.head_dim).transpose(0, 2, 1, 3)
         d_attn_used = d_mixed @ lc.v.transpose(0, 1, 3, 2)
         grads_v = lc.attn_used.transpose(0, 1, 3, 2) @ d_mixed
-        d_attn = _apply_keep(d_attn_used, lc.attn_keep)
-        # Softmax Jacobian along the key axis, then the masked_fill
-        # backward: autograd passes no gradient through filled scores.
-        d_scores = lc.attn * (
-            d_attn - (d_attn * lc.attn).sum(axis=-1, keepdims=True))
+        # Softmax Jacobian along the key axis (in place on the fresh
+        # d_attn), then the masked_fill backward: autograd passes no
+        # gradient through filled scores.
+        d_scores = _apply_keep(d_attn_used, lc.attn_keep)
+        d_scores -= (d_scores * lc.attn).sum(axis=-1, keepdims=True)
+        d_scores *= lc.attn
         if cache.pad is not None:
-            d_scores = d_scores * ~cache.pad[:, None, None, :]
-        d_scores = d_scores * plan.scale
+            d_scores *= ~cache.pad[:, None, None, :]
+        # d_q is wrt the pre-scaled q; d_k picks the scale up from q.
         d_q = d_scores @ lc.k
         d_k = d_scores.transpose(0, 1, 3, 2) @ lc.q
         d_qkv = np.concatenate(
@@ -580,6 +634,9 @@ def transformer_backward(plan, cache, d_pooled, d_states=None):
         n_flat = normed1.reshape(-1, plan.dim)
         d_wqkv = d_flat.T @ n_flat
         d_bqkv = d_flat.sum(axis=0)
+        # The live query weights are unscaled: chain the plan's scale in.
+        d_wqkv[:plan.dim] *= plan.scale
+        d_bqkv[:plan.dim] *= plan.scale
         for part, name in enumerate(("query", "key", "value")):
             target = prefix + "attention." + name
             grads[target + ".weight"] = d_wqkv[part * plan.dim:

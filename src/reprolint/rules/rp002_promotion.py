@@ -7,11 +7,13 @@ break that:
 1. explicit promotion — ``.astype(np.float64)`` or
    ``np.asarray(x, dtype=np.float64)`` on data arrays inside a kernel
    promotes every downstream op of a float32 plan to float64;
-2. numpy-scalar constants — ``np.log(10000.0)`` and friends produce a
-   *numpy* float64 scalar which (unlike a bare Python float, which is
+2. numpy-scalar constants — ``np.log(10000.0)``, ``np.sqrt(2.0 /
+   np.pi)`` and friends (a ufunc over a constant expression: numeric
+   literals, ``np.pi`` and ``np.e`` under arithmetic) produce a *numpy*
+   float64 scalar which (unlike a bare Python float, which is
    dtype-preserving under both value-based and NEP 50 promotion)
-   promotes float32 arrays it meets in a ufunc expression; hoist the
-   constant and cast it to the plan dtype;
+   promotes float32 arrays it meets in a ufunc expression; use
+   ``math`` for the constant, or cast it to the plan dtype;
 3. copy-always casts — ``x.astype(dt)`` without ``copy=False``
    materialises a fresh buffer even when ``x`` already has the target
    dtype, a silent extra allocation per call on paths the PR 6
@@ -85,14 +87,15 @@ class Float64PromotionRule(Rule):
                 and node.func.value.id in aliases
                 and node.func.attr in scalar_ufuncs):
             return None
-        if not node.args or not all(_is_number(arg) for arg in node.args):
+        if not node.args or not all(_is_constant(arg, aliases)
+                                    for arg in node.args):
             return None
         return self.finding(
             module, node,
-            "np.%s(<literal>) produces a float64 numpy scalar that "
+            "np.%s(<constant>) produces a float64 numpy scalar that "
             "promotes float32 arrays in ufunc expressions (bare Python "
-            "floats are dtype-preserving, numpy scalars are not); hoist "
-            "the constant and cast it to the plan dtype"
+            "floats are dtype-preserving, numpy scalars are not); use "
+            "math for the constant or cast it to the plan dtype"
             % node.func.attr,
         )
 
@@ -119,9 +122,22 @@ class Float64PromotionRule(Rule):
                 and node.value.id in aliases)
 
 
-def _is_number(node):
+#: Numpy constants that count as literals in a constant expression.
+NUMPY_CONSTANTS = ("pi", "e")
+
+
+def _is_constant(node, aliases):
+    """Whether ``node`` is arithmetic over numeric literals, ``np.pi``
+    and ``np.e`` (``2.0 / np.pi``, ``-0.5``, ``10 ** 4``)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op,
                                                     (ast.USub, ast.UAdd)):
-        node = node.operand
+        return _is_constant(node.operand, aliases)
+    if isinstance(node, ast.BinOp):
+        return (_is_constant(node.left, aliases)
+                and _is_constant(node.right, aliases))
+    if isinstance(node, ast.Attribute):
+        return (node.attr in NUMPY_CONSTANTS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases)
     return isinstance(node, ast.Constant) and isinstance(node.value,
                                                          (int, float))

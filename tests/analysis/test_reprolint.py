@@ -57,10 +57,21 @@ def test_rp001_clean_on_explicit_dtypes():
 def test_rp002_flags_all_three_promotion_patterns():
     findings, _ = lint_fixture("rp002_bad.py", ["RP002"])
     messages = " | ".join(f.message for f in findings)
-    assert len(findings) == 3
+    assert len(findings) == 5
     assert "explicit float64 promotion" in messages
     assert "float64 numpy scalar" in messages
     assert "copy=False" in messages
+
+
+def test_rp002_flags_ufuncs_over_constant_expressions():
+    # np.sqrt(2.0 / np.pi) and np.exp(-0.5 * np.e) are float64 numpy
+    # scalars just like np.log(10000.0); the math-module constant and
+    # the ufunc over a runtime name in the good fixture stay clean.
+    findings, _ = lint_fixture("rp002_bad.py", ["RP002"])
+    scalars = [f for f in findings if "float64 numpy scalar" in f.message]
+    assert sorted(f.message.split("(")[0] for f in scalars) == [
+        "np.exp", "np.log", "np.sqrt"]
+    assert 6 in [f.line for f in scalars]    # GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def test_rp002_clean_on_policy_dtype_compute():

@@ -11,19 +11,27 @@ execution policy layer):
 - per-entity state round-trips across precision policies through
   ``state_of``/``put_state`` and the state bundle format;
 - saturated gates come out exactly 0 or 1 and forwards stay free of
-  floating-point ``RuntimeWarning`` in both dtypes.
+  floating-point ``RuntimeWarning`` in both dtypes;
+- a float32 plan stays float32: every floating array of the forward,
+  the train cache and the gradients of every encoder family is float32.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.augmentations import RandomSlices
+from repro.core.batching import augment_batch
 from repro.data.batches import collate
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
+from repro.losses import ContrastiveLoss
 from repro.nn import GRU, LSTM
-from repro.runtime import EmbeddingStore, FusedEncoderRuntime, kernels
+from repro.runtime import (EmbeddingStore, FusedEncoderRuntime, attention,
+                           kernels)
+from repro.runtime.training import FusedTrainStep, loss_gradient
 from repro.serving import EmbeddingService, ShardedEmbeddingStore
 
 #: The property-tested bound on float32-vs-float64 embedding drift.
@@ -31,6 +39,24 @@ from repro.serving import EmbeddingService, ShardedEmbeddingStore
 #: leaves float32-rounding headroom across BLAS builds while still
 #: catching any real numerical defect (which would blow past 1e-4).
 F32_ATOL = 1e-5
+
+#: The bound on one float32 fused transformer train step against the
+#: float64 step from the same weights and batch: the loss relative to
+#: itself, every parameter gradient relative to the step's largest
+#: float64 gradient entry (the key-bias gradient is analytically zero,
+#: so a per-parameter scale would compare rounding noise with rounding
+#: noise).  Both steps run the same code, so the difference is float32
+#: rounding alone: observed 4e-7 for the gradients and 3e-8 for the loss
+#: (up to 9e-7 over other seeds), leaving 10x headroom for other BLAS
+#: builds.  Defects both dtypes share are the autograd parity tests'.
+F32_STEP_RTOL = 1e-5
+
+#: Train-cache fields that are not in the plan dtype by design: the
+#: batch-norm stash ``bn_scaled`` (batch statistics always run in
+#: float64, see ``kernels.encode_events_train``), plan ``sources`` (the
+#: float64 master weights the plan was built from) and ``batch`` (the
+#: caller's input).
+NOT_PLAN_DTYPE = ("bn_scaled", "sources", "batch")
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +102,7 @@ def test_store_rejects_conflicting_precision(dataset):
 # float32 vs float64 drift (the explicit property bound)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("cell", ["gru", "lstm", "transformer"])
 def test_float32_drift_bounded_vs_float64(dataset, cell):
     encoder = _encoder(dataset, cell)
     f64 = FusedEncoderRuntime(encoder, precision="float64")
@@ -84,6 +110,40 @@ def test_float32_drift_bounded_vs_float64(dataset, cell):
     ref = f64.embed_dataset(dataset)
     out = f32.embed_dataset(dataset)
     np.testing.assert_allclose(out, ref, atol=F32_ATOL)
+
+
+def test_float32_transformer_train_step_bounded_vs_float64(dataset):
+    """One float32 fused transformer step tracks the float64 step.
+
+    Same weights, same CoLES batch (ragged views, so key padding is
+    exercised), same loss: the loss and every parameter gradient agree
+    within ``F32_STEP_RTOL``.
+    """
+    batch = augment_batch(dataset.sequences[:8], dataset.schema,
+                          RandomSlices(5, 25, 3), np.random.default_rng(3))
+    encoder = build_encoder(dataset.schema, 16, "transformer",
+                            rng=np.random.default_rng(1))
+    encoder.train()
+    loss_fn = ContrastiveLoss()
+    losses, grads = {}, {}
+    for precision in ("float64", "float32"):
+        step = FusedTrainStep(encoder, precision=precision)
+        cache = step.forward(batch)
+        losses[precision], d_embeddings = loss_gradient(
+            loss_fn, cache.embeddings, batch.seq_ids,
+            rng=np.random.default_rng(7))
+        encoder.zero_grad()
+        step.backward(cache, d_embeddings)
+        grads[precision] = {name: param.grad.copy() for name, param
+                            in encoder.named_parameters()}
+    assert losses["float32"] == pytest.approx(losses["float64"],
+                                              rel=F32_STEP_RTOL)
+    assert grads["float32"].keys() == grads["float64"].keys()
+    scale = max(np.abs(grad).max() for grad in grads["float64"].values())
+    for name, reference in grads["float64"].items():
+        np.testing.assert_allclose(grads["float32"][name], reference,
+                                   rtol=0, atol=F32_STEP_RTOL * scale,
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
@@ -378,3 +438,70 @@ def test_empty_sharded_store_embeddings_carry_policy_dtype(dataset):
     assert empty.dtype == store.runtime.dtype == np.dtype(np.float32)
     store.bulk_load(dataset)
     assert store.embeddings([]).dtype == store.runtime.dtype
+
+
+# ----------------------------------------------------------------------
+# the float32 dtype contract: forward, train cache and gradients
+# ----------------------------------------------------------------------
+
+def _floating_arrays(value, path):
+    """``(path, array)`` for every floating array reachable from ``value``.
+
+    Walks dataclass fields (skipping ``NOT_PLAN_DTYPE``), lists, tuples
+    and dict values.
+    """
+    if isinstance(value, np.ndarray):
+        if np.issubdtype(value.dtype, np.floating):
+            yield path, value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            if field.name not in NOT_PLAN_DTYPE:
+                yield from _floating_arrays(getattr(value, field.name),
+                                            path + "." + field.name)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _floating_arrays(item, "%s[%d]" % (path, index))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _floating_arrays(item, "%s[%r]" % (path, key))
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm", "transformer"])
+def test_float32_plan_stays_float32(dataset, kind):
+    """Under a float32 plan no kernel output, cache entry or gradient is
+    float64.
+
+    A numpy float64 scalar meeting a float32 array (``1 / np.sqrt(n)``,
+    ``np.sqrt(2 / np.pi)``) promotes everything downstream under NEP 50,
+    and the final cast of ``embed_dataset`` hides it from every value
+    check.  So this walks the inference forward's outputs, the
+    :class:`FusedTrainStep` cache (kernel cache and plan included) and
+    the backward kernel's gradient dict, with ragged lengths, dropout
+    and per-step gradients so every branch runs.
+    """
+    options = {"dropout": 0.1} if kind == "transformer" else {}
+    encoder = build_encoder(dataset.schema, 16, kind,
+                            rng=np.random.default_rng(0), **options)
+    batch = collate(dataset.sequences[:6], dataset.schema)
+    assert (batch.lengths < batch.lengths.max()).any()
+    encoder.eval()
+    runtime = FusedEncoderRuntime(encoder, precision="float32")
+    forward = runtime.forward(batch, return_outputs=True)
+    encoder.train()
+    step = FusedTrainStep(encoder, precision="float32")
+    cache = step.forward(batch)
+    rng = np.random.default_rng(1)
+    d_hidden = rng.standard_normal(cache.hidden.shape).astype(np.float32)
+    d_states = rng.standard_normal(cache.states.shape).astype(np.float32)
+    plan = step.runtime.weight_plan()
+    if kind == "transformer":
+        grads = attention.transformer_backward(plan, cache.rnn_cache,
+                                               d_hidden, d_states=d_states)
+    else:
+        grads = kernels.rnn_backward(plan, cache.rnn_cache, d_hidden,
+                                     d_outputs=d_states)
+    produced = {"forward": forward, "cache": cache, "grads": grads}
+    found = [(name + path, array.dtype) for name, value in produced.items()
+             for path, array in _floating_arrays(value, "")]
+    assert len(found) > 20
+    assert [item for item in found if item[1] != np.float32] == []
