@@ -31,16 +31,7 @@ def embed_dataset(encoder, dataset, batch_size=64, precision=None,
     worker count (None: the runtime's own).  A runtime keeps its
     precision: asking it for a different one raises ``ValueError``.
     """
-    if isinstance(encoder, FusedEncoderRuntime):
-        runtime = encoder
-        if precision is not None and runtime.precision != precision:
-            raise ValueError(
-                "embed_dataset precision %r conflicts with the runtime's %r"
-                % (precision, runtime.precision)
-            )
-    else:
-        kwargs = {} if precision is None else {"precision": precision}
-        runtime = FusedEncoderRuntime(encoder, **kwargs)
+    runtime = FusedEncoderRuntime.of(encoder, precision)
     return runtime.embed_dataset(dataset, batch_size=batch_size,
                                  workers=workers)
 

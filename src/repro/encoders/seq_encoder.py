@@ -59,12 +59,7 @@ class SeqEncoder(Module):
         """
         from ..runtime import FusedEncoderRuntime
 
-        kwargs = {}
-        if precision is not None:
-            kwargs["precision"] = precision
-        if workers is not None:
-            kwargs["workers"] = workers
-        return FusedEncoderRuntime(self, **kwargs)
+        return FusedEncoderRuntime.of(self, precision, workers)
 
 
 class RnnSeqEncoder(SeqEncoder):

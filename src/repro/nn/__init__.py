@@ -16,14 +16,13 @@ from .layers import (
     LayerNorm,
     Linear,
     ReLU,
-    Sigmoid,
     Tanh,
 )
 from .module import Module, ModuleDict, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, StepLR, clip_grad_norm
 from .rnn import GRU, LSTM, CellWeights
 from .serialization import load_arrays, load_state, save_arrays, save_state
-from .tensor import Tensor, concat, is_grad_enabled, no_grad, stack, where
+from .tensor import Tensor, concat, no_grad, stack, where
 from .transformer import (
     MultiHeadAttention,
     TransformerEncoder,
@@ -34,7 +33,6 @@ from .transformer import (
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "concat",
     "stack",
     "where",
@@ -51,7 +49,6 @@ __all__ = [
     "Dropout",
     "ReLU",
     "Tanh",
-    "Sigmoid",
     "GELU",
     "L2Normalize",
     "GRU",

@@ -1,23 +1,16 @@
-"""Weight initialisation helpers (Glorot/He/orthogonal)."""
+"""Weight initialisation helpers (Glorot/orthogonal/normal)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "orthogonal", "normal", "zeros"]
+__all__ = ["xavier_uniform", "orthogonal", "normal", "zeros"]
 
 
 def xavier_uniform(shape, rng, gain=1.0):
     """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_uniform(shape, rng):
-    """He uniform: U(-a, a) with a = sqrt(6 / fan_in), for ReLU nets."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "Dropout",
     "ReLU",
     "Tanh",
-    "Sigmoid",
     "GELU",
     "L2Normalize",
 ]
@@ -157,11 +156,6 @@ class ReLU(Module):
 class Tanh(Module):
     def forward(self, x):
         return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x):
-        return x.sigmoid()
 
 
 class GELU(Module):

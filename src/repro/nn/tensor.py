@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -37,11 +37,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def is_grad_enabled():
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad, shape):

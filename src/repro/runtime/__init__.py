@@ -35,8 +35,7 @@ gradient equivalence < 1e-8, asserted property-style by
 """
 
 from . import attention, kernels
-from .attention import (TransformerPlan, build_transformer_plan,
-                        transformer_plan_matches)
+from .attention import TransformerPlan, build_transformer_plan
 from .backends import (Float16Codec, IdentityCodec, QuantizedCodec,
                        StateBackend, StateCodec, resolve_codec)
 from .engine import FusedEncoderRuntime
@@ -46,8 +45,7 @@ from .training import (FusedForwardCache, FusedTrainStep, loss_gradient,
                        softmax_head_gradient, softmax_head_probabilities)
 
 __all__ = ["kernels", "attention", "TransformerPlan",
-           "build_transformer_plan", "transformer_plan_matches",
-           "FusedEncoderRuntime", "EmbeddingStore", "AdvanceResult",
+           "build_transformer_plan", "FusedEncoderRuntime", "EmbeddingStore", "AdvanceResult",
            "advance_entities", "bulk_load_states", "FusedTrainStep",
            "FusedForwardCache", "loss_gradient", "softmax_head_gradient",
            "softmax_head_probabilities", "StateBackend", "StateCodec",

@@ -13,8 +13,9 @@ The module follows the same three contracts as the recurrent kernels:
 - **packed weight plans** — :func:`build_transformer_plan` pre-casts and
   pre-transposes every parameter into a :class:`TransformerPlan` (the
   q/k/v projections additionally pack into one ``(D, 3D)`` GEMM);
-  :func:`transformer_plan_matches` invalidates on parameter-buffer
-  identity exactly like :func:`repro.runtime.kernels.plan_matches`;
+  :class:`~repro.runtime.FusedEncoderRuntime` caches it on the
+  identity of the :func:`transformer_parameters` buffers, the one plan
+  cache it keeps for every encoder family;
 - **precision policy** — plans carry the ``"float32"``/``"float64"``
   compute dtype, and a float32 plan computes in float32 end to end:
   forward outputs, train caches and gradients (checked by
@@ -53,7 +54,6 @@ __all__ = [
     "TransformerLayerPlan",
     "TransformerTrainCache",
     "build_transformer_plan",
-    "transformer_plan_matches",
     "transformer_parameters",
     "transformer_forward",
     "transformer_forward_train",
@@ -108,12 +108,9 @@ class TransformerPlan:
 
     Built once per weight generation by :func:`build_transformer_plan`;
     every kernel call then runs off the pre-transposed, pre-cast buffers.
-    ``sources`` keeps references to the live parameter buffers the plan
-    was built from — :func:`transformer_plan_matches` compares
-    identities, the granularity at which the optimisers invalidate
-    weights (they rebind ``param.data``).  ``module`` references the live
-    :class:`~repro.nn.TransformerEncoder` for the per-``(dtype, length)``
-    positional-slice cache and the training-mode dropout modules.
+    ``module`` references the live :class:`~repro.nn.TransformerEncoder`
+    for the per-``(dtype, length)`` positional-slice cache and the
+    training-mode dropout modules.
     """
 
     dtype: np.dtype
@@ -127,7 +124,6 @@ class TransformerPlan:
     final_w: np.ndarray       # (D,) final_norm scale
     final_b: np.ndarray       # (D,) final_norm shift
     module: object = field(default=None, repr=False)
-    sources: tuple = field(default=(), repr=False)
 
     @property
     def scale(self):
@@ -147,11 +143,13 @@ def transformer_parameters(encoder):
     """Canonical flat name -> live Parameter map of a transformer encoder.
 
     The transformer analogue of
-    :meth:`~repro.nn.rnn._RecurrentBase.cell_parameters`: one walk shared
-    by :func:`build_transformer_plan` (which packs the ``.data`` buffers)
-    and :meth:`~repro.runtime.FusedTrainStep.backward` (which accumulates
-    the gradient dict of :func:`transformer_backward` into the same
-    names), so the two sides can never drift.
+    :meth:`~repro.nn.rnn._RecurrentBase.cell_parameters`, returned by
+    :meth:`~repro.runtime.FusedEncoderRuntime.plan_parameters`: one walk
+    that keys the cached :class:`TransformerPlan` (on the identity of
+    every ``.data`` buffer :func:`build_transformer_plan` packs) and that
+    :meth:`~repro.runtime.FusedTrainStep.backward` accumulates the
+    gradient dict of :func:`transformer_backward` into, so the two sides
+    can never drift.
     """
     params = {
         "input_proj.weight": encoder.input_proj.weight,
@@ -175,12 +173,6 @@ def transformer_parameters(encoder):
     params["transformer.final_norm.weight"] = transformer.final_norm.weight
     params["transformer.final_norm.bias"] = transformer.final_norm.bias
     return params
-
-
-def _plan_sources(encoder):
-    """The live arrays whose identities define a weight generation."""
-    return tuple(param.data
-                 for param in transformer_parameters(encoder).values())
 
 
 def _cast(array, dtype):
@@ -235,23 +227,18 @@ def build_transformer_plan(encoder, precision="float64"):
         final_w=_cast(transformer.final_norm.weight.data, dtype),
         final_b=_cast(transformer.final_norm.bias.data, dtype),
         module=transformer,
-        sources=_plan_sources(encoder),
     )
-
-
-def transformer_plan_matches(plan, encoder):
-    """Whether ``plan`` was built from exactly these live weight buffers."""
-    if plan is None:
-        return False
-    current = _plan_sources(encoder)
-    if len(plan.sources) != len(current):
-        return False
-    return all(a is b for a, b in zip(plan.sources, current))
 
 
 # ----------------------------------------------------------------------
 # shared math helpers
 # ----------------------------------------------------------------------
+
+def _feature_mean(x):
+    """Mean over the last axis, keepdims: ``ndarray.mean``'s reduce and
+    divide, without its Python-level ``_methods._mean`` wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
 
 def _layer_norm(x, weight, bias, eps):
     """LayerNorm forward; returns ``(out, xhat, inv_std)``.
@@ -260,9 +247,9 @@ def _layer_norm(x, weight, bias, eps):
     axis, biased variance of the centered values, ``centered /
     sqrt(var + eps)``, then the affine map.
     """
-    mean = x.mean(axis=-1, keepdims=True)
+    mean = _feature_mean(x)
     centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _feature_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     return xhat * weight + bias, xhat, inv_std
@@ -279,8 +266,8 @@ def _layer_norm_backward(d_out, xhat, inv_std, weight):
     d_xhat = d_out * weight
     d_x = inv_std * (
         d_xhat
-        - d_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        - _feature_mean(d_xhat)
+        - xhat * _feature_mean(d_xhat * xhat)
     )
     axes = tuple(range(d_out.ndim - 1))
     return d_x, (d_out * xhat).sum(axis=axes), d_out.sum(axis=axes)

@@ -5,11 +5,12 @@ recurrent :class:`RnnSeqEncoder` or a
 :class:`~repro.encoders.TransformerSeqEncoder` — and runs its forward
 pass through the graph-free kernels of :mod:`repro.runtime.kernels`
 (RNN cells) or :mod:`repro.runtime.attention` (the transformer stack).
-Weights are read through live parameter views on every call — a cached
-packed plan (pre-cast, pre-transposed, bias-folded) is rebuilt whenever
-the live parameter buffers change identity — so the runtime always
-serves the encoder's current parameters: fine-tune, then keep serving,
-no re-wrap needed.
+Weights are read through live parameter views on every call — each
+packed plan (pre-cast, pre-transposed, bias-folded) sits in one cache
+keyed on the live parameter buffers it reads and is rebuilt whenever
+one of them changes identity — so the runtime always serves the
+encoder's current parameters: fine-tune, then keep serving, no re-wrap
+needed.
 
 Two execution knobs make up the serving policy:
 
@@ -26,6 +27,7 @@ Two execution knobs make up the serving policy:
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from operator import is_
 
 import numpy as np
 
@@ -86,6 +88,26 @@ class FusedEncoderRuntime:
         self._weight_plan = None
         self._encode_plan = None
 
+    @classmethod
+    def of(cls, encoder, precision=None, workers=None):
+        """``encoder`` as a runtime: wrapped, or reused if it is one.
+
+        ``precision`` and ``workers`` of None keep the defaults (or the
+        reused runtime's own).  A reused runtime keeps its precision —
+        asking it for a different one raises ``ValueError`` — and takes
+        ``workers`` when one is given.
+        """
+        if not isinstance(encoder, cls):
+            return cls(encoder,
+                       DEFAULT_PRECISION if precision is None else precision,
+                       1 if workers is None else workers)
+        if precision is not None and encoder.precision != precision:
+            raise ValueError("precision %r conflicts with the runtime's %r"
+                             % (precision, encoder.precision))
+        if workers is not None:
+            encoder.workers = max(1, int(workers))
+        return encoder
+
     # ------------------------------------------------------------------
     @property
     def is_recurrent(self):
@@ -107,38 +129,71 @@ class FusedEncoderRuntime:
         """Embedding dimensionality ``d`` of the wrapped encoder."""
         return self.encoder.output_dim
 
-    def weights(self):
-        """Fresh :class:`~repro.nn.CellWeights` view of the live parameters."""
-        return self.encoder.rnn.export_weights()
+    def plan_parameters(self):
+        """Name -> live :class:`~repro.nn.Parameter` map of the weight plan.
+
+        :meth:`~repro.nn.rnn._RecurrentBase.cell_parameters` for recurrent
+        encoders (a parameter that is not learnt maps to None),
+        :func:`~repro.runtime.attention.transformer_parameters` for
+        transformers.  Walked from the live module tree on every call:
+        it is both the key of :meth:`weight_plan` and the map
+        :meth:`~repro.runtime.FusedTrainStep.backward` accumulates
+        gradients into.
+        """
+        if self.is_recurrent:
+            return self.encoder.rnn.cell_parameters()
+        return attention.transformer_parameters(self.encoder)
 
     def weight_plan(self):
         """The cached packed weight plan of the wrapped encoder.
 
         A :class:`~repro.runtime.kernels.WeightPlan` for recurrent
         encoders, a :class:`~repro.runtime.attention.TransformerPlan` for
-        transformers.  Rebuilt exactly when the live parameter buffers
-        change identity (optimisers rebind ``param.data``), so the
-        runtime keeps serving live weights with zero per-call repacking
-        in the steady state.
+        transformers, keyed on :meth:`plan_parameters` (see
+        :meth:`_cached`), so the runtime keeps serving live weights with
+        zero per-call repacking in the steady state.
         """
-        if not self.is_recurrent:
-            if not attention.transformer_plan_matches(self._weight_plan,
-                                                      self.encoder):
-                self._weight_plan = attention.build_transformer_plan(
-                    self.encoder, self.precision)
-            return self._weight_plan
-        weights = self.weights()
-        if not kernels.plan_matches(self._weight_plan, weights):
-            self._weight_plan = kernels.build_weight_plan(weights,
-                                                          self.precision)
-        return self._weight_plan
+        def build():
+            """Pack the live weights in the policy dtype."""
+            if self.is_recurrent:
+                return kernels.build_weight_plan(
+                    self.encoder.rnn.export_weights(), self.precision)
+            return attention.build_transformer_plan(self.encoder,
+                                                    self.precision)
+
+        return self._cached("_weight_plan", self.plan_parameters().values(),
+                            build)
 
     def encode_plan(self):
-        """The cached :class:`~repro.runtime.kernels.EncodePlan`."""
+        """The cached :class:`~repro.runtime.kernels.EncodePlan`.
+
+        Keyed on the categorical embedding tables (see :meth:`_cached`).
+        """
         trx = self.encoder.trx_encoder
-        if not kernels.encode_plan_matches(self._encode_plan, trx):
-            self._encode_plan = kernels.build_encode_plan(trx, self.precision)
-        return self._encode_plan
+        tables = [trx.embeddings[name].weight
+                  for name in trx.schema.categorical]
+        return self._cached(
+            "_encode_plan", tables,
+            lambda: kernels.build_encode_plan(trx, self.precision))
+
+    def _cached(self, slot, params, build):
+        """The plan in ``slot``, rebuilt by ``build()`` when its key moved.
+
+        The key is the identity of each live ``param.data`` buffer (None
+        for a parameter that is not learnt), read from the module tree on
+        every call.  The optimisers, ``load_state_dict`` and a replaced
+        submodule all bind fresh buffers, so the plan is rebuilt exactly
+        when one of them changed the weights it reads.  The slot holds
+        ``(key, plan)``, None until first use.
+        """
+        key = [None if param is None else param.data for param in params]
+        cached = getattr(self, slot)
+        if (cached is not None and len(cached[0]) == len(key)
+                and all(map(is_, cached[0], key))):
+            return cached[1]
+        plan = build()
+        setattr(self, slot, (key, plan))
+        return plan
 
     # ------------------------------------------------------------------
     def encode_events(self, batch, prev_times=None):

@@ -40,10 +40,11 @@ autograd reference (< 1e-10 forward, < 1e-8 gradients), float32 to a
 property-bounded drift from float64.  A raw
 :class:`~repro.nn.CellWeights` passed where a plan is expected is
 promoted to a float64 plan on the fly (:func:`as_plan`), so direct
-kernel callers keep reference semantics.  Plans hold *references* to
-their source parameter buffers; :func:`plan_matches` detects optimiser
-steps (optimisers rebind ``param.data``) so cached plans are rebuilt
-exactly when the weights change.
+kernel callers keep reference semantics.  Plans are plain packed
+copies; :class:`~repro.runtime.FusedEncoderRuntime` caches them on the
+identity of the live parameter buffers they read, so a cached plan is
+rebuilt exactly when an optimiser step (which rebinds ``param.data``)
+changes the weights.
 
 **Row order.**  Every kernel has one packed path.  When ``lengths`` are
 not sorted longest-first, or a per-row prefix ``mask`` is given, the
@@ -85,7 +86,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,11 +97,9 @@ __all__ = [
     "l2_normalize_rows_backward",
     "WeightPlan",
     "build_weight_plan",
-    "plan_matches",
     "as_plan",
     "EncodePlan",
     "build_encode_plan",
-    "encode_plan_matches",
     "rnn_forward",
     "gru_forward",
     "lstm_forward",
@@ -207,11 +206,6 @@ class WeightPlan:
     gate order (``w_hh_grad`` for the recurrent side, ``w_ih_grad`` for
     the input side); ``grad_rows`` maps those rows back to
     :class:`~repro.nn.CellWeights` order.
-
-    ``sources`` keeps references to the live parameter buffers the plan
-    was built from; :func:`plan_matches` compares identities, which is
-    exactly the granularity at which the optimisers invalidate weights
-    (they rebind ``param.data`` rather than writing in place).
     """
 
     kind: str                 # "gru" | "lstm"
@@ -229,7 +223,6 @@ class WeightPlan:
     grad_rows: tuple          # (recurrent, input) CellWeights row indices
     init_state: np.ndarray    # (H,) policy dtype
     init_cell: np.ndarray = None   # (H,) policy dtype, LSTM only
-    sources: tuple = field(default=(), repr=False)
 
     @property
     def input_size(self):
@@ -240,12 +233,6 @@ class WeightPlan:
     def num_gates(self):
         """Gate count ``G`` of the cell (3 for GRU, 4 for LSTM)."""
         return self.w_ih_grad.shape[0] // self.hidden_size
-
-
-def _weight_sources(weights):
-    """The live arrays whose identities define a weight generation."""
-    return (weights.weight_ih, weights.weight_hh, weights.bias_ih,
-            weights.bias_hh, weights.init_state, weights.init_cell)
 
 
 def _gate_rows(gates, size):
@@ -295,24 +282,7 @@ def build_weight_plan(weights, precision="float64"):
         init_state=cast(weights.init_state),
         init_cell=(None if weights.init_cell is None else
                    cast(weights.init_cell)),
-        sources=_weight_sources(weights),
     )
-
-
-def plan_matches(plan, weights):
-    """Whether ``plan`` was built from exactly these live weight buffers.
-
-    ``weights`` is the current :class:`~repro.nn.CellWeights` view; the
-    comparison is by array *identity* (``is``), which is exactly the
-    granularity at which the optimisers invalidate (they rebind
-    ``param.data`` to a fresh buffer every step).
-    """
-    if plan is None:
-        return False
-    current = _weight_sources(weights)
-    if len(plan.sources) != len(current):
-        return False
-    return all(a is b for a, b in zip(plan.sources, current))
 
 
 def as_plan(weights, precision=None):
@@ -337,19 +307,11 @@ class EncodePlan:
 
     Under float64 the tables *are* the live parameter buffers (no copy,
     bit-identical encoding); under float32 they are pre-cast copies so
-    the big per-event gathers move half the bytes.  Invalidated by
-    source-identity checks like :class:`WeightPlan`.
+    the big per-event gathers move half the bytes.
     """
 
     dtype: np.dtype
     tables: dict                   # field name -> (V, d) table, policy dtype
-    sources: tuple = field(default=(), repr=False)
-
-
-def _encode_sources(trx_encoder):
-    parts = [trx_encoder.embeddings[name].weight.data
-             for name in trx_encoder.schema.categorical]
-    return tuple(parts)
 
 
 def build_encode_plan(trx_encoder, precision="float64"):
@@ -360,18 +322,7 @@ def build_encode_plan(trx_encoder, precision="float64"):
         table = trx_encoder.embeddings[name].weight.data
         tables[name] = (table if table.dtype == dtype
                         else np.ascontiguousarray(table, dtype=dtype))
-    return EncodePlan(dtype=dtype, tables=tables,
-                      sources=_encode_sources(trx_encoder))
-
-
-def encode_plan_matches(plan, trx_encoder):
-    """Whether ``plan`` still mirrors the encoder's live tables."""
-    if plan is None:
-        return False
-    current = _encode_sources(trx_encoder)
-    if len(plan.sources) != len(current):
-        return False
-    return all(a is b for a, b in zip(plan.sources, current))
+    return EncodePlan(dtype=dtype, tables=tables)
 
 
 # ----------------------------------------------------------------------

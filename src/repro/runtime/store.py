@@ -262,23 +262,7 @@ class EmbeddingStore:
 
     def __init__(self, encoder, precision=None, workers=None, backend=None,
                  codec=None, backend_dir=None):
-        if isinstance(encoder, FusedEncoderRuntime):
-            self.runtime = encoder
-            if (precision is not None
-                    and self.runtime.precision != precision):
-                raise ValueError(
-                    "store precision %r conflicts with the runtime's %r"
-                    % (precision, self.runtime.precision)
-                )
-            if workers is not None:
-                self.runtime.workers = max(1, int(workers))
-        else:
-            kwargs = {}
-            if precision is not None:
-                kwargs["precision"] = precision
-            if workers is not None:
-                kwargs["workers"] = workers
-            self.runtime = FusedEncoderRuntime(encoder, **kwargs)
+        self.runtime = FusedEncoderRuntime.of(encoder, precision, workers)
         if backend is None:
             backend = StateBackend(backend_dir)
         elif not isinstance(backend, StateBackend):

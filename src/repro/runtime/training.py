@@ -204,14 +204,12 @@ class FusedTrainStep:
     The packed plans come from a
     :class:`~repro.runtime.FusedEncoderRuntime` of the same encoder and
     precision that the step owns (:attr:`runtime`), so training and
-    serving share one plan-cache implementation.  Weights are read through
-    :meth:`~repro.nn.rnn._RecurrentBase.export_weights` on every call
-    and gradients are written through
-    :meth:`~repro.nn.rnn._RecurrentBase.cell_parameters`, so the step
-    always trains the encoder's current parameters.  The optimizer
-    rebinds ``param.data`` each step, which invalidates the cached
-    :class:`~repro.runtime.kernels.WeightPlan`, so training always runs
-    on the freshly updated weights.
+    serving share one plan cache.  Gradients are written through
+    :meth:`~repro.runtime.FusedEncoderRuntime.plan_parameters`, the map
+    that also keys the cached weight plan, so the step always trains the
+    encoder's current parameters.  The optimizer rebinds ``param.data``
+    each step, which invalidates the cached plan, so training always
+    runs on the freshly updated weights.
 
     Transformer encoders run the same contract through the fused
     attention kernels (:mod:`repro.runtime.attention`): graph-free
@@ -306,13 +304,11 @@ class FusedTrainStep:
             grads = kernels.rnn_backward(cache.rnn_cache.plan,
                                          cache.rnn_cache, d_hidden,
                                          d_outputs=d_states)
-            params = self.encoder.rnn.cell_parameters()
         else:
             grads = attention.transformer_backward(
                 self.runtime.weight_plan(), cache.rnn_cache, d_hidden,
                 d_states=d_states)
-            params = attention.transformer_parameters(self.encoder)
-        for name, param in params.items():
+        for name, param in self.runtime.plan_parameters().items():
             _accumulate(param, grads.get(name))
         d_x = grads["d_x"]
         if d_events is not None:

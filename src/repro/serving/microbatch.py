@@ -114,11 +114,6 @@ class MicroBatcher:
         return self._pending_events
 
     @property
-    def pending_entities(self):
-        """Number of entities with at least one buffered chunk."""
-        return len(self._chunks)
-
-    @property
     def should_flush(self):
         """True once the buffer reached ``flush_events`` pending events."""
         return self._pending_events >= self.flush_events

@@ -145,22 +145,7 @@ class ShardedEmbeddingStore:
                  backend=None, codec=None, backend_dir=None):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if isinstance(encoder, FusedEncoderRuntime):
-            self.runtime = encoder
-            if precision is not None and self.runtime.precision != precision:
-                raise ValueError(
-                    "store precision %r conflicts with the runtime's %r"
-                    % (precision, self.runtime.precision)
-                )
-            if workers is not None:
-                self.runtime.workers = max(1, int(workers))
-        else:
-            kwargs = {}
-            if precision is not None:
-                kwargs["precision"] = precision
-            if workers is not None:
-                kwargs["workers"] = workers
-            self.runtime = FusedEncoderRuntime(encoder, **kwargs)
+        self.runtime = FusedEncoderRuntime.of(encoder, precision, workers)
         self.num_shards = int(num_shards)
         self.shards = [
             EmbeddingStore(self.runtime, backend=shard_backend, codec=codec)

@@ -1,11 +1,11 @@
 """RP003 — ``param.data`` writes vs the packed-plan invalidation contract.
 
 Packed ``WeightPlan``/``EncodePlan``/``TransformerPlan`` caches (PR 6/8)
-are keyed on *parameter-buffer identity*: consumers call
-``plan_matches``/``encode_plan_matches``/``transformer_plan_matches``
-(or rebuild via ``weight_plan()``/``encode_plan()``) before use, and the
-optimisers *rebind* ``param.data`` to a fresh buffer each step so the
-identity check trips.  Two write patterns break that contract:
+are keyed on *parameter-buffer identity*: consumers call the runtime's
+``weight_plan()``/``encode_plan()``, which rebuild a plan whose live
+buffers changed, and the optimisers *rebind* ``param.data`` to a fresh
+buffer each step so the identity check trips.  Two write patterns
+break that contract:
 
 - **in-place mutation** (``param.data[...] = x``, ``param.data += x``,
   ``param.data.fill(...)``, ``np.copyto(param.data, ...)``) changes the
@@ -28,10 +28,8 @@ from ..engine import Rule
 __all__ = ["PlanInvalidationRule"]
 
 #: Calls that (re)validate a packed plan against the live buffers.
-VALIDATORS = ("plan_matches", "transformer_plan_matches",
-              "encode_plan_matches", "weight_plan", "encode_plan",
-              "build_weight_plan", "build_transformer_plan",
-              "build_encode_plan", "as_plan")
+VALIDATORS = ("weight_plan", "encode_plan", "build_weight_plan",
+              "build_transformer_plan", "build_encode_plan", "as_plan")
 
 #: ndarray methods that write through the buffer in place.
 MUTATING_METHODS = ("fill", "sort", "partition", "put", "itemset",

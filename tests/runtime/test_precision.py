@@ -23,12 +23,13 @@ import numpy as np
 import pytest
 
 from repro.augmentations import RandomSlices
+from repro.core import embed_dataset
 from repro.core.batching import augment_batch
 from repro.data.batches import collate
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.losses import ContrastiveLoss
-from repro.nn import GRU, LSTM
+from repro.nn import GRU, LSTM, Embedding, Linear
 from repro.runtime import (EmbeddingStore, FusedEncoderRuntime, attention,
                            kernels)
 from repro.runtime.training import FusedTrainStep, loss_gradient
@@ -53,10 +54,9 @@ F32_STEP_RTOL = 1e-5
 
 #: Train-cache fields that are not in the plan dtype by design: the
 #: batch-norm stash ``bn_scaled`` (batch statistics always run in
-#: float64, see ``kernels.encode_events_train``), plan ``sources`` (the
-#: float64 master weights the plan was built from) and ``batch`` (the
+#: float64, see ``kernels.encode_events_train``) and ``batch`` (the
 #: caller's input).
-NOT_PLAN_DTYPE = ("bn_scaled", "sources", "batch")
+NOT_PLAN_DTYPE = ("bn_scaled", "batch")
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +91,19 @@ def test_runtime_default_policy_is_float32(dataset):
     assert embeddings.dtype == np.float32
 
 
-def test_store_rejects_conflicting_precision(dataset):
+@pytest.mark.parametrize("wrap", [
+    pytest.param(lambda runtime, dataset: EmbeddingStore(
+        runtime, precision="float64"), id="store"),
+    pytest.param(lambda runtime, dataset: ShardedEmbeddingStore(
+        runtime, num_shards=2, precision="float64"), id="sharded"),
+    pytest.param(lambda runtime, dataset: embed_dataset(
+        runtime, dataset, precision="float64"), id="embed_dataset"),
+])
+def test_store_rejects_conflicting_precision(dataset, wrap):
     runtime = FusedEncoderRuntime(_encoder(dataset, "gru"),
                                   precision="float32")
-    with pytest.raises(ValueError):
-        EmbeddingStore(runtime, precision="float64")
+    with pytest.raises(ValueError, match="conflicts"):
+        wrap(runtime, dataset)
 
 
 # ----------------------------------------------------------------------
@@ -282,21 +290,83 @@ def test_snapshot_restores_across_precisions(dataset, cell, tmp_path):
 # weight plans
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("cell", ["gru", "lstm"])
-def test_weight_plan_invalidated_by_optimizer_rebind(dataset, cell):
-    encoder = _encoder(dataset, cell)
+def _plan_sources(encoder, plan):
+    """The live parameters ``plan`` reads, walked from the module tree."""
+    if plan == "encode":
+        return list(encoder.trx_encoder.embeddings.parameters())
+    if plan == "transformer":
+        return [*encoder.input_proj.parameters(),
+                *encoder.transformer.parameters()]
+    return list(encoder.rnn.parameters())
+
+
+def _replace_submodule(encoder, plan, rng):
+    """Swap one submodule the plan reads for a fresh same-shape one."""
+    if plan == "encode":
+        name = next(iter(encoder.trx_encoder.schema.categorical))
+        old = encoder.trx_encoder.embeddings[name]
+        encoder.trx_encoder.embeddings[name] = Embedding(
+            old.num_embeddings, old.embedding_dim, padding_idx=0, rng=rng)
+    elif plan == "transformer":
+        layer = encoder.transformer.layers[0]
+        layer.ff1 = Linear(layer.ff1.in_features, layer.ff1.out_features,
+                           rng=rng)
+    else:
+        old = encoder.rnn
+        encoder.rnn = type(old)(old.input_size, old.hidden_size,
+                                learn_init_state=old.init_state is not None,
+                                rng=rng)
+
+
+@pytest.mark.parametrize("plan, learn_init_state", [
+    pytest.param("gru", True, id="gru"),
+    pytest.param("lstm", True, id="lstm"),
+    pytest.param("gru", False, id="gru-zero_init"),
+    pytest.param("lstm", False, id="lstm-zero_init"),
+    pytest.param("transformer", None, id="transformer"),
+    pytest.param("encode", None, id="encode"),
+])
+def test_weight_plan_invalidated_by_optimizer_rebind(dataset, plan,
+                                                     learn_init_state):
+    """A cached plan answers exactly as one rebuilt from live weights.
+
+    While the weights are live the runtime hands back the same plan
+    object.  Rebinding any one parameter the plan reads (what an
+    optimizer step does), ``load_state_dict`` and replacing a submodule
+    after wrapping each give a new plan, which serves the new weights.
+    ``learn_init_state=False`` cells key their missing initial state as
+    None, so their plan stays cached too.
+    """
+    rng = np.random.default_rng(1)
+    encoder = _encoder(dataset, "gru" if plan == "encode" else plan)
+    if learn_init_state is False:
+        rnn = encoder.rnn
+        encoder.rnn = type(rnn)(rnn.input_size, rnn.hidden_size,
+                                learn_init_state=False, rng=rng)
     runtime = FusedEncoderRuntime(encoder)
-    first = runtime.weight_plan()
-    assert runtime.weight_plan() is first  # cached while weights are live
-    for param in encoder.parameters():
-        param.data = param.data + 0.01  # what an optimizer step does
-    second = runtime.weight_plan()
-    assert second is not first
+    plan_of = runtime.encode_plan if plan == "encode" else runtime.weight_plan
     batch = collate(dataset.sequences[:4], dataset.schema)
-    ref = FusedEncoderRuntime(encoder,
-                              precision="float64").embed_batch(batch)
-    np.testing.assert_allclose(runtime.embed_batch(batch), ref,
-                               atol=F32_ATOL)
+
+    def rebuilt(previous, what):
+        current = plan_of()
+        assert current is not previous, what
+        assert plan_of() is current, what  # cached while weights are live
+        ref = FusedEncoderRuntime(encoder,
+                                  precision="float64").embed_batch(batch)
+        np.testing.assert_allclose(runtime.embed_batch(batch), ref,
+                                   atol=F32_ATOL, err_msg=what)
+        return current
+
+    current = rebuilt(None, "first use")
+    sources = _plan_sources(encoder, plan)
+    assert sources
+    for index, param in enumerate(sources):
+        param.data = param.data + 0.01  # what an optimizer step does
+        current = rebuilt(current, "rebind of source %d" % index)
+    encoder.load_state_dict(encoder.state_dict())
+    current = rebuilt(current, "load_state_dict")
+    _replace_submodule(encoder, plan, rng)
+    rebuilt(current, "replaced submodule")
 
 
 def test_float32_plan_folds_biases():
