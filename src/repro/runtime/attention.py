@@ -466,6 +466,7 @@ class TransformerTrainCache:
     identically on both encoder families.
     """
 
+    plan: TransformerPlan    # the plan the forward ran with
     x: np.ndarray            # (B, T, D_trx) trx-encoder events
     mask: object             # the (B, T) boolean mask (or None)
     pad: np.ndarray          # ~mask (None when no key is padded)
@@ -537,7 +538,7 @@ def transformer_forward_train(plan, x, mask=None):
     pool_w = _pool_weights(mask, batch, steps, plan.dtype)
     pooled = (states * pool_w[:, :, None]).sum(axis=1)
     return TransformerTrainCache(
-        x=x, mask=mask, pad=pad, layer_caches=caches,
+        plan=plan, x=x, mask=mask, pad=pad, layer_caches=caches,
         xhat_f=xhat_f, istd_f=istd_f, states=states, pool_w=pool_w,
         pooled=pooled,
     )

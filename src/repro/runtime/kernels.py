@@ -77,6 +77,18 @@ Two kernel families share those tricks:
   the row's frozen final state, so they fold into the final-state
   gradient before BPTT starts.
 
+**Factored BPTT.**  Every gate gradient is the carried state gradient
+``dh`` (for three LSTM blocks, the cell gradient ``dc``) times a factor
+that does not depend on it.  A prologue computes all factors once, over
+every real cell, straight into the ``(N, 4H)`` buffer, and allocates no
+other ``(N, ·)`` array: the cache arrays only it reads are its
+contiguous scratch, so **the backward consumes its cache**.  Each step
+then scales its own contiguous row block by ``dh`` with one broadcast
+multiply and carries ``dh ← dh⊙z + g_rec @ W_hh`` — four numpy calls per
+GRU step and six per LSTM step (one more with per-step gradients) —
+the batched-outside-the-recurrence move of cuDNN's RNN kernels
+(Appleyard et al., arXiv:1604.01946).
+
 Weight layout is *not* re-declared here: plans are built from the
 :class:`~repro.nn.CellWeights` view exported by the ``nn.rnn`` modules,
 and gradients are returned in its gate order.
@@ -127,9 +139,11 @@ _TANH_GATE = 2
 #: column ranges.  The GRU buffer is ``[d_ghn | d_r | d_z | d_an]``: its
 #: first 3H columns are the recurrent side (n, r, z), its last 3H the
 #: input side (r, z, n).  The LSTM folds every bias, so both sides are
-#: the one ``[d_i | d_f | d_o | d_g]`` range.
+#: the one ``[d_g | d_i | d_f | d_o]`` range: the three blocks BPTT
+#: scales by the cell gradient are adjacent, and the last three match
+#: the ``i|f|o`` sigmoid block column for column.
 _GRAD_GATES = {"gru": ((2, 0, 1), (0, 1, 2)),
-               "lstm": ((0, 1, 3, 2), (0, 1, 3, 2))}
+               "lstm": ((2, 0, 1, 3), (2, 0, 1, 3))}
 
 
 def resolve_precision(precision):
@@ -643,7 +657,10 @@ class RnnTrainCache:
     """Per-cell activations stashed by a training forward pass.
 
     Produced by :func:`gru_forward_train` / :func:`lstm_forward_train` and
-    consumed exactly once by the matching backward kernel.  Per-cell
+    consumed exactly once by the matching backward kernel, which
+    overwrites ``cand`` and ``gate_hidden`` (GRU) or ``cand`` and
+    ``tanh_cell`` (LSTM) as scratch; ``x``, ``h_prev``, ``last`` and so
+    the :attr:`states` view stay intact.  Per-cell
     arrays hold one row per real cell and nothing for padding: ``(N,
     ·)`` with ``N = lengths.sum()``, packed time-major in the kernel's
     longest-first row order, so step ``t`` reads the contiguous rows
@@ -881,52 +898,52 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     ``init_state`` in :class:`~repro.nn.CellWeights` order — the exact
     quantities the autograd path accumulates, to < 1e-8 under the
     float64 policy.
+
+    Before the time loop the ``(N, 4H)`` buffer ``[d_ghn | d_r | d_z |
+    d_an]`` holds each gate's factor ``[r·A | ghn·r(1−r)·A |
+    (h_prev−n)·z(1−z) | A]``, with ``A = (1−z)(1−n²)``; step ``t``
+    multiplies its rows by ``dh``.  The prologue overwrites
+    ``cache.cand`` and ``cache.gate_hidden``: the backward consumes the
+    cache.
     """
     plan = cache.plan
-    batch = cache.x.shape[0]
     size = plan.hidden_size
-    two, three = 2 * size, 3 * size
+    three = 3 * size
     d_hidden, d_cells = _backward_setup(cache, d_last, d_outputs)
     # [d_ghn | d_r | d_z | d_an]: the first 3H columns are the recurrent
     # side, the last 3H the input side (d_an = d_gx_n; d_ghn = d_an * r).
-    # Every row is one cell, and each step writes all of its cells' rows.
     grad = np.empty((len(cache.cells), 4 * size), dtype=plan.dtype)
-    sig, cand, gate_hidden = cache.sig, cache.cand, cache.gate_hidden
-    h_prev = cache.h_prev
+    d_ghn, d_r, d_z, d_an = (grad[:, gate * size:(gate + 1) * size]
+                             for gate in range(4))
+    # cand and gate_hidden are read by nothing after this prologue, so
+    # they are its contiguous scratch: the backward consumes the cache.
+    n, ghn = cache.cand, cache.gate_hidden
+    r, z = cache.sig[:, :size], cache.sig[:, size:]
+    np.subtract(1.0, cache.sig, out=grad[:, size:three])  # [1 - r | 1 - z]
+    np.subtract(cache.h_prev, n, out=d_ghn)               # h_prev - n
+    n *= n
+    np.subtract(1.0, n, out=n)
+    n *= d_z                       # A = (1 - z)(1 - n^2)
+    d_z *= d_ghn
+    d_z *= z                       # (h_prev - n) z (1 - z)
+    np.copyto(d_an, n)             # A
+    np.multiply(r, n, out=d_ghn)   # r A
+    ghn *= d_ghn
+    d_r *= ghn                     # ghn r (1 - r) A
+    blocks = grad.reshape(len(grad), 4, size)
     w_hh = plan.w_hh_grad
-    scratch_sig = np.empty((batch, two), dtype=plan.dtype)
-    scratch = np.empty((batch, size), dtype=plan.dtype)
+    scratch = np.empty_like(d_hidden)
     for start, stop in reversed(cache.spans):
         active = stop - start
         dh = d_hidden[:active]
         if d_cells is not None:
             dh += d_cells[start:stop]
-        s = sig[start:stop]
-        z = s[:, size:]
-        n = cand[start:stop]
-        g = grad[start:stop]
-        tmp = scratch[:active]
-        # d_an = dh * (1 - z) * (1 - n^2)
-        np.multiply(n, n, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= dh
-        d_an = g[:, three:]
-        np.subtract(1.0, z, out=d_an)
-        d_an *= tmp
-        np.multiply(d_an, s[:, :size], out=g[:, :size])
-        # d_r = d_an * ghn * σ'(r);  d_z = dh * (h_prev - n) * σ'(z)
-        np.multiply(d_an, gate_hidden[start:stop], out=g[:, size:two])
-        d_z = g[:, two:three]
-        np.subtract(h_prev[start:stop], n, out=d_z)
-        d_z *= dh
-        slope = scratch_sig[:active]
-        np.subtract(1.0, s, out=slope)
-        slope *= s
-        g[:, size:three] *= slope
+        blocks[start:stop] *= dh[:, None, :]
         # d_h_prev = dh * z + [d_ghn | d_r | d_z] @ W_hh(n, r, z); dh
         # aliases d_hidden[:active], so this IS the carry to step t-1.
-        dh *= z
-        np.dot(g[:, :three], w_hh, out=tmp)
+        tmp = scratch[:active]
+        np.dot(grad[start:stop, :three], w_hh, out=tmp)
+        dh *= z[start:stop]
         dh += tmp
     grads = _finish_grads(cache, grad, slice(0, three), slice(size, None))
     grads["init_state"] = d_hidden.sum(axis=0)
@@ -941,56 +958,59 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
     cell), ``d_outputs`` the optional ``(B, T, H)`` per-step gradients;
     both are cast to the plan dtype.  The result additionally carries
     ``init_cell``.
+
+    Before the time loop the ``(N, 4H)`` buffer ``[d_g | d_i | d_f |
+    d_o]`` holds ``[i(1−g²) | g·i(1−i) | c_prev·f(1−f) |
+    tanh_c·o(1−o)]``, and ``cache.tanh_cell`` the carry factor
+    ``o(1−tanh_c²)``; step ``t`` adds ``dh`` times that factor to ``dc``,
+    multiplies its rows' first three blocks by ``dc`` and the last by
+    ``dh``.  The prologue overwrites ``cache.cand`` and
+    ``cache.tanh_cell``: the backward consumes the cache.
     """
     plan = cache.plan
-    batch = cache.x.shape[0]
     size = plan.hidden_size
-    two, three = 2 * size, 3 * size
+    three = 3 * size
     d_hidden, d_cells = _backward_setup(cache, d_last, d_outputs)
-    d_cell = np.zeros((batch, size), dtype=plan.dtype)
-    # [d_i | d_f | d_o | d_g]: every LSTM bias folds, so the recurrent
-    # and input sides share this one range.  Each step writes all of
-    # its cells' rows.
+    d_cell = np.zeros_like(d_hidden)
+    # [d_g | d_i | d_f | d_o]: every LSTM bias folds, so the recurrent
+    # and input sides share this one range.
     grad = np.empty((len(cache.cells), 4 * size), dtype=plan.dtype)
-    sig, cand, tanh_cell = cache.sig, cache.cand, cache.tanh_cell
-    c_prev = cache.c_prev
+    d_g, d_i, d_f, d_o = (grad[:, gate * size:(gate + 1) * size]
+                          for gate in range(4))
+    # cand and tanh_cell are read by nothing after this prologue, so
+    # they are its contiguous scratch (tanh_cell ends up holding the dc
+    # carry's factor): the backward consumes the cache.
+    g, carry = cache.cand, cache.tanh_cell
+    i, f, o = (cache.sig[:, gate * size:(gate + 1) * size]
+               for gate in range(3))
+    np.subtract(1.0, cache.sig, out=grad[:, size:])
+    grad[:, size:] *= cache.sig    # [σ'(i) | σ'(f) | σ'(o)]
+    d_i *= g                       # g σ'(i)
+    d_f *= cache.c_prev            # c_prev σ'(f)
+    d_o *= carry                   # tanh(c) σ'(o)
+    g *= g
+    np.subtract(1.0, g, out=g)
+    np.multiply(i, g, out=d_g)     # i (1 - g^2)
+    carry *= carry
+    np.subtract(1.0, carry, out=carry)
+    carry *= o                     # o (1 - tanh(c)^2)
+    blocks = grad.reshape(len(grad), 4, size)
     w_hh = plan.w_hh_grad
-    scratch_sig = np.empty((batch, three), dtype=plan.dtype)
-    scratch = np.empty((batch, size), dtype=plan.dtype)
+    scratch = np.empty_like(d_hidden)
     for start, stop in reversed(cache.spans):
         active = stop - start
         dh = d_hidden[:active]
         if d_cells is not None:
             dh += d_cells[start:stop]
         dc = d_cell[:active]
-        s = sig[start:stop]
-        cg = cand[start:stop]
-        tanh_c = tanh_cell[start:stop]
-        g = grad[start:stop]
         tmp = scratch[:active]
-        # dc += dh * o * (1 - tanh(c)^2)
-        np.multiply(tanh_c, tanh_c, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= s[:, two:]
-        tmp *= dh
+        np.multiply(dh, carry[start:stop], out=tmp)
         dc += tmp
-        # [d_i | d_f | d_o] = [dc * g | dc * c_prev | dh * tanh(c)] * σ'
-        np.multiply(dc, cg, out=g[:, :size])
-        np.multiply(dc, c_prev[start:stop], out=g[:, size:two])
-        np.multiply(dh, tanh_c, out=g[:, two:three])
-        slope = scratch_sig[:active]
-        np.subtract(1.0, s, out=slope)
-        slope *= s
-        g[:, :three] *= slope
-        # d_g = dc * i * (1 - g^2)
-        d_g = g[:, three:]
-        np.multiply(cg, cg, out=d_g)
-        np.subtract(1.0, d_g, out=d_g)
-        d_g *= s[:, :size]
-        d_g *= dc
+        blocks[start:stop, :3] *= dc[:, None, :]
+        grad[start:stop, three:] *= dh
         # carries to step t-1 (dh, dc alias the d_hidden/d_cell rows)
-        dc *= s[:, size:two]
-        np.dot(g, w_hh, out=dh)
+        dc *= f[start:stop]
+        np.dot(grad[start:stop], w_hh, out=dh)
     every = slice(None)
     grads = _finish_grads(cache, grad, every, every)
     grads["init_state"] = d_hidden.sum(axis=0)

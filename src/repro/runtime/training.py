@@ -288,8 +288,10 @@ class FusedTrainStep:
 
         Gradients accumulate into ``param.grad`` of the live encoder
         parameters — additive, like ``Tensor.backward`` — so clipping
-        and the optimisers work unchanged.  A cache must not be used
-        twice.
+        and the optimisers work unchanged.  They are taken on the plan
+        the forward ran with (``cache.rnn_cache.plan``), so a parameter
+        rebound in between changes nothing.  The backward consumes the
+        cache's activations: a cache must not be used twice.
         """
         if d_embeddings is None:
             d_hidden = np.zeros_like(cache.hidden)
@@ -300,14 +302,13 @@ class FusedTrainStep:
                                                               d_hidden)
         if d_states is not None:
             d_states = np.asarray(d_states, dtype=self.dtype)
+        plan = cache.rnn_cache.plan
         if self.is_recurrent:
-            grads = kernels.rnn_backward(cache.rnn_cache.plan,
-                                         cache.rnn_cache, d_hidden,
+            grads = kernels.rnn_backward(plan, cache.rnn_cache, d_hidden,
                                          d_outputs=d_states)
         else:
             grads = attention.transformer_backward(
-                self.runtime.weight_plan(), cache.rnn_cache, d_hidden,
-                d_states=d_states)
+                plan, cache.rnn_cache, d_hidden, d_states=d_states)
         for name, param in self.runtime.plan_parameters().items():
             _accumulate(param, grads.get(name))
         d_x = grads["d_x"]
@@ -360,27 +361,23 @@ class FusedTrainStep:
 
 def _scatter_add_rows(table, indices, grads):
     """Sum ``grads`` rows into ``table`` rows by index (``np.add.at``
-    semantics, segment-sum implementation).
+    semantics, one ``np.bincount`` per table column).
 
-    A stable argsort groups occurrences of each index, and
-    ``np.add.reduceat`` sums every group left-to-right — the same
-    addition order per table row as ``np.add.at``'s sequential walk, so
-    same-dtype results are bitwise identical (under the mixed float32
-    policy the segment sum rounds in float32 before the float64 table
-    add, within the policy's drift bound), but the inner loop is
-    vectorised C instead of per-element dispatch (~10x on the training
-    hot path).
+    ``indices`` holds one id in ``[0, len(table))`` per row of
+    ``grads`` (the forward range-checks them).  ``np.bincount`` walks
+    the ids in order and adds each row's contribution to its bin left to
+    right, in float64 whatever the gradient dtype — the same addition
+    order per table entry as ``np.add.at``'s sequential walk, so float64
+    sums into a zero table are bitwise equal to it, and float32
+    gradients are summed in float64 before the one add into ``table``.
     """
     idx = np.asarray(indices).ravel()  # reprolint: disable=RP001 -- int ids
     if idx.size == 0:
         return
-    flat = np.ascontiguousarray(grads).reshape(idx.size, -1)
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    starts = np.flatnonzero(np.diff(sorted_idx)) + 1
-    starts = np.concatenate([[0], starts])
-    sums = np.add.reduceat(flat[order], starts, axis=0)
-    table[sorted_idx[starts]] += sums
+    flat = np.reshape(grads, (idx.size, -1))
+    for column in range(table.shape[1]):
+        table[:, column] += np.bincount(idx, weights=flat[:, column],
+                                        minlength=len(table))
 
 
 def _accumulate(param, grad):

@@ -1,6 +1,7 @@
 """Test-suite setup: put the repo root on ``sys.path`` so test modules can
 ``from tests.oracles import ...`` (and ``tests.helpers``) however pytest
-is launched, and share the fused-step spy fixture."""
+is launched, share the fused-step spy fixture, and fail the kernel tests
+on numpy floating-point warnings."""
 
 import os
 import sys
@@ -13,6 +14,22 @@ if ROOT not in sys.path:
 
 from repro.runtime import FusedTrainStep  # noqa: E402
 from tests.oracles import STEP_SITES  # noqa: E402
+
+#: Test directories that drive the fused kernels (forward, train forward,
+#: BPTT): an overflow, invalid or divide-by-zero ``RuntimeWarning`` there
+#: fails the test instead of printing a warning.
+KERNEL_TEST_DIRS = ("runtime", "core", "baselines")
+
+
+def pytest_collection_modifyitems(items):
+    """Mark every test under :data:`KERNEL_TEST_DIRS` with
+    ``filterwarnings("error::RuntimeWarning")``."""
+    strict = tuple(os.path.join(ROOT, "tests", name, "")
+                   for name in KERNEL_TEST_DIRS)
+    for item in items:
+        if str(item.path).startswith(strict):
+            item.add_marker(
+                pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture

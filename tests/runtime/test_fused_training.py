@@ -21,8 +21,8 @@ from repro.losses import LOSSES
 from repro.nn import GRU, LSTM, Linear, Tensor, where
 from repro.nn import functional as F
 from repro.runtime import kernels
-from repro.runtime.training import (FusedTrainStep, loss_gradient,
-                                    softmax_head_gradient)
+from repro.runtime.training import (FusedTrainStep, _scatter_add_rows,
+                                    loss_gradient, softmax_head_gradient)
 
 ATOL = 1e-8
 RTOL = 1e-8
@@ -611,3 +611,77 @@ def test_lstm_initial_cell_gradient():
     np.testing.assert_allclose(grads["init_cell"], cell.init_cell.grad,
                                atol=ATOL)
     np.testing.assert_allclose(grads["d_x"], x_tensor.grad, atol=ATOL)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm", "transformer"])
+def test_backward_runs_on_the_forward_plan(cell):
+    """Gradients are taken on the plan the forward ran with.
+
+    Rebinding every parameter to new values between ``forward`` and
+    ``backward`` (what an optimiser step or ``load_state_dict`` does)
+    leaves every gradient bitwise unchanged, for both encoder families.
+    """
+    dataset, batch = _coles_batch()
+    encoder = build_encoder(dataset.schema, 16, cell,
+                            rng=np.random.default_rng(1))
+    encoder.train()
+    initial = encoder.state_dict()
+    step = FusedTrainStep(encoder)
+    runs = []
+    for rebind in (False, True):
+        encoder.load_state_dict(initial)
+        cache = step.forward(batch)
+        _, d_embeddings = loss_gradient(LOSSES["contrastive"](),
+                                        cache.embeddings, batch.seq_ids,
+                                        rng=np.random.default_rng(7))
+        if rebind:
+            for param in encoder.parameters():
+                param.data = param.data * 1.5
+        encoder.zero_grad()
+        step.backward(cache, d_embeddings)
+        runs.append({name: param.grad
+                     for name, param in encoder.named_parameters()})
+    plain, rebound = runs
+    assert plain.keys() == rebound.keys()
+    for name, grad in plain.items():
+        np.testing.assert_array_equal(rebound[name], grad, err_msg=name)
+
+
+def _scatter_case(case, rng):
+    """``(ids, grads, vocab)`` of one :func:`_scatter_add_rows` case;
+    ``grads`` is a non-contiguous view, like a field's slice of
+    ``d_x``."""
+    ids, width, vocab = {
+        # ids 5 and 6 never occur
+        "repeated": (rng.integers(0, 5, size=(6, 40)), 4, 7),
+        "one-column": (rng.integers(0, 3, size=(5, 30)), 1, 4),
+        "single-row": (np.array([[2]]), 3, 4),
+        "empty": (np.zeros((3, 0), dtype=np.int64), 2, 4),
+    }[case]
+    wide = rng.standard_normal(ids.shape + (width + 2,))
+    wide *= 10.0 ** rng.integers(-3, 4, size=wide.shape)
+    return ids, wide[..., 1:1 + width], vocab
+
+
+@pytest.mark.parametrize("case", ["repeated", "one-column", "single-row",
+                                  "empty"])
+def test_scatter_add_rows_matches_add_at(case):
+    """The embedding-table scatter is ``np.add.at`` into a zero table.
+
+    float64 gradients sum bitwise like ``np.add.at`` (each table entry
+    adds its contributions left to right); float32 gradients are summed
+    in float64, each entry within 1e-6 of its absolute contributions'
+    sum of the float64 sums.
+    """
+    ids, grads, vocab = _scatter_case(case, np.random.default_rng(29))
+    width = grads.shape[-1]
+    reference = np.zeros((vocab, width))
+    np.add.at(reference, ids.ravel(), grads.reshape(-1, width))
+    magnitude = np.zeros((vocab, width))
+    np.add.at(magnitude, ids.ravel(), np.abs(grads).reshape(-1, width))
+    table = np.zeros((vocab, width))
+    _scatter_add_rows(table, ids, grads)
+    np.testing.assert_array_equal(table, reference)
+    table = np.zeros((vocab, width))
+    _scatter_add_rows(table, ids, grads.astype(np.float32))
+    assert np.all(np.abs(table - reference) <= 1e-6 * magnitude)

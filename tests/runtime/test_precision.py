@@ -41,15 +41,16 @@ from repro.serving import EmbeddingService, ShardedEmbeddingStore
 #: catching any real numerical defect (which would blow past 1e-4).
 F32_ATOL = 1e-5
 
-#: The bound on one float32 fused transformer train step against the
-#: float64 step from the same weights and batch: the loss relative to
+#: The bound on one float32 fused train step against the float64 step
+#: from the same weights and batch: the loss relative to
 #: itself, every parameter gradient relative to the step's largest
 #: float64 gradient entry (the key-bias gradient is analytically zero,
 #: so a per-parameter scale would compare rounding noise with rounding
 #: noise).  Both steps run the same code, so the difference is float32
-#: rounding alone: observed 4e-7 for the gradients and 3e-8 for the loss
-#: (up to 9e-7 over other seeds), leaving 10x headroom for other BLAS
-#: builds.  Defects both dtypes share are the autograd parity tests'.
+#: rounding alone: observed 1.6e-7 (GRU), 2.6e-7 (LSTM) and 4e-7
+#: (transformer) for the gradients and 3e-8 for the loss (up to 9e-7
+#: over other seeds), leaving 10x headroom for other BLAS builds.
+#: Defects both dtypes share are the autograd parity tests'.
 F32_STEP_RTOL = 1e-5
 
 #: Train-cache fields that are not in the plan dtype by design: the
@@ -120,16 +121,18 @@ def test_float32_drift_bounded_vs_float64(dataset, cell):
     np.testing.assert_allclose(out, ref, atol=F32_ATOL)
 
 
-def test_float32_transformer_train_step_bounded_vs_float64(dataset):
-    """One float32 fused transformer step tracks the float64 step.
+@pytest.mark.parametrize("cell", ["gru", "lstm", "transformer"])
+def test_float32_train_step_bounded_vs_float64(dataset, cell):
+    """One float32 fused train step tracks the float64 step.
 
-    Same weights, same CoLES batch (ragged views, so key padding is
-    exercised), same loss: the loss and every parameter gradient agree
-    within ``F32_STEP_RTOL``.
+    Same weights, same CoLES batch (ragged views, so key padding and
+    the packed recurrence's shrinking row prefixes are exercised), same
+    loss: the loss and every parameter gradient — BPTT's and the
+    embedding tables' included — agree within ``F32_STEP_RTOL``.
     """
     batch = augment_batch(dataset.sequences[:8], dataset.schema,
                           RandomSlices(5, 25, 3), np.random.default_rng(3))
-    encoder = build_encoder(dataset.schema, 16, "transformer",
+    encoder = build_encoder(dataset.schema, 16, cell,
                             rng=np.random.default_rng(1))
     encoder.train()
     loss_fn = ContrastiveLoss()
