@@ -30,6 +30,10 @@ def embed_dataset(encoder, dataset, batch_size=64, precision=None,
     ``workers`` configure the runtime's dtype policy and bucket-parallel
     worker count (None: the runtime's own).  A runtime keeps its
     precision: asking it for a different one raises ``ValueError``.
+    Batches take at least ``batch_size`` rows; recurrent encoders take
+    more for sequences shorter than
+    :data:`~repro.data.bucketing.BUDGET_STEPS` steps (the bulk plan of
+    :meth:`~repro.runtime.FusedEncoderRuntime.run_dataset`).
     """
     runtime = FusedEncoderRuntime.of(encoder, precision)
     return runtime.embed_dataset(dataset, batch_size=batch_size,

@@ -7,6 +7,7 @@ from .bucketing import (
     iterate_bucketed_batches,
     padded_step_fraction,
     plan_batches,
+    plan_cell_batches,
 )
 from .schema import PADDING_CODE, EventSchema
 from .sequences import EventSequence, SequenceDataset
@@ -21,6 +22,7 @@ __all__ = [
     "collate",
     "iterate_batches",
     "plan_batches",
+    "plan_cell_batches",
     "bucketed_order",
     "iterate_bucketed_batches",
     "padded_step_fraction",

@@ -59,6 +59,21 @@ class PaddedBatch:
         return np.asarray(self.labels.tolist())
 
 
+def _id_array(ids):
+    """``ids`` as a 1-D array whose ``tolist()`` gives them back.
+
+    Homogeneous ids keep numpy's dtype; ids numpy would stack (tuples),
+    coerce (ints mixed with strs) or reject (ragged) stay objects.
+    """
+    try:
+        array = np.array(ids)
+        if array.ndim == 1 and array.tolist() == ids:
+            return array
+    except ValueError:
+        pass
+    return np.fromiter(ids, dtype=object, count=len(ids))
+
+
 def collate(sequences, schema):
     """Stack a list of :class:`EventSequence` into a :class:`PaddedBatch`."""
     if not sequences:
@@ -84,7 +99,7 @@ def collate(sequences, schema):
     return PaddedBatch(
         fields=batch_fields,
         lengths=lengths,
-        seq_ids=np.array([seq.seq_id for seq in sequences]),
+        seq_ids=_id_array([seq.seq_id for seq in sequences]),
         labels=np.array([seq.label for seq in sequences], dtype=object),
         schema=schema,
     )

@@ -65,22 +65,25 @@ class RandomNegativeSampler(NegativeSampler):
 
 
 class HardNegativeMiner(NegativeSampler):
-    """Closest cross-group partners per anchor (hard negative mining)."""
+    """Closest cross-group partners per anchor (hard negative mining).
+
+    Each anchor takes its ``min(neg_per_anchor, partners)`` nearest
+    cross-group partners with a finite distance, nearest first; among
+    equal distances the lower partner index comes first.  One stable
+    argsort over the candidate-masked matrix picks every anchor's
+    partners at once.
+    """
 
     def select(self, distances, groups, rng):
         candidates = self._candidate_rows(groups)
         masked = np.where(candidates, distances, np.inf)
-        anchors, negatives = [], []
-        for anchor in range(len(groups)):
-            partners = np.flatnonzero(np.isfinite(masked[anchor]))
-            if len(partners) == 0:
-                continue
-            take = min(self.neg_per_anchor, len(partners))
-            order = np.argsort(masked[anchor][partners])
-            chosen = partners[order[:take]]
-            anchors.extend([anchor] * take)
-            negatives.extend(chosen.tolist())
-        return np.array(anchors), np.array(negatives)
+        # Stable: ties keep index order, and inf (non-candidates) and NaN
+        # sort after every finite distance.
+        order = np.argsort(masked, axis=1, kind="stable")
+        take = np.minimum(self.neg_per_anchor,
+                          np.isfinite(masked).sum(axis=1))
+        chosen = np.arange(order.shape[1]) < take[:, None]
+        return np.repeat(np.arange(len(groups)), take), order[chosen]
 
 
 class DistanceWeightedSampler(NegativeSampler):

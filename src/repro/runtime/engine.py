@@ -32,7 +32,7 @@ from operator import is_
 import numpy as np
 
 from ..data.batches import collate
-from ..data.bucketing import plan_batches
+from ..data.bucketing import plan_batches, plan_cell_batches
 from ..encoders.seq_encoder import RnnSeqEncoder, TransformerSeqEncoder
 from . import attention, kernels
 
@@ -268,22 +268,35 @@ class FusedEncoderRuntime:
     def run_dataset(self, dataset, batch_size=64, workers=None):
         """Run the whole dataset under a length-sorted batch plan.
 
-        Yields ``(indices, sequences, final_state)`` per planned batch —
-        the single bulk loop shared by :func:`repro.core.embed_dataset`
-        and :meth:`repro.runtime.EmbeddingStore.bulk_load`.  With
+        Recurrent encoders follow the cell-budget plan of
+        :func:`~repro.data.bucketing.plan_cell_batches`: at least
+        ``batch_size`` rows per batch, and wider for sequences shorter
+        than :data:`~repro.data.bucketing.BUDGET_STEPS` steps.
+        Transformers keep ``batch_size`` rows per batch
+        (:func:`~repro.data.bucketing.plan_batches`).  Yields
+        ``(indices, batch, final_state)`` per planned batch, where
+        ``batch`` is the collated :class:`~repro.data.PaddedBatch` (its
+        ``seq_ids``, ``lengths`` and fields row-aligned with
+        ``indices``) — the single bulk loop shared by
+        :func:`repro.core.embed_dataset` and
+        :meth:`repro.runtime.EmbeddingStore.bulk_load`.  With
         ``workers > 1`` (default: the runtime's ``workers``) independent
         buckets run concurrently; yield order and every result are
         bit-identical to the serial pass.
         """
         workers = self.workers if workers is None else max(1, int(workers))
-        chunks = plan_batches(dataset.lengths(), batch_size)
+        # Attention's (B, heads, T, T) scores grow with the rows: wide
+        # batches of short sequences ran the transformer 9% slower.
+        plan = plan_cell_batches if self.is_recurrent else plan_batches
+        chunks = plan(dataset.lengths(), batch_size)
+        sequences = dataset.sequences
 
         def run(chunk):
             """Collate and embed one planned bucket."""
-            sequences = [dataset.sequences[i] for i in chunk]
-            batch = collate(sequences, dataset.schema)
+            batch = collate([sequences[i] for i in chunk.tolist()],
+                            dataset.schema)
             _, last = self.forward(batch)
-            return chunk, sequences, last
+            return chunk, batch, last
 
         if workers == 1 or len(chunks) <= 1:
             for chunk in chunks:
@@ -297,7 +310,11 @@ class FusedEncoderRuntime:
                 yield result
 
     def embed_dataset(self, dataset, batch_size=64, workers=None):
-        """Bulk embeddings ``(N, d)`` in dataset order."""
+        """Bulk embeddings ``(N, d)`` in dataset order.
+
+        Batches follow :meth:`run_dataset`'s plan: ``batch_size`` rows or
+        more per batch for recurrent encoders.
+        """
         embeddings = np.zeros((len(dataset), self.output_dim),
                               dtype=self.dtype)
         for chunk, _, last in self.run_dataset(dataset, batch_size,

@@ -7,8 +7,9 @@ new events to produce ``c_{t+k}``.  :class:`EmbeddingStore` owns that
 state:
 
 - :meth:`bulk_load` embeds a whole dataset through the fused runtime with
-  a globally length-sorted batch plan (near-zero padded steps) and records
-  every entity's final state;
+  a globally length-sorted plan cut by padded cells (near-zero padded
+  steps; short histories share wide batches) and records every entity's
+  final state;
 - :meth:`update` folds a chunk of new events into one entity's state,
   bit-equal to a full recompute (the boundary time-delta is carried over);
 - :meth:`update_many` does the same for a *batch* of heterogeneous
@@ -69,14 +70,18 @@ def bulk_load_states(runtime, dataset, scatter, batch_size=64, workers=None):
     """Embed a whole dataset and hand every final state to ``scatter``.
 
     The single bulk loop behind :meth:`EmbeddingStore.bulk_load` and the
-    sharded store's variant: batches follow the globally length-sorted
-    plan (run bucket-parallel per the runtime's ``workers`` policy), and
+    sharded store's variant: batches follow the runtime's bulk plan
+    (:meth:`~repro.runtime.FusedEncoderRuntime.run_dataset`: at least
+    ``batch_size`` rows each, more for short sequences of a recurrent
+    encoder; run bucket-parallel per the runtime's ``workers`` policy),
+    and
     ``scatter(entity_ids, hidden, cell, last_times)`` — the
     :meth:`~repro.runtime.StateBackend.scatter` contract — decides where
-    the states live.  States are handed over in plan order, in blocks of
-    about :data:`BULK_SCATTER_ROWS` rows, on the calling thread, so
-    results are deterministic for any worker count.  Returns the
-    ``(N, d)`` embedding matrix in dataset order.
+    the states live.  Ids and last event times come from each collated
+    batch's ``seq_ids`` and time field.  States are handed over in plan
+    order, in blocks of about :data:`BULK_SCATTER_ROWS` rows, on the
+    calling thread, so results are deterministic for any worker count.
+    Returns the ``(N, d)`` embedding matrix in dataset order.
     """
     time_field = dataset.schema.time_field
     embeddings = np.zeros((len(dataset), runtime.output_dim),
@@ -85,22 +90,22 @@ def bulk_load_states(runtime, dataset, scatter, batch_size=64, workers=None):
 
     def hand_over():
         """Scatter the pending batches' states as one block."""
-        sequences = [seq for batch, _, _ in pending for seq in batch]
-        scatter([seq.seq_id for seq in sequences],
-                np.concatenate([hidden for _, hidden, _ in pending]),
-                (np.concatenate([cell for _, _, cell in pending])
-                 if runtime.is_lstm else None),
-                np.array([seq.fields[time_field][-1] for seq in sequences],
-                         dtype=np.float64))
+        ids, hidden, cell, ends = zip(*pending)
+        scatter(np.concatenate(ids).tolist(), np.concatenate(hidden),
+                np.concatenate(cell) if runtime.is_lstm else None,
+                np.concatenate(ends))
         pending.clear()
 
-    for chunk, sequences, last in runtime.run_dataset(dataset, batch_size,
-                                                      workers=workers):
+    for chunk, batch, last in runtime.run_dataset(dataset, batch_size,
+                                                  workers=workers):
         hidden = runtime.hidden_of(last)
         embeddings[chunk] = runtime.head(hidden)
-        pending.append((sequences, hidden,
-                        last[1] if runtime.is_lstm else None))
-        rows += len(sequences)
+        times = batch.fields[time_field]
+        pending.append((batch.seq_ids, hidden,
+                        last[1] if runtime.is_lstm else None,
+                        times[np.arange(len(times), dtype=np.intp),
+                              batch.lengths - 1]))
+        rows += len(chunk)
         if rows >= BULK_SCATTER_ROWS:
             hand_over()
             rows = 0
@@ -334,8 +339,11 @@ class EmbeddingStore:
         """Embed every sequence of ``dataset`` and persist all final states.
 
         Batches follow a globally length-sorted plan, so each batch pads
-        to a near-uniform length.  Returns the ``(N, d)`` embedding matrix
-        in dataset order.
+        to a near-uniform length; each takes at least ``batch_size`` rows,
+        and a recurrent encoder's more for sequences shorter than
+        :data:`~repro.data.bucketing.BUDGET_STEPS` steps (see
+        :func:`bulk_load_states`).  Returns the ``(N, d)`` embedding
+        matrix in dataset order.
         """
         return bulk_load_states(self.runtime, dataset, self.backend.scatter,
                                 batch_size=batch_size, workers=workers)

@@ -88,6 +88,8 @@ class EmbeddingCache:
         """Drop entries whose state advanced; returns how many were live."""
         dropped = 0
         with self._lock:
+            if not self._entries:  # e.g. a day-0 bulk load: nothing to drop
+                return 0
             for entity_id in entity_ids:
                 if self._entries.pop(entity_id, None) is not None:
                     dropped += 1

@@ -74,7 +74,9 @@ class EmbeddingService:
     flush_events:
         Buffered-event threshold that triggers an automatic flush.
     batch_size:
-        Rows per fused batch when flushing and bulk-loading.
+        Rows per flush batch; bulk-load batches take at least this many
+        rows, and more for sequences shorter than
+        :data:`~repro.data.bucketing.BUDGET_STEPS` steps.
     precision:
         Dtype policy of the underlying fused runtime (None: the runtime
         default, float32).
@@ -139,6 +141,8 @@ class EmbeddingService:
     def bulk_load(self, dataset, batch_size=None):
         """Warm the store from a whole history dataset (day-0 ETL).
 
+        Batches follow the cell-budget bulk plan: at least ``batch_size``
+        (default: the service's) rows each, wider for short histories.
         Refuses while updates are buffered, like :meth:`load`: the next
         flush would apply them on top of states that already hold them.
         """
@@ -147,7 +151,7 @@ class EmbeddingService:
             embeddings = self.store.bulk_load(
                 dataset, batch_size=batch_size or self.batch_size
             )
-            self.cache.invalidate([seq.seq_id for seq in dataset])
+            self.cache.invalidate(seq.seq_id for seq in dataset)
         return embeddings
 
     def ingest(self, events):

@@ -279,7 +279,12 @@ class ShardedEmbeddingStore:
     # writes: globally batched compute, shard-scattered state
     # ------------------------------------------------------------------
     def bulk_load(self, dataset, batch_size=64, workers=None):
-        """Embed a whole dataset; states scatter to their owning shards."""
+        """Embed a whole dataset; states scatter to their owning shards.
+
+        Batches follow the cell-budget bulk plan of
+        :func:`~repro.runtime.bulk_load_states`: at least ``batch_size``
+        rows each, more for short sequences.
+        """
         return bulk_load_states(self.runtime, dataset, self.scatter,
                                 batch_size=batch_size, workers=workers)
 

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.augmentations import RandomSlices
 from repro.core.batching import coles_batches
 from repro.data import iterate_batches
 from repro.data.bucketing import (
+    BUDGET_STEPS,
     bucketed_order,
     epoch_plan,
     iterate_bucketed_batches,
     padded_step_fraction,
     plan_batches,
+    plan_cell_batches,
 )
 from repro.data.synthetic import make_churn_dataset
 
@@ -88,6 +92,45 @@ class TestPlan:
         """A plan of only empty chunks is zero waste, not a crash."""
         assert padded_step_fraction([], [np.array([], dtype=int)]) == 0.0
         assert padded_step_fraction([5, 3], []) == 0.0
+
+
+class TestCellPlan:
+    """The bulk plan: the global longest-first order, cut by padded cells."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 3 * BUDGET_STEPS), max_size=300),
+           batch_size=st.integers(1, 70))
+    def test_cells_rows_and_coverage(self, lengths, batch_size):
+        lengths = np.array(lengths, dtype=np.int64)
+        batches = plan_cell_batches(lengths, batch_size)
+        order = np.concatenate(batches) if batches else np.zeros(0, int)
+        # Every index once, in the row plan's stable longest-first order.
+        np.testing.assert_array_equal(
+            order, np.concatenate(plan_batches(lengths, batch_size))
+            if len(lengths) else order)
+        remaining = len(lengths)
+        for chunk in batches:
+            assert len(chunk) >= min(batch_size, remaining)
+            remaining -= len(chunk)
+            longest = int(lengths[chunk].max())
+            assert len(chunk) * longest <= max(batch_size * BUDGET_STEPS,
+                                               batch_size * longest)
+        assert remaining == 0
+
+    def test_short_rows_ride_wide_and_long_rows_keep_batch_size(self):
+        lengths = [2 * BUDGET_STEPS] * 6 + [BUDGET_STEPS // 4] * 30
+        sizes = [len(chunk) for chunk in plan_cell_batches(lengths, 2)]
+        assert sizes == [2, 2, 2, 8, 8, 8, 6]
+
+    def test_empty_and_validation(self):
+        assert plan_cell_batches([], 8) == []
+        with pytest.raises(ValueError):
+            plan_cell_batches([3, 2], 0)
+
+    def test_zero_length_rows_plan_without_dividing(self):
+        """A zero-length row is planned; collate is what rejects it."""
+        batches = plan_cell_batches([0, 4, 0], 1)
+        assert sorted(np.concatenate(batches).tolist()) == [0, 1, 2]
 
 
 class TestEpochPlan:

@@ -73,3 +73,20 @@ def test_single_row_and_length_one_rows():
     _assert_matches_reference([_sequence(0, 5, rng, False)])
     _assert_matches_reference([_sequence(index, 1, rng, index % 2 == 0)
                                for index in range(4)])
+
+
+def test_seq_ids_give_back_the_ids():
+    """``seq_ids.tolist()`` returns the ids: the bulk hand-over keys states
+    by it.  Homogeneous ids keep numpy's dtype; ids numpy would stack
+    (tuples) or coerce (int mixed with str) stay objects."""
+    rng = np.random.default_rng(1)
+    for ids, kind in (([3, 1, 2], "i"), (["a", "bc"], "U"),
+                      ([(1, "x"), (2, "y")], "O"), ([7, "7"], "O")):
+        sequences = [_sequence(index, 2, rng, False)
+                     for index in range(len(ids))]
+        for seq, entity_id in zip(sequences, ids):
+            seq.seq_id = entity_id
+        batch = collate(sequences, SCHEMA)
+        assert batch.seq_ids.shape == (len(ids),)
+        assert batch.seq_ids.dtype.kind == kind
+        assert batch.seq_ids.tolist() == ids

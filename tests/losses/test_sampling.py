@@ -75,6 +75,45 @@ class TestHardMining:
             assert (np.diff(partner_d) >= 0).all()  # sorted ascending
 
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_a_per_anchor_stable_sort(self, seed):
+        """Equal to a per-anchor loop under the tie rule, dtypes included.
+
+        Duplicated embeddings (identical views) and rounded distances
+        plant ties; a large ``neg_per_anchor`` leaves some anchors with
+        fewer partners than it asks for.
+        """
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(4, 40))
+        groups = rng.integers(0, int(rng.integers(2, 8)), size=size)
+        groups[:2] = [0, 1]  # at least two groups
+        points = rng.standard_normal((size, 3))
+        points[rng.integers(0, size, size=size // 3)] = points[
+            rng.integers(0, size, size=size // 3)]
+        d = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+        if seed % 2:
+            d = np.round(d, 1)
+        k = int(rng.integers(1, 12))
+        anchors, negatives = HardNegativeMiner(k).select(d, groups, rng)
+        want_anchors, want_negatives = [], []
+        for anchor in range(size):
+            partners = np.flatnonzero(groups != groups[anchor])
+            order = np.argsort(d[anchor, partners], kind="stable")[:k]
+            want_anchors += [anchor] * len(order)
+            want_negatives += partners[order].tolist()
+        assert anchors.dtype == negatives.dtype == np.int64
+        np.testing.assert_array_equal(anchors, want_anchors)
+        np.testing.assert_array_equal(negatives, want_negatives)
+
+    def test_ties_take_the_lower_index_and_short_rows_take_all(self):
+        d = np.ones((5, 5))
+        groups = np.array([0, 0, 0, 1, 1])
+        anchors, negatives = HardNegativeMiner(3).select(
+            d, groups, np.random.default_rng(0))
+        assert anchors.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4]
+        assert negatives.tolist() == [3, 4, 3, 4, 3, 4, 0, 1, 2, 0, 1, 2]
+
+
 class TestDistanceWeighted:
     def test_weights_prefer_moderate_distances(self):
         """Inverse-density weights must not concentrate on sqrt(2)."""

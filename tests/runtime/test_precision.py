@@ -26,6 +26,7 @@ from repro.augmentations import RandomSlices
 from repro.core import embed_dataset
 from repro.core.batching import augment_batch
 from repro.data.batches import collate
+from repro.data.bucketing import plan_cell_batches
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.losses import ContrastiveLoss
@@ -188,6 +189,7 @@ def test_float32_batch_size_invariance_drift_bounded(dataset):
 def test_bucket_parallel_bit_identical(dataset, cell):
     encoder = _encoder(dataset, cell)
     runtime = FusedEncoderRuntime(encoder)
+    assert len(plan_cell_batches(dataset.lengths(), 8)) > 1  # fans out
     serial = runtime.embed_dataset(dataset, batch_size=8, workers=1)
     for workers in (2, 4):
         parallel = runtime.embed_dataset(dataset, batch_size=8,
@@ -229,6 +231,7 @@ def test_parallel_flush_bit_identical(dataset):
 
 def test_bulk_load_parallel_bit_identical(dataset):
     encoder = _encoder(dataset, "lstm")
+    assert len(plan_cell_batches(dataset.lengths(), 6)) > 1  # fans out
     serial = EmbeddingStore(encoder, workers=1)
     parallel = EmbeddingStore(encoder, workers=4)
     np.testing.assert_array_equal(parallel.bulk_load(dataset, batch_size=6),

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.batches import collate
-from repro.data.bucketing import plan_batches
+from repro.data.bucketing import plan_batches, plan_cell_batches
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.nn.serialization import load_arrays
@@ -233,16 +233,21 @@ def test_sharded_scatter_gather_match_put_state_loop(ops, cell, seed):
 # the batch paths against the per-entity loops they replaced
 # ----------------------------------------------------------------------
 def reference_bulk_load(store, dataset, batch_size):
-    """Bulk load through one ``put_state`` per entity, in plan order."""
+    """Bulk load through one ``put_state`` per entity, in plan order.
+
+    Ids and last event times are read from the dataset's sequences, not
+    from the collated batch the bulk path takes them from.
+    """
     runtime = store.runtime
     time_field = dataset.schema.time_field
     embeddings = np.zeros((len(dataset), runtime.output_dim),
                           dtype=runtime.dtype)
-    for chunk, sequences, last in runtime.run_dataset(dataset, batch_size,
-                                                      workers=1):
+    for chunk, _, last in runtime.run_dataset(dataset, batch_size,
+                                              workers=1):
         hidden = runtime.hidden_of(last)
         embeddings[chunk] = runtime.head(hidden)
-        for row, seq in enumerate(sequences):
+        for row, index in enumerate(chunk):
+            seq = dataset.sequences[index]
             store.put_state(seq.seq_id, hidden[row],
                             last[1][row] if runtime.is_lstm else None,
                             float(seq.fields[time_field][-1]))
@@ -330,10 +335,13 @@ def test_batch_paths_match_per_entity_loops(layout, cell, precision, workers,
     # A repeated id: the later sequence's state wins, at the first slot.
     history.sequences.append(dataset[4].slice(0, 3))
     batch, loop = _stores(layout, cell, precision, tmp_path)
+    # batch_size=1 keeps the 13 short histories in two cell-budget
+    # batches, so the hand-over joins batches and workers=2 fans out.
+    assert len(plan_cell_batches(history.lengths(), 1)) == 2
 
     np.testing.assert_array_equal(
-        batch.bulk_load(history, batch_size=4, workers=workers),
-        reference_bulk_load(loop, history, batch_size=4))
+        batch.bulk_load(history, batch_size=1, workers=workers),
+        reference_bulk_load(loop, history, batch_size=1))
     _assert_same_stores(batch, loop)
 
     # Known entities advance from their states, new ones from c_0.

@@ -9,9 +9,13 @@ a save/load round-trip mid-stream.
 import numpy as np
 import pytest
 
+from repro.core import embed_dataset
+from repro.data import EventSequence, SequenceDataset
+from repro.data.bucketing import BUDGET_STEPS, plan_batches, plan_cell_batches
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
-from repro.runtime import EmbeddingStore
+from repro.runtime import EmbeddingStore, FusedEncoderRuntime, engine
+from repro.serving import ShardedEmbeddingStore
 from tests.oracles import tensor_embed
 
 
@@ -154,3 +158,96 @@ class TestStoreApi:
         wide = EmbeddingStore(_encoder(dataset, "gru", hidden=14))
         with pytest.raises(ValueError, match="width"):
             wide.load(path)
+
+
+# ----------------------------------------------------------------------
+# the bulk plan: cell-budget batches store what row batches stored
+# ----------------------------------------------------------------------
+def _short_and_long():
+    """Many histories far below the cell budget's steps, a few above."""
+    short = make_churn_dataset(num_clients=200, mean_length=5, min_length=1,
+                               max_length=20, seed=4)
+    long = make_churn_dataset(num_clients=20, mean_length=100,
+                              min_length=BUDGET_STEPS + 1, max_length=150,
+                              seed=5)
+    renamed = [EventSequence(seq_id=1000 + seq.seq_id, fields=seq.fields)
+               for seq in long]
+    return SequenceDataset(short.sequences + renamed, short.schema)
+
+
+@pytest.mark.parametrize("layout", ["flat", "sharded"])
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_cell_plan_bulk_load_equals_row_plan(layout, cell, monkeypatch):
+    """Float64 embeddings and states match the 64-row plan's (< 1e-10)."""
+    mixed = _short_and_long()
+    encoder = _encoder(mixed, cell)
+
+    def store():
+        if layout == "flat":
+            return EmbeddingStore(encoder, precision="float64")
+        return ShardedEmbeddingStore(encoder, num_shards=3,
+                                     precision="float64")
+
+    cells = plan_cell_batches(mixed.lengths(), 64)
+    rows = plan_batches(mixed.lengths(), 64)
+    assert len(cells) < len(rows)
+    by_cells = store()
+    got = by_cells.bulk_load(mixed)
+    monkeypatch.setattr(engine, "plan_cell_batches", plan_batches)
+    by_rows = store()
+    want = by_rows.bulk_load(mixed)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def slots(store):
+        return [shard.backend.entity_ids()
+                for shard in getattr(store, "shards", [store])]
+
+    def states(store):
+        source = store.backend if layout == "flat" else store
+        return source.gather([seq.seq_id for seq in mixed])
+
+    assert slots(by_cells) == slots(by_rows)
+    for got_part, want_part in zip(states(by_cells), states(by_rows)):
+        if want_part is None:
+            assert got_part is None
+        else:
+            np.testing.assert_allclose(got_part, want_part, rtol=0,
+                                       atol=1e-10)
+
+
+def test_bulk_paths_reject_a_zero_length_sequence(dataset):
+    """The cell budget plans an empty history; collate rejects it."""
+    first = dataset[0]
+    empty = EventSequence(seq_id=999, fields={
+        name: values[:0] for name, values in first.fields.items()})
+    broken = SequenceDataset([first, empty], dataset.schema)
+    encoder = _encoder(dataset, "gru")
+    with pytest.raises(ValueError, match="cannot collate empty sequences"):
+        EmbeddingStore(encoder).bulk_load(broken)
+    with pytest.raises(ValueError, match="cannot collate empty sequences"):
+        embed_dataset(encoder, broken)
+
+
+def test_bulk_load_keeps_tuple_and_mixed_ids(dataset):
+    """Ids read back from the collated batch are the dataset's own."""
+    ids = [("shop", 1), 7, "7", ("shop", 2)]
+    renamed = SequenceDataset(
+        [EventSequence(seq_id=entity_id, fields=seq.fields)
+         for entity_id, seq in zip(ids, dataset)], dataset.schema)
+    encoder = _encoder(dataset, "gru")
+    for store in (EmbeddingStore(encoder),
+                  ShardedEmbeddingStore(encoder, num_shards=3)):
+        store.bulk_load(renamed)
+        for entity_id in ids:
+            assert entity_id in store
+
+
+@pytest.mark.parametrize("kind", ["gru", "transformer"])
+def test_bulk_plan_widens_recurrent_batches_only(kind):
+    """Recurrent passes run the cell plan, transformers the row plan."""
+    mixed = _short_and_long()
+    runtime = FusedEncoderRuntime(build_encoder(
+        mixed.schema, 8, kind, rng=np.random.default_rng(0)))
+    plan = plan_cell_batches if kind == "gru" else plan_batches
+    assert ([chunk.tolist() for chunk, _, _ in runtime.run_dataset(mixed)]
+            == [chunk.tolist() for chunk in plan(mixed.lengths(), 64)])
