@@ -90,10 +90,10 @@ def _training_batches(dataset, strategy, rng):
     order = rng.permutation(len(dataset))
     batches = []
     for start in range(0, len(order), BATCH_ENTITIES):
-        chunk = [dataset[i] for i in order[start:start + BATCH_ENTITIES]]
+        chunk = order[start:start + BATCH_ENTITIES]
         if len(chunk) < 2:
             continue
-        batch = augment_batch(chunk, dataset.schema, strategy, rng)
+        batch = augment_batch(dataset, chunk, strategy, rng)
         if batch is not None:
             batches.append(batch)
         if len(batches) == NUM_BATCHES:

@@ -32,7 +32,7 @@ def test_training_step_throughput(benchmark):
                                              bucket_window=4))
     optimizer = Adam(encoder.parameters(), lr=0.001)
     rng = np.random.default_rng(0)
-    batch = augment_batch(dataset.sequences, dataset.schema,
+    batch = augment_batch(dataset, np.arange(len(dataset)),
                           trainer.strategy, rng)
     events = int(batch.lengths.sum())
 

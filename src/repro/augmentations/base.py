@@ -12,11 +12,13 @@ __all__ = ["AugmentationStrategy"]
 
 
 class AugmentationStrategy:
-    """Interface: ``sample(sequence, rng) -> list[EventSequence]``.
+    """Interface: ``sample(length, rng) -> list[np.ndarray]``.
 
-    Implementations may return fewer than ``num_samples`` sub-sequences when
-    the input is too short for the configured length bounds (Algorithm 1
-    discards out-of-range draws).
+    Each view is a sorted, non-empty int64 array of positions into a
+    sequence of ``length`` events (``collate`` gathers them from the
+    dataset).  Implementations may return fewer than ``num_samples`` views
+    when the input is too short for the configured length bounds
+    (Algorithm 1 discards out-of-range draws).
     """
 
     def __init__(self, min_length, max_length, num_samples):
@@ -30,7 +32,7 @@ class AugmentationStrategy:
         self.max_length = max_length
         self.num_samples = num_samples
 
-    def sample(self, sequence, rng):
+    def sample(self, length, rng):
         raise NotImplementedError
 
     def __repr__(self):

@@ -18,19 +18,14 @@ __all__ = ["DisjointSlices"]
 class DisjointSlices(AugmentationStrategy):
     """Random partition of the sequence into contiguous segments."""
 
-    def sample(self, sequence, rng):
-        total = len(sequence)
-        if total < self.num_samples:
+    def sample(self, length, rng):
+        if length < self.num_samples:
             # Cannot cut k non-empty segments; fall back to single segments.
-            return [sequence.slice(0, total)] if total >= 1 else []
+            return [np.arange(length)] if length >= 1 else []
         cuts = np.sort(
-            rng.choice(np.arange(1, total), size=self.num_samples - 1, replace=False)
+            rng.choice(np.arange(1, length), size=self.num_samples - 1, replace=False)
         )
-        bounds = np.concatenate([[0], cuts, [total]])
-        segments = []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            length = stop - start
-            if length < self.min_length or length > self.max_length:
-                continue
-            segments.append(sequence.slice(int(start), int(stop)))
-        return segments
+        bounds = np.concatenate([[0], cuts, [length]])
+        return [np.arange(start, stop)
+                for start, stop in zip(bounds[:-1], bounds[1:])
+                if self.min_length <= stop - start <= self.max_length]

@@ -18,15 +18,14 @@ __all__ = ["RandomSamples"]
 class RandomSamples(AugmentationStrategy):
     """Order-preserving random subsets of events."""
 
-    def sample(self, sequence, rng):
-        total = len(sequence)
-        if total < 1:
+    def sample(self, length, rng):
+        if length < 1:
             return []
-        subsets = []
+        views = []
         for _ in range(self.num_samples):
-            candidate = int(rng.integers(1, total + 1))
+            candidate = int(rng.integers(1, length + 1))
             if not self.min_length <= candidate <= self.max_length:
                 continue
-            chosen = np.sort(rng.choice(total, size=candidate, replace=False))
-            subsets.append(sequence.take(chosen))
-        return subsets
+            views.append(np.sort(rng.choice(length, size=candidate,
+                                            replace=False)))
+        return views

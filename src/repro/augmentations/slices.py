@@ -9,6 +9,8 @@ Table 2.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .base import AugmentationStrategy
 
 __all__ = ["RandomSlices"]
@@ -17,31 +19,29 @@ __all__ = ["RandomSlices"]
 class RandomSlices(AugmentationStrategy):
     """Algorithm 1: random contiguous slices with rejection on length."""
 
-    def sample(self, sequence, rng):
-        total = len(sequence)
-        if total < 1:
+    def sample(self, length, rng):
+        if length < 1:
             return []
-        slices = []
+        views = []
         for _ in range(self.num_samples):
-            candidate = int(rng.integers(1, total + 1))  # uniform on [1, T]
+            candidate = int(rng.integers(1, length + 1))  # uniform on [1, T]
             if not self.min_length <= candidate <= self.max_length:
                 continue
-            start = int(rng.integers(0, total - candidate + 1))
-            slices.append(sequence.slice(start, start + candidate))
-        return slices
+            start = int(rng.integers(0, length - candidate + 1))
+            views.append(np.arange(start, start + candidate))
+        return views
 
-    def sample_guaranteed(self, sequence, rng):
+    def sample_guaranteed(self, length, rng):
         """Like :meth:`sample` but clamps lengths so short sequences still
         yield ``num_samples`` views (used when every entity must appear).
         """
-        total = len(sequence)
-        if total < 1:
+        if length < 1:
             return []
-        low = min(self.min_length, total)
-        high = min(self.max_length, total)
-        slices = []
+        low = min(self.min_length, length)
+        high = min(self.max_length, length)
+        views = []
         for _ in range(self.num_samples):
             candidate = int(rng.integers(low, high + 1))
-            start = int(rng.integers(0, total - candidate + 1))
-            slices.append(sequence.slice(start, start + candidate))
-        return slices
+            start = int(rng.integers(0, length - candidate + 1))
+            views.append(np.arange(start, start + candidate))
+        return views

@@ -41,20 +41,21 @@ class _PairPretrainer(Pretrainer):
     def _pair_features(self, emb_a, emb_b):
         return concat([emb_a, emb_b, emb_a * emb_b, emb_a - emb_b], axis=1)
 
-    def _make_pairs(self, sequences, rng):
-        """Return (first_views, second_views, labels) for one batch."""
+    def _make_pairs(self, lengths, rng):
+        """Pair views over sequences of ``lengths``: ``(first, second,
+        labels)``, each view an ``(index into lengths, positions)`` pair."""
         raise NotImplementedError
 
     def _batches(self, dataset, config, rng):
         """One epoch of collated ``(A, B, labels)`` pair batches."""
-        sequences = dataset.sequences
-        for chunk in epoch_plan(dataset.lengths(), config.batch_size,
+        lengths = dataset.lengths()
+        for chunk in epoch_plan(lengths, config.batch_size,
                                 rng=rng, bucket_window=config.bucket_window):
-            made = self._make_pairs([sequences[i] for i in chunk], rng)
+            made = self._make_pairs(lengths[chunk].tolist(), rng)
             if made is not None:
                 first, second, labels = made
-                yield (collate(first, self.schema),
-                       collate(second, self.schema), labels)
+                yield (_gather(dataset, chunk, first),
+                       _gather(dataset, chunk, second), labels)
 
     def _backward(self, fused_step, batch, rng):
         """Pair loss on one batch: the head gets its gradients from the
@@ -73,30 +74,36 @@ class _PairPretrainer(Pretrainer):
         return loss.item()
 
 
+def _gather(dataset, chunk, views):
+    """Collate ``(index into chunk, positions)`` views from the dataset."""
+    indices, positions = zip(*views)
+    return collate(dataset, rows=chunk[list(indices)], positions=positions)
+
+
 class NSP(_PairPretrainer):
     """Next-sequence-prediction pre-training."""
 
-    def _make_pairs(self, sequences, rng):
+    def _make_pairs(self, lengths, rng):
         first, second, labels = [], [], []
-        for index, seq in enumerate(sequences):
-            pair = random_slice_pair(seq, rng)
+        for index, length in enumerate(lengths):
+            pair = random_slice_pair(length, rng)
             if pair is None:
                 continue
             a, b = pair
-            if rng.random() < 0.5 or len(sequences) < 2:
-                first.append(a)
-                second.append(b)
+            if rng.random() < 0.5 or len(lengths) < 2:
+                first.append((index, a))
+                second.append((index, b))
                 labels.append(1.0)
             else:
                 # Random fragment of a *different* sequence.
                 other_index = index
                 while other_index == index:
-                    other_index = int(rng.integers(0, len(sequences)))
-                other_pair = random_slice_pair(sequences[other_index], rng)
+                    other_index = int(rng.integers(0, len(lengths)))
+                other_pair = random_slice_pair(lengths[other_index], rng)
                 if other_pair is None:
                     continue
-                first.append(a)
-                second.append(other_pair[1])
+                first.append((index, a))
+                second.append((other_index, other_pair[1]))
                 labels.append(0.0)
         if not first:
             return None
@@ -106,20 +113,20 @@ class NSP(_PairPretrainer):
 class SOP(_PairPretrainer):
     """Sequence-order-prediction pre-training."""
 
-    def _make_pairs(self, sequences, rng):
+    def _make_pairs(self, lengths, rng):
         first, second, labels = [], [], []
-        for seq in sequences:
-            pair = random_slice_pair(seq, rng)
+        for index, length in enumerate(lengths):
+            pair = random_slice_pair(length, rng)
             if pair is None:
                 continue
             a, b = pair
             if rng.random() < 0.5:
-                first.append(a)
-                second.append(b)
+                first.append((index, a))
+                second.append((index, b))
                 labels.append(1.0)  # correct order
             else:
-                first.append(b)
-                second.append(a)
+                first.append((index, b))
+                second.append((index, a))
                 labels.append(0.0)  # swapped
         if not first:
             return None

@@ -39,8 +39,7 @@ class Pretrainer:
 
     def _batches(self, dataset, config, rng):
         """One epoch of padded batches under the config's epoch plan."""
-        for batch in iterate_batches(dataset.sequences, dataset.schema,
-                                     config.batch_size, rng=rng,
+        for batch in iterate_batches(dataset, config.batch_size, rng=rng,
                                      bucket_window=config.bucket_window):
             if batch.batch_size >= 2:
                 yield batch
@@ -94,19 +93,17 @@ def truncate_tail(sequence, max_length):
     return sequence.slice(len(sequence) - max_length, len(sequence))
 
 
-def random_slice_pair(sequence, rng, min_length=5):
-    """Two consecutive slices (A, B) from one sequence, or None if too short.
+def random_slice_pair(length, rng, min_length=5):
+    """Two consecutive slices (A, B) of a sequence of ``length`` events, as
+    position arrays, or None if it is too short.
 
     Used by NSP (B follows A 50% of the time) and SOP (order prediction).
     """
-    total = len(sequence)
-    if total < 2 * min_length + 1:
+    if length < 2 * min_length + 1:
         return None
-    split = int(rng.integers(min_length, total - min_length))
+    split = int(rng.integers(min_length, length - min_length))
     a_start = int(rng.integers(0, max(split - 3 * min_length, 0) + 1))
-    b_stop = int(rng.integers(min(split + 3 * min_length, total), total + 1))
-    first = sequence.slice(a_start, split)
-    second = sequence.slice(split, b_stop)
-    if len(first) < 1 or len(second) < 1:
+    b_stop = int(rng.integers(min(split + 3 * min_length, length), length + 1))
+    if a_start == split or b_stop == split:
         return None
-    return first, second
+    return np.arange(a_start, split), np.arange(split, b_stop)

@@ -95,8 +95,7 @@ class SequenceClassifier:
 
         run_epochs(
             self, config,
-            lambda: iterate_batches(labeled.sequences, labeled.schema,
-                                    config.batch_size, rng=rng,
+            lambda: iterate_batches(labeled, config.batch_size, rng=rng,
                                     bucket_window=config.bucket_window),
             step)
         return self

@@ -17,27 +17,29 @@ from ..data.bucketing import epoch_plan
 __all__ = ["coles_batches", "augment_batch"]
 
 
-def augment_batch(sequences, schema, strategy, rng, min_views=2):
-    """Generate views for a list of entities and collate them.
+def augment_batch(dataset, rows, strategy, rng, min_views=2):
+    """Generate views of a dataset's ``rows`` and collate them.
 
-    Entities yielding fewer than ``min_views`` sub-sequences (possible
-    under Algorithm 1's rejection step) are topped up with clamped slices
-    when the strategy supports it, otherwise dropped.  Returns None when
-    fewer than two entities survive (no negative pairs possible).
+    Each view is a sorted position array into its row, drawn by
+    ``strategy.sample(length, rng)``; the batch is one gather of every
+    view from the dataset's event table (:func:`~repro.data.collate`).
+    Entities yielding fewer than ``min_views`` views (possible under
+    Algorithm 1's rejection step) are topped up with clamped slices when
+    the strategy supports it, otherwise dropped.  Returns None when fewer
+    than two entities survive (no negative pairs possible).
     """
-    views = []
-    for seq in sequences:
-        pieces = strategy.sample(seq, rng)
-        if len(pieces) < min_views and hasattr(strategy, "sample_guaranteed"):
-            pieces = strategy.sample_guaranteed(seq, rng)
-        pieces = [p for p in pieces if len(p) >= 1]
-        if len(pieces) >= min_views:
-            views.extend(pieces)
-    if not views:
+    rows = np.asarray(rows, dtype=np.int64)
+    view_rows, positions = [], []
+    for row, length in zip(rows.tolist(), dataset.lengths()[rows].tolist()):
+        views = strategy.sample(length, rng)
+        if len(views) < min_views and hasattr(strategy, "sample_guaranteed"):
+            views = strategy.sample_guaranteed(length, rng)
+        if len(views) >= min_views:
+            view_rows += [row] * len(views)
+            positions += views
+    if len(np.unique(dataset.ids[view_rows])) < 2:
         return None
-    if len(np.unique([v.seq_id for v in views])) < 2:
-        return None
-    return collate(views, schema)
+    return collate(dataset, rows=view_rows, positions=positions)
 
 
 def coles_batches(dataset, strategy, batch_size, rng, drop_last=False,
@@ -66,7 +68,6 @@ def coles_batches(dataset, strategy, batch_size, rng, drop_last=False,
                             drop_last=drop_last):
         if len(chunk) < 2:
             continue
-        batch = augment_batch([dataset[i] for i in chunk], dataset.schema,
-                              strategy, rng)
+        batch = augment_batch(dataset, chunk, strategy, rng)
         if batch is not None:
             yield batch

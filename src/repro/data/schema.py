@@ -55,20 +55,3 @@ class EventSchema:
     def field_names(self):
         """All event fields, time first, then categorical, then numerical."""
         return (self.time_field,) + tuple(self.categorical) + self.numerical
-
-    def validate_sequence(self, fields, length):
-        """Check a dict of per-event arrays against this schema."""
-        for name in self.field_names:
-            if name not in fields:
-                raise KeyError("sequence is missing field %r" % name)
-            if len(fields[name]) != length:
-                raise ValueError(
-                    "field %r has length %d, expected %d"
-                    % (name, len(fields[name]), length)
-                )
-        for name, cardinality in self.categorical.items():
-            values = fields[name]
-            if len(values) and (values.min() < 1 or values.max() >= cardinality):
-                raise ValueError(
-                    "categorical field %r out of range [1, %d)" % (name, cardinality)
-                )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequences import SequenceDataset
+from .sequences import SequenceDataset, _known
 
 __all__ = ["train_test_split", "stratified_kfold", "subsample_labels"]
 
@@ -20,13 +20,12 @@ def train_test_split(dataset, test_fraction=0.1, seed=0):
     Returns ``(train, test)`` where ``train`` keeps all unlabeled sequences.
     """
     rng = np.random.default_rng(seed)
-    labeled_idx = [i for i, seq in enumerate(dataset) if seq.is_labeled]
-    unlabeled_idx = [i for i, seq in enumerate(dataset) if not seq.is_labeled]
-    labeled_idx = np.array(labeled_idx)
+    known = _known(dataset.labels)
+    labeled_idx = np.flatnonzero(known)
     rng.shuffle(labeled_idx)
     n_test = max(1, int(round(test_fraction * len(labeled_idx))))
     test_idx = labeled_idx[:n_test]
-    train_idx = np.concatenate([labeled_idx[n_test:], np.array(unlabeled_idx, dtype=int)])
+    train_idx = np.concatenate([labeled_idx[n_test:], np.flatnonzero(~known)])
     train = dataset[np.sort(train_idx)]
     test = dataset[np.sort(test_idx)]
     train.name = dataset.name + ":train"
@@ -66,17 +65,14 @@ def subsample_labels(dataset, n_labeled, seed=0):
     their targets.
     """
     rng = np.random.default_rng(seed)
-    labeled_idx = [i for i, seq in enumerate(dataset) if seq.is_labeled]
+    labeled_idx = np.flatnonzero(_known(dataset.labels))
     if n_labeled > len(labeled_idx):
         raise ValueError(
             "requested %d labels but only %d available" % (n_labeled, len(labeled_idx))
         )
-    keep = set(rng.choice(labeled_idx, size=n_labeled, replace=False).tolist())
-    sequences = []
-    for i, seq in enumerate(dataset):
-        if seq.is_labeled and i not in keep:
-            hidden = type(seq)(seq.seq_id, seq.fields, label=None)
-            sequences.append(hidden)
-        else:
-            sequences.append(seq)
-    return SequenceDataset(sequences, dataset.schema, dataset.name + ":subsampled")
+    keep = rng.choice(labeled_idx, size=n_labeled, replace=False)
+    labels = np.full(len(dataset), None, dtype=object)
+    labels[keep] = dataset.labels[keep]
+    return SequenceDataset.from_columns(
+        dataset.schema, dataset.offsets, dataset.columns, dataset.ids, labels,
+        dataset.name + ":subsampled")

@@ -234,13 +234,11 @@ def make_retail_customers_dataset(num_clients=500, mean_length=100,
 
 def with_label_channel(dataset, channel):
     """Project a multi-task dataset onto one task's binary label."""
-    sequences = []
-    for seq in dataset:
-        label = None if seq.label is None else seq.label[channel]
-        sequences.append(EventSequence(seq.seq_id, seq.fields, label=label))
-    return SequenceDataset(
-        sequences, dataset.schema, name="%s:%s" % (dataset.name, channel)
-    )
+    labels = [None if label is None else label[channel]
+              for label in dataset.labels]
+    return SequenceDataset.from_columns(
+        dataset.schema, dataset.offsets, dataset.columns, dataset.ids, labels,
+        name="%s:%s" % (dataset.name, channel))
 
 
 def holding_pairs(dataset, num_pairs, seed=0):
@@ -252,7 +250,7 @@ def holding_pairs(dataset, num_pairs, seed=0):
     training sets.
     """
     rng = np.random.default_rng(seed)
-    holdings = np.array([seq.label["holding"] for seq in dataset])
+    holdings = np.array([label["holding"] for label in dataset.labels])
     by_holding = {}
     for position, holding in enumerate(holdings):
         by_holding.setdefault(holding, []).append(position)

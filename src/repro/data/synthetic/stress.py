@@ -78,17 +78,10 @@ def make_stress_history(num_entities, min_events=1, max_events=3,
     times = _segmented_times(lengths, gaps, starts_at)
     bounds = np.concatenate((np.zeros(1, dtype=np.int64),
                              np.cumsum(lengths, dtype=np.int64)))
-    sequences = [
-        EventSequence(
-            seq_id=entity,
-            fields={"trx_type": types[bounds[entity]:bounds[entity + 1]],
-                    "amount": amounts[bounds[entity]:bounds[entity + 1]],
-                    "event_time": times[bounds[entity]:bounds[entity + 1]]},
-            label=None,
-        )
-        for entity in range(num_entities)
-    ]
-    return SequenceDataset(sequences, STRESS_SCHEMA, name="stress")
+    return SequenceDataset.from_columns(
+        STRESS_SCHEMA, bounds,
+        {"event_time": times, "trx_type": types, "amount": amounts},
+        ids=np.arange(num_entities), name="stress")
 
 
 def make_stress_stream(history, num_active, chunks_per_entity=2,
@@ -111,9 +104,8 @@ def make_stress_stream(history, num_active, chunks_per_entity=2,
     time_field = history.schema.time_field
     active = rng.choice(len(history), size=num_active, replace=False)
     last_times = np.asarray(
-        [history[int(entity)].fields[time_field][-1] for entity in active],
-        dtype=np.float64,
-    )
+        history.columns[time_field][history.offsets[active + 1] - 1],
+        dtype=np.float64)
     num_chunks = num_active * int(chunks_per_entity)
     lengths = rng.integers(min_events, max_events + 1, size=num_chunks)
     total = int(lengths.sum())

@@ -289,12 +289,10 @@ class FusedEncoderRuntime:
         # batches of short sequences ran the transformer 9% slower.
         plan = plan_cell_batches if self.is_recurrent else plan_batches
         chunks = plan(dataset.lengths(), batch_size)
-        sequences = dataset.sequences
 
         def run(chunk):
-            """Collate and embed one planned bucket."""
-            batch = collate([sequences[i] for i in chunk.tolist()],
-                            dataset.schema)
+            """Gather and embed one planned bucket."""
+            batch = collate(dataset, rows=chunk)
             _, last = self.forward(batch)
             return chunk, batch, last
 

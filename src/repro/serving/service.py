@@ -151,7 +151,7 @@ class EmbeddingService:
             embeddings = self.store.bulk_load(
                 dataset, batch_size=batch_size or self.batch_size
             )
-            self.cache.invalidate(seq.seq_id for seq in dataset)
+            self.cache.invalidate(dataset.ids)
         return embeddings
 
     def ingest(self, events):

@@ -15,6 +15,7 @@ from .rp004_threads import ThreadFanoutMutationRule
 from .rp005_contracts import ArrayContractRule
 from .rp006_state_loops import PerEntityStateLoopRule
 from .rp007_step_sites import TrainingDriverRule
+from .rp008_event_table import PerEntityObjectRule
 
 __all__ = ["ALL_RULES", "all_rules", "rules_by_id"]
 
@@ -26,6 +27,7 @@ ALL_RULES = (
     ArrayContractRule,
     PerEntityStateLoopRule,
     TrainingDriverRule,
+    PerEntityObjectRule,
 )
 
 

@@ -25,7 +25,8 @@ from reprolint.cli import main, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-ALL_IDS = ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007")
+ALL_IDS = ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007",
+           "RP008")
 
 
 def lint_fixture(name, select):
@@ -161,6 +162,24 @@ def test_rp007_allows_the_driver_module():
     findings, _, files = lint_paths([str(FIXTURES / "rp007_bad.py")],
                                     all_rules(["RP007"]), config)
     assert files == 1
+    assert findings == []
+
+
+def test_rp008_flags_per_entity_objects_on_batch_paths():
+    findings, _ = lint_fixture("rp008_bad.py", ["RP008"])
+    messages = [f.message for f in findings]
+    assert sorted(f.line for f in findings) == [7, 13, 13, 17, 18]
+    assert sum(".sequences" in message for message in messages) == 1
+    assert sum(".offsets" in message for message in messages) == 1
+    assert sum(".columns" in message for message in messages) == 1
+    assert sum("EventSequence()" in message for message in messages) == 2
+    assert all("collate(dataset, rows=" in message for message in messages)
+
+
+def test_rp008_clean_on_table_gathers():
+    # collate by rows, lengths()/ids/labels reads, an isinstance check
+    # and an attribute store named like a layout field.
+    findings, _ = lint_fixture("rp008_good.py", ["RP008"])
     assert findings == []
 
 

@@ -49,16 +49,15 @@ class TestHelpers:
 
     def test_random_slice_pair_consecutive(self, dataset):
         rng = np.random.default_rng(0)
-        pair = random_slice_pair(dataset[0], rng)
+        pair = random_slice_pair(len(dataset[0]), rng)
         assert pair is not None
         a, b = pair
-        assert a.fields["event_time"][-1] <= b.fields["event_time"][0]
+        np.testing.assert_array_equal(np.diff(np.concatenate(pair)), 1)
+        assert a[-1] + 1 == b[0]
+        assert 0 <= a[0] and b[-1] < len(dataset[0])
 
     def test_random_slice_pair_too_short(self):
-        seq = dataset_seq = make_churn_dataset(num_clients=1, mean_length=15,
-                                               min_length=15, max_length=15,
-                                               seed=1)[0]
-        assert random_slice_pair(seq.slice(0, 5), np.random.default_rng(0)) is None
+        assert random_slice_pair(5, np.random.default_rng(0)) is None
 
 
 class TestPretrainConfig:
@@ -180,13 +179,14 @@ class TestPairTasks:
                                 rng=np.random.default_rng(1))
         model = NSP(encoder, dataset.schema, seed=0)
         rng = np.random.default_rng(0)
-        first, second, labels = model._make_pairs(dataset.sequences[:12], rng)
-        for a, b, label in zip(first, second, labels):
+        first, second, labels = model._make_pairs(
+            dataset.lengths()[:12].tolist(), rng)
+        for (row_a, a), (row_b, b), label in zip(first, second, labels):
             if label == 1.0:
-                assert a.seq_id == b.seq_id
-                assert a.fields["event_time"][-1] <= b.fields["event_time"][0]
+                assert row_a == row_b
+                assert a[-1] < b[0]
             else:
-                assert a.seq_id != b.seq_id
+                assert row_a != row_b
 
     def test_sop_pair_semantics(self, dataset):
         """SOP pairs always share the entity; the label encodes order."""
@@ -194,11 +194,12 @@ class TestPairTasks:
                                 rng=np.random.default_rng(1))
         model = SOP(encoder, dataset.schema, seed=0)
         rng = np.random.default_rng(0)
-        first, second, labels = model._make_pairs(dataset.sequences[:12], rng)
+        first, second, labels = model._make_pairs(
+            dataset.lengths()[:12].tolist(), rng)
         assert set(labels) == {0.0, 1.0}
-        for a, b, label in zip(first, second, labels):
-            assert a.seq_id == b.seq_id
-            in_order = a.fields["event_time"][-1] <= b.fields["event_time"][0]
+        for (row_a, a), (row_b, b), label in zip(first, second, labels):
+            assert row_a == row_b
+            in_order = a[-1] < b[0]
             assert in_order == bool(label)
 
     def test_nsp_loss_stays_near_or_below_chance(self, dataset):

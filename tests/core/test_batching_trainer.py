@@ -22,7 +22,7 @@ STRATEGY = RandomSlices(5, 30, 4)
 class TestAugmentBatch:
     def test_groups_have_multiple_views(self, dataset):
         rng = np.random.default_rng(0)
-        batch = augment_batch(dataset.sequences[:6], dataset.schema, STRATEGY, rng)
+        batch = augment_batch(dataset, np.arange(6), STRATEGY, rng)
         assert batch is not None
         ids, counts = np.unique(batch.seq_ids, return_counts=True)
         assert (counts >= 2).all()
@@ -30,14 +30,13 @@ class TestAugmentBatch:
 
     def test_single_entity_returns_none(self, dataset):
         rng = np.random.default_rng(0)
-        batch = augment_batch(dataset.sequences[:1], dataset.schema, STRATEGY, rng)
+        batch = augment_batch(dataset, [0], STRATEGY, rng)
         assert batch is None
 
     def test_views_inherit_entity_id(self, dataset):
         rng = np.random.default_rng(1)
-        chunk = dataset.sequences[:4]
-        batch = augment_batch(chunk, dataset.schema, STRATEGY, rng)
-        assert set(batch.seq_ids) <= {seq.seq_id for seq in chunk}
+        batch = augment_batch(dataset, np.arange(4), STRATEGY, rng)
+        assert set(batch.seq_ids) <= set(dataset.ids[:4])
 
 
 class TestColesBatches:

@@ -400,8 +400,9 @@ def test_predict_proba_paths_agree(cell):
     reference = np.zeros_like(probs)
     classifier.encoder.eval()
     with no_grad():
+        sequences = dataset.sequences
         for start in range(0, len(dataset), 5):
-            chunk = dataset.sequences[start:start + 5]
+            chunk = sequences[start:start + 5]
             batch = collate(chunk, dataset.schema)
             logits = classifier.head(classifier.encoder.embed(batch))
             reference[start:start + len(chunk)] = F.softmax(

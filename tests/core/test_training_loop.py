@@ -177,23 +177,24 @@ def test_bucket_window_buckets_every_loop(loop, dataset, monkeypatch,
     model, fit = _loop(loop, dataset.schema, num_epochs=1, batch_size=4,
                        bucket_window=2)
     if loop in ("nsp", "sop"):
-        # The pair tasks' batches are the chunks they draw pairs from.
+        # The pair tasks' batches are the chunks they draw pairs from,
+        # passed to _make_pairs as their entities' lengths.
         batches = []
         make_pairs = model._make_pairs
 
-        def recording_pairs(sequences, rng):
-            batches.append([seq.seq_id for seq in sequences])
-            return make_pairs(sequences, rng)
+        def recording_pairs(lengths, rng):
+            batches.append(list(lengths))
+            return make_pairs(lengths, rng)
 
         monkeypatch.setattr(model, "_make_pairs", recording_pairs)
         fit(dataset)
     else:
         fit(dataset)
-        batches = [_entities(batch.seq_ids) for batch in forward_batches]
-    assert sum(len(ids) >= 2 for ids in batches) >= 4
-    for ids in batches:
-        lengths = [length[i] for i in ids]
-        assert lengths == sorted(lengths, reverse=True), (ids, lengths)
+        batches = [[length[i] for i in _entities(batch.seq_ids)]
+                   for batch in forward_batches]
+    assert sum(len(lengths) >= 2 for lengths in batches) >= 4
+    for lengths in batches:
+        assert lengths == sorted(lengths, reverse=True), lengths
 
 
 @pytest.mark.parametrize("loop", ["cpc", "rtd", "nsp", "sop"])

@@ -70,23 +70,23 @@ class TestCollate:
 
 class TestIterateBatches:
     def test_covers_all_sequences(self):
-        dataset = [seq(i, 3) for i in range(10)]
+        dataset = SequenceDataset([seq(i, 3) for i in range(10)], SCHEMA)
         seen = []
-        for batch in iterate_batches(dataset, SCHEMA, batch_size=3,
+        for batch in iterate_batches(dataset, batch_size=3,
                                      rng=np.random.default_rng(0)):
             seen.extend(batch.seq_ids.tolist())
         assert sorted(seen) == list(range(10))
 
     def test_drop_last(self):
-        dataset = [seq(i, 3) for i in range(10)]
+        dataset = SequenceDataset([seq(i, 3) for i in range(10)], SCHEMA)
         batches = list(
-            iterate_batches(dataset, SCHEMA, 4, shuffle=False, drop_last=True)
+            iterate_batches(dataset, 4, shuffle=False, drop_last=True)
         )
         assert [b.batch_size for b in batches] == [4, 4]
 
     def test_no_shuffle_preserves_order(self):
-        dataset = [seq(i, 2) for i in range(6)]
-        batches = list(iterate_batches(dataset, SCHEMA, 2, shuffle=False))
+        dataset = SequenceDataset([seq(i, 2) for i in range(6)], SCHEMA)
+        batches = list(iterate_batches(dataset, 2, shuffle=False))
         assert batches[0].seq_ids.tolist() == [0, 1]
 
 
@@ -100,7 +100,7 @@ class TestSplits:
 
     def test_test_set_only_labeled(self):
         train, test = train_test_split(self.make_dataset(), 0.1, seed=1)
-        assert all(s.is_labeled for s in test)
+        assert all(s.label is not None for s in test)
 
     def test_unlabeled_all_in_train(self):
         ds = self.make_dataset()

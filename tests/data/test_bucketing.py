@@ -185,8 +185,7 @@ class TestIterators:
             dataset.sequences, dataset.schema, 8, rng=rng_a,
             window_batches=2)]
         via = [b.seq_ids.tolist() for b in iterate_batches(
-            dataset.sequences, dataset.schema, 8, rng=rng_b,
-            bucket_window=2)]
+            dataset, 8, rng=rng_b, bucket_window=2)]
         assert direct == via
 
     def test_coles_batches_bucketed_keeps_pair_semantics(self, dataset):

@@ -2,14 +2,17 @@
 
 The loop below is the reference: one slice assignment per sequence and
 field.  ``collate`` must produce equal arrays with equal dtypes on
-ragged batches — one row, length-1 rows, narrow int32/float32 inputs.
+ragged batches — one row, length-1 rows, narrow int32/float32 inputs —
+from both of its sources: a list of chunks, and a dataset's table
+gathered by rows, by contiguous positions and by non-contiguous ones.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import EventSchema, EventSequence, collate
+from repro.data import EventSchema, EventSequence, SequenceDataset, collate
 from repro.data.schema import PADDING_CODE
 
 SCHEMA = EventSchema(categorical={"mcc": 9, "channel": 4},
@@ -43,8 +46,7 @@ def _sequence(seq_id, length, rng, narrow):
     }, label=seq_id % 3 if seq_id % 2 else None)
 
 
-def _assert_matches_reference(sequences):
-    batch = collate(sequences, SCHEMA)
+def _assert_batch_matches(batch, sequences):
     fields, lengths = reference_collate(sequences, SCHEMA)
     assert list(batch.fields) == list(fields)
     for name, expected in fields.items():
@@ -57,6 +59,33 @@ def _assert_matches_reference(sequences):
     assert list(batch.labels) == [seq.label for seq in sequences]
 
 
+def _take(seq, positions):
+    return EventSequence(seq.seq_id, {name: values[positions] for name, values
+                                      in seq.fields.items()}, seq.label)
+
+
+def _assert_matches_reference(sequences, seed=0):
+    _assert_batch_matches(collate(sequences, SCHEMA), sequences)
+    # The table source: the same rows gathered from a dataset, in a
+    # shuffled order with a repeat, whole or at sorted positions.
+    dataset = SequenceDataset(sequences, SCHEMA)
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(np.r_[np.arange(len(sequences)), 0])
+    picked = [sequences[row] for row in rows]
+    _assert_batch_matches(collate(dataset, rows=rows), picked)
+    _assert_batch_matches(collate(dataset), sequences)
+    starts = [int(rng.integers(0, len(seq))) for seq in picked]
+    spans = [np.arange(start, rng.integers(start + 1, len(seq) + 1))
+             for start, seq in zip(starts, picked)]
+    _assert_batch_matches(collate(dataset, rows=rows, positions=spans),
+                          [_take(seq, span) for seq, span in zip(picked, spans)])
+    subsets = [np.sort(rng.choice(len(seq), rng.integers(1, len(seq) + 1),
+                                  replace=False)) for seq in picked]
+    _assert_batch_matches(collate(dataset, rows=rows, positions=subsets),
+                          [_take(seq, subset)
+                           for seq, subset in zip(picked, subsets)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
        narrow=st.lists(st.booleans(), min_size=7, max_size=7),
@@ -64,7 +93,7 @@ def _assert_matches_reference(sequences):
 def test_collate_matches_per_row_reference(lengths, narrow, seed):
     rng = np.random.default_rng(seed)
     _assert_matches_reference([_sequence(index, length, rng, narrow[index])
-                               for index, length in enumerate(lengths)])
+                               for index, length in enumerate(lengths)], seed)
 
 
 def test_single_row_and_length_one_rows():
@@ -90,3 +119,31 @@ def test_seq_ids_give_back_the_ids():
         assert batch.seq_ids.shape == (len(ids),)
         assert batch.seq_ids.dtype.kind == kind
         assert batch.seq_ids.tolist() == ids
+        dataset = SequenceDataset(sequences, SCHEMA)
+        assert dataset.ids.tolist() == ids
+        rows = np.arange(len(ids))[::-1]
+        batch = collate(dataset, rows=rows)
+        assert batch.seq_ids.dtype.kind == kind
+        assert batch.seq_ids.tolist() == ids[::-1]
+
+
+def test_tuple_labels_stay_one_dimensional():
+    """Tuple labels come out as a 1-D object array of the tuples, from a
+    chunk list and from a dataset alike."""
+    rng = np.random.default_rng(2)
+    sequences = [_sequence(index, 3, rng, False) for index in range(2)]
+    for seq, label in zip(sequences, [(0, 1), (1, 0)]):
+        seq.label = label
+    for batch in (collate(sequences, SCHEMA),
+                  collate(SequenceDataset(sequences, SCHEMA))):
+        assert batch.labels.shape == (2,)
+        assert batch.labels.tolist() == [(0, 1), (1, 0)]
+
+
+def test_table_source_rejects_empty_input():
+    rng = np.random.default_rng(3)
+    dataset = SequenceDataset([_sequence(0, 2, rng, False)], SCHEMA)
+    with pytest.raises(ValueError):
+        collate(dataset, rows=[])
+    with pytest.raises(ValueError):
+        collate(dataset, rows=[0], positions=[np.arange(0)])

@@ -41,18 +41,19 @@ class TestSchema:
         seq = make_sequence()
         del seq.fields["amount"]
         with pytest.raises(KeyError):
-            SCHEMA.validate_sequence(seq.fields, len(seq))
+            SequenceDataset([seq], SCHEMA)
 
     def test_validate_out_of_range_code(self):
         seq = make_sequence()
         seq.fields["mcc"] = np.zeros(5, dtype=int)  # 0 is reserved
         with pytest.raises(ValueError):
-            SCHEMA.validate_sequence(seq.fields, 5)
+            SequenceDataset([seq], SCHEMA).validate()
 
     def test_validate_length_mismatch(self):
         seq = make_sequence()
+        seq.fields["amount"] = np.ones(7)
         with pytest.raises(ValueError):
-            SCHEMA.validate_sequence(seq.fields, 7)
+            SequenceDataset([seq], SCHEMA).validate()
 
 
 class TestEventSequence:
@@ -78,27 +79,24 @@ class TestEventSequence:
         with pytest.raises(IndexError):
             seq.slice(-1, 3)
 
-    def test_take_non_contiguous(self):
-        seq = make_sequence(length=6)
-        part = seq.take([0, 2, 5])
-        np.testing.assert_allclose(part.fields["event_time"], [0, 2, 5])
-
-    def test_is_labeled(self):
-        assert make_sequence(label=0).is_labeled
-        assert not make_sequence().is_labeled
-
 
 class TestSequenceDataset:
     def test_labeled_unlabeled_partition(self):
         seqs = [make_sequence(i, label=(i if i % 2 else None)) for i in range(10)]
         ds = SequenceDataset(seqs, SCHEMA)
         assert len(ds.labeled()) + len(ds.unlabeled()) == 10
-        assert all(s.is_labeled for s in ds.labeled())
-        assert not any(s.is_labeled for s in ds.unlabeled())
+        assert all(s.label is not None for s in ds.labeled())
+        assert all(s.label is None for s in ds.unlabeled())
 
     def test_label_array_raises_on_unlabeled(self):
         ds = SequenceDataset([make_sequence(0)], SCHEMA)
         with pytest.raises(ValueError):
+            ds.label_array()
+
+    def test_label_array_names_an_unlabeled_string_id(self):
+        ds = SequenceDataset([make_sequence("a", label=1),
+                              make_sequence("b")], SCHEMA)
+        with pytest.raises(ValueError, match="'b' is unlabeled"):
             ds.label_array()
 
     def test_index_with_array_returns_dataset(self):
@@ -108,6 +106,44 @@ class TestSequenceDataset:
         assert isinstance(sub, SequenceDataset)
         assert len(sub) == 2
         assert sub[1].seq_id == 3
+
+    def test_index_with_slice_returns_dataset(self):
+        ds = SequenceDataset([make_sequence(i, length=i + 1) for i in range(5)],
+                             SCHEMA)
+        sub = ds[1:4]
+        assert [seq.seq_id for seq in sub] == [1, 2, 3]
+        np.testing.assert_array_equal(sub.lengths(), [2, 3, 4])
+
+    def test_views_give_back_the_input(self):
+        seqs = [make_sequence(i, length=i + 2, label=i % 2 or None)
+                for i in range(4)]
+        ds = SequenceDataset(seqs, SCHEMA)
+        np.testing.assert_array_equal(ds.lengths(), [2, 3, 4, 5])
+        assert ds.ids.tolist() == [0, 1, 2, 3]
+        for view, seq in zip(ds.sequences, seqs):
+            assert (view.seq_id, view.label) == (seq.seq_id, seq.label)
+            assert list(view.fields) == list(SCHEMA.field_names)
+            for name in SCHEMA.field_names:
+                np.testing.assert_array_equal(view.fields[name],
+                                              seq.fields[name])
+                assert view.fields[name].dtype == seq.fields[name].dtype
+        assert ds[-1].seq_id == 3
+        with pytest.raises(IndexError):
+            ds[4]
+
+    def test_from_columns_adopts_arrays(self):
+        ds = SequenceDataset([make_sequence(i, length=3) for i in range(2)],
+                             SCHEMA)
+        adopted = SequenceDataset.from_columns(SCHEMA, ds.offsets, ds.columns,
+                                               ds.ids, name="adopted")
+        assert adopted.columns["amount"] is ds.columns["amount"]
+        assert adopted.labels.tolist() == [None, None]
+        with pytest.raises(KeyError):
+            SequenceDataset.from_columns(SCHEMA, ds.offsets, {}, ds.ids)
+        short = dict(ds.columns, amount=ds.columns["amount"][:-1])
+        with pytest.raises(ValueError):
+            SequenceDataset.from_columns(SCHEMA, ds.offsets, short,
+                                         ds.ids).validate()
 
     def test_validate_passes_on_good_data(self):
         ds = SequenceDataset([make_sequence(i) for i in range(3)], SCHEMA)

@@ -118,7 +118,7 @@ class TestPublicWorlds:
     def test_schema_conformance_and_classes(self, maker, num_classes):
         ds = maker(num_clients=60, seed=0)
         ds.validate()
-        labels = [s.label for s in ds if s.is_labeled]
+        labels = [s.label for s in ds if s.label is not None]
         assert set(labels) <= set(range(num_classes))
         assert len(set(labels)) == num_classes
 

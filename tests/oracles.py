@@ -107,8 +107,9 @@ def tensor_embed(encoder, dataset, batch_size=64):
     encoder.eval()
     embeddings = np.zeros((len(dataset), encoder.output_dim))
     with no_grad():
+        sequences = dataset.sequences
         for start in range(0, len(dataset), batch_size):
-            chunk = dataset.sequences[start:start + batch_size]
+            chunk = sequences[start:start + batch_size]
             batch = collate(chunk, dataset.schema)
             embeddings[start:start + len(chunk)] = encoder.embed(batch).data
     return embeddings

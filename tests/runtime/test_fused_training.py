@@ -243,7 +243,7 @@ def _coles_batch(seed=3):
     dataset = make_churn_dataset(num_clients=8, mean_length=30, min_length=8,
                                  max_length=60, seed=seed)
     rng = np.random.default_rng(seed)
-    batch = augment_batch(dataset.sequences, dataset.schema,
+    batch = augment_batch(dataset, np.arange(len(dataset)),
                           RandomSlices(5, 25, 3), rng)
     assert batch is not None
     return dataset, batch

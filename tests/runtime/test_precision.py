@@ -27,6 +27,7 @@ from repro.core import embed_dataset
 from repro.core.batching import augment_batch
 from repro.data.batches import collate
 from repro.data.bucketing import plan_cell_batches
+from repro.data import SequenceDataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.losses import ContrastiveLoss
@@ -131,8 +132,8 @@ def test_float32_train_step_bounded_vs_float64(dataset, cell):
     loss: the loss and every parameter gradient — BPTT's and the
     embedding tables' included — agree within ``F32_STEP_RTOL``.
     """
-    batch = augment_batch(dataset.sequences[:8], dataset.schema,
-                          RandomSlices(5, 25, 3), np.random.default_rng(3))
+    batch = augment_batch(dataset, np.arange(8), RandomSlices(5, 25, 3),
+                          np.random.default_rng(3))
     encoder = build_encoder(dataset.schema, 16, cell,
                             rng=np.random.default_rng(1))
     encoder.train()
@@ -274,8 +275,9 @@ def test_snapshot_restores_across_precisions(dataset, cell, tmp_path):
     """A state bundle written under one policy loads under the other
     and keeps streaming within the drift bound."""
     encoder = _encoder(dataset, cell)
-    half = dataset[np.arange(len(dataset))]
-    half.sequences = [seq.slice(0, len(seq) // 2) for seq in dataset]
+    half = SequenceDataset(
+        [seq.slice(0, len(seq) // 2) for seq in dataset],
+        dataset.schema, dataset.name)
     f64 = EmbeddingStore(encoder, precision="float64")
     f64.bulk_load(half)
     path = tmp_path / "store_state"

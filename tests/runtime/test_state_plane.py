@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import SequenceDataset
 from repro.data.batches import collate
 from repro.data.bucketing import plan_batches, plan_cell_batches
 from repro.data.synthetic import make_churn_dataset
@@ -242,12 +243,13 @@ def reference_bulk_load(store, dataset, batch_size):
     time_field = dataset.schema.time_field
     embeddings = np.zeros((len(dataset), runtime.output_dim),
                           dtype=runtime.dtype)
+    sequences = dataset.sequences
     for chunk, _, last in runtime.run_dataset(dataset, batch_size,
                                               workers=1):
         hidden = runtime.hidden_of(last)
         embeddings[chunk] = runtime.head(hidden)
         for row, index in enumerate(chunk):
-            seq = dataset.sequences[index]
+            seq = sequences[index]
             store.put_state(seq.seq_id, hidden[row],
                             last[1][row] if runtime.is_lstm else None,
                             float(seq.fields[time_field][-1]))
@@ -330,10 +332,10 @@ def test_batch_paths_match_per_entity_loops(layout, cell, precision, workers,
                                             tmp_path):
     dataset = _DATASET
     schema = dataset.schema
-    history = dataset[np.arange(len(dataset))]
-    history.sequences = [seq.slice(0, len(seq) // 2) for seq in dataset]
     # A repeated id: the later sequence's state wins, at the first slot.
-    history.sequences.append(dataset[4].slice(0, 3))
+    history = SequenceDataset(
+        [seq.slice(0, len(seq) // 2) for seq in dataset]
+        + [dataset[4].slice(0, 3)], schema, dataset.name)
     batch, loop = _stores(layout, cell, precision, tmp_path)
     # batch_size=1 keeps the 13 short histories in two cell-budget
     # batches, so the hand-over joins batches and workers=2 fans out.

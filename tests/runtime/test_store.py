@@ -61,8 +61,9 @@ class TestBulkAndIncremental:
     def test_bulk_then_incremental_continuation(self, dataset, cell):
         """States captured by bulk_load support continued streaming."""
         encoder = _encoder(dataset, cell)
-        truncated = dataset[np.arange(len(dataset))]
-        truncated.sequences = [seq.slice(0, len(seq) - 5) for seq in dataset]
+        truncated = SequenceDataset(
+            [seq.slice(0, len(seq) - 5) for seq in dataset],
+            dataset.schema, dataset.name)
         store = EmbeddingStore(encoder, precision="float64")
         store.bulk_load(truncated)
         full = tensor_embed(encoder, dataset)
@@ -75,8 +76,9 @@ class TestBulkAndIncremental:
     def test_save_load_roundtrip(self, dataset, cell, tmp_path):
         encoder = _encoder(dataset, cell)
         store = EmbeddingStore(encoder, precision="float64")
-        half = dataset[np.arange(len(dataset))]
-        half.sequences = [seq.slice(0, len(seq) // 2) for seq in dataset]
+        half = SequenceDataset(
+            [seq.slice(0, len(seq) // 2) for seq in dataset],
+            dataset.schema, dataset.name)
         store.bulk_load(half)
         path = tmp_path / "store_state"
         store.save(path)

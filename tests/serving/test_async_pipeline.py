@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.inference import embed_dataset
-from repro.data.sequences import EventSequence
+from repro.data.sequences import EventSequence, SequenceDataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.serving import (
@@ -107,12 +107,12 @@ class TestAsyncEquivalence:
         """Querying while the flusher races (triggering partial flushes
         of buffered entities) keeps the float64 drift contract."""
         service = _service(dataset, cell, precision="float64")
-        history = dataset[np.arange(len(dataset))]
-        history.sequences = [seq.slice(0, 2 * len(seq) // 3)
-                             for seq in dataset]
-        tails = dataset[np.arange(len(dataset))]
-        tails.sequences = [seq.slice(2 * len(seq) // 3, len(seq))
-                           for seq in dataset]
+        history = SequenceDataset(
+            [seq.slice(0, 2 * len(seq) // 3) for seq in dataset],
+            dataset.schema, dataset.name)
+        tails = SequenceDataset(
+            [seq.slice(2 * len(seq) // 3, len(seq)) for seq in dataset],
+            dataset.schema, dataset.name)
         service.bulk_load(history)
         ids = [seq.seq_id for seq in dataset]
         stop = threading.Event()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.inference import embed_dataset, serve
 from repro.data.bucketing import plan_batches
-from repro.data.sequences import EventSequence
+from repro.data.sequences import EventSequence, SequenceDataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.serving import (
@@ -59,12 +59,12 @@ class TestReplayEquivalence:
     def test_bulk_load_then_stream_matches(self, dataset, cell):
         """Day-0 bulk load + streamed tails — the production ETL shape."""
         encoder = _encoder(dataset, cell)
-        history = dataset[np.arange(len(dataset))]
-        history.sequences = [seq.slice(0, 2 * len(seq) // 3)
-                             for seq in dataset]
-        tails = dataset[np.arange(len(dataset))]
-        tails.sequences = [seq.slice(2 * len(seq) // 3, len(seq))
-                           for seq in dataset]
+        history = SequenceDataset(
+            [seq.slice(0, 2 * len(seq) // 3) for seq in dataset],
+            dataset.schema, dataset.name)
+        tails = SequenceDataset(
+            [seq.slice(2 * len(seq) // 3, len(seq)) for seq in dataset],
+            dataset.schema, dataset.name)
 
         service = serve(encoder, dataset=history, num_shards=3,
                         flush_events=32, precision="float64")
@@ -90,8 +90,9 @@ class TestCacheBehaviour:
         ingest -> flush invalidates, and a query that races buffered
         events flushes first."""
         encoder = _encoder(dataset, "gru")
-        history = dataset[np.arange(len(dataset))]
-        history.sequences = [seq.slice(0, len(seq) - 5) for seq in dataset]
+        history = SequenceDataset(
+            [seq.slice(0, len(seq) - 5) for seq in dataset],
+            dataset.schema, dataset.name)
         service = serve(encoder, dataset=history, flush_events=10_000,
                         precision="float64")
         seq = dataset[0]
@@ -107,8 +108,9 @@ class TestCacheBehaviour:
         np.testing.assert_allclose(fresh, full[0], atol=1e-10)
 
     def test_explicit_flush_invalidates_cached_entries(self, dataset):
-        history = dataset[np.arange(len(dataset))]
-        history.sequences = [seq.slice(0, len(seq) - 3) for seq in dataset]
+        history = SequenceDataset(
+            [seq.slice(0, len(seq) - 3) for seq in dataset],
+            dataset.schema, dataset.name)
         service = serve(_encoder(dataset, "gru"), dataset=history,
                         flush_events=10_000)
         seq = dataset[1]
@@ -219,8 +221,9 @@ class TestMicroBatcher:
 class TestServicePersistence:
     def test_save_flushes_and_roundtrips(self, dataset, tmp_path):
         encoder = _encoder(dataset, "gru")
-        history = dataset[np.arange(len(dataset))]
-        history.sequences = [seq.slice(0, len(seq) - 4) for seq in dataset]
+        history = SequenceDataset(
+            [seq.slice(0, len(seq) - 4) for seq in dataset],
+            dataset.schema, dataset.name)
         service = serve(encoder, dataset=history, num_shards=4,
                         flush_events=10_000)
         seq = dataset[2]
@@ -235,8 +238,9 @@ class TestServicePersistence:
 
     def test_load_refuses_pending_events(self, dataset, tmp_path):
         encoder = _encoder(dataset, "gru")
-        history = dataset[np.arange(len(dataset))]
-        history.sequences = [seq.slice(0, len(seq) - 3) for seq in dataset]
+        history = SequenceDataset(
+            [seq.slice(0, len(seq) - 3) for seq in dataset],
+            dataset.schema, dataset.name)
         service = serve(encoder, dataset=history, num_shards=2)
         service.save(tmp_path / "svc")
         seq = dataset[0]

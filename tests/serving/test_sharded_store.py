@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.data import SequenceDataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
 from repro.runtime import EmbeddingStore
@@ -149,8 +150,9 @@ class TestShardedPersistence:
         encoder = _encoder(dataset, cell)
         store = ShardedEmbeddingStore(encoder, num_shards=4,
                                        precision="float64")
-        half = dataset[np.arange(len(dataset))]
-        half.sequences = [seq.slice(0, len(seq) // 2) for seq in dataset]
+        half = SequenceDataset(
+            [seq.slice(0, len(seq) // 2) for seq in dataset],
+            dataset.schema, dataset.name)
         store.bulk_load(half)
         snapshot_dir = tmp_path / "shards"
         store.save(snapshot_dir)

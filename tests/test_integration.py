@@ -110,3 +110,41 @@ class TestSchemaSafety(object):
         churn = make_churn_dataset(num_clients=5, seed=0)
         with pytest.raises(ValueError, match="different schema"):
             trained_coles.embed(churn)
+
+
+def test_batch_paths_collate_through_module_globals(monkeypatch):
+    """The bulk, flush, iterate and CoLES paths call ``collate`` (and the
+    CoLES epoch ``augment_batch``) through the module globals an outside
+    tracer swaps: a path that binds its own reference would bypass it."""
+    from repro.augmentations import RandomSlices
+    from repro.core import batching, coles_batches
+    from repro.data import batches, iterate_batches
+    from repro.encoders import build_encoder
+    from repro.runtime import engine, store
+
+    calls = {}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    sites = [(batches, "collate"), (engine, "collate"), (store, "collate"),
+             (batching, "collate"), (batching, "augment_batch")]
+    for module, name in sites:
+        monkeypatch.setattr(module, name, counting(
+            (module.__name__, name), getattr(module, name)))
+
+    dataset = make_churn_dataset(num_clients=12, mean_length=20,
+                                 min_length=10, max_length=30, seed=1)
+    encoder = build_encoder(dataset.schema, 8, "gru",
+                            rng=np.random.default_rng(0))
+    encoder.eval()
+    embed_dataset(encoder, dataset)
+    EmbeddingStore(encoder).update_many(
+        [seq.slice(0, 3) for seq in dataset], dataset.schema)
+    list(iterate_batches(dataset, 4, rng=np.random.default_rng(0)))
+    list(coles_batches(dataset, RandomSlices(3, 10, 3), 4,
+                       np.random.default_rng(0)))
+    assert set(calls) == {(module.__name__, name) for module, name in sites}
