@@ -14,6 +14,8 @@ states and the leaf gradient feeds back through
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..encoders import RnnSeqEncoder, TrxEncoder
@@ -28,51 +30,46 @@ def corrupt_batch(batch, schema, replace_prob, rng):
     """Replace a fraction of events with events from other rows.
 
     Event times are kept (replacement would break monotonicity); all other
-    fields of the chosen positions are overwritten by a random *valid*
-    donor position from a different row.  Returns the corrupted fields and
-    the boolean replacement-target matrix.
+    fields of the chosen events are overwritten by a random *valid*
+    donor event from a different row.  Returns the corrupted twin of
+    ``batch`` (a new batch over corrupted copies of its flat fields) and
+    the boolean ``(B, T)`` replacement-target matrix.
 
-    Donors are drawn vectorised: one uniform draw over all valid
-    positions per target, with same-row picks redrawn (rejection
+    Works on the batch's flat fields, whose events run in the mask's
+    row-major order.  Donors are drawn vectorised: one uniform draw over
+    all valid events per target, with same-row picks redrawn (rejection
     sampling) — the donor distribution is exactly uniform over the other
     rows' valid events, as the old per-position loop produced, without
     the O(replacements x valid_events) Python work.
     """
     if not 0.0 < replace_prob < 1.0:
         raise ValueError("replace_prob must be in (0, 1)")
-    mask = batch.mask
-    valid_b, valid_t = np.nonzero(mask)
-    replaced = np.zeros_like(mask)
-    fields = {name: values.copy() for name, values in batch.fields.items()}
-    if batch.batch_size < 2:
-        return fields, replaced
-
-    chosen = rng.random(len(valid_b)) < replace_prob
-    target_rows = valid_b[chosen]
-    target_cols = valid_t[chosen]
-    # A target is only corruptible when some OTHER row has a valid
-    # event to donate (collated batches always do; hand-built ones may
-    # concentrate every valid event in one row) — without this filter
-    # the redraw loop below could never terminate.
-    row_valid = mask.sum(axis=1)
-    has_donor = row_valid[target_rows] < len(valid_b)
-    target_rows = target_rows[has_donor]
-    target_cols = target_cols[has_donor]
-    if len(target_rows) == 0:
-        return fields, replaced
-    picks = rng.integers(0, len(valid_b), size=len(target_rows))
-    same_row = np.flatnonzero(valid_b[picks] == target_rows)
-    while len(same_row):
-        picks[same_row] = rng.integers(0, len(valid_b), size=len(same_row))
-        same_row = same_row[valid_b[picks[same_row]] == target_rows[same_row]]
-    donor_rows, donor_cols = valid_b[picks], valid_t[picks]
-    for name in fields:
-        if name == schema.time_field:
-            continue
-        fields[name][target_rows, target_cols] = \
-            batch.fields[name][donor_rows, donor_cols]
-    replaced[target_rows, target_cols] = True
-    return fields, replaced
+    lengths = batch.lengths
+    cell_rows = np.repeat(np.arange(len(lengths)), lengths)
+    fields = {name: values.copy() for name, values in batch.flat_fields.items()}
+    replaced = np.zeros(len(cell_rows), dtype=bool)
+    if batch.batch_size >= 2:
+        chosen = np.flatnonzero(rng.random(len(cell_rows)) < replace_prob)
+        # A target is only corruptible when some OTHER row has a valid
+        # event to donate (collated batches always do; hand-built ones
+        # may concentrate every valid event in one row) — without this
+        # filter the redraw loop below could never terminate.
+        targets = chosen[lengths[cell_rows[chosen]] < len(cell_rows)]
+        if len(targets):
+            donors = rng.integers(0, len(cell_rows), size=len(targets))
+            same_row = np.flatnonzero(cell_rows[donors] == cell_rows[targets])
+            while len(same_row):
+                donors[same_row] = rng.integers(0, len(cell_rows),
+                                                size=len(same_row))
+                same_row = same_row[cell_rows[donors[same_row]]
+                                    == cell_rows[targets[same_row]]]
+            for name in fields:
+                if name != schema.time_field:
+                    fields[name][targets] = batch.flat_fields[name][donors]
+            replaced[targets] = True
+    grid = np.zeros(batch.mask.shape, dtype=bool)
+    grid[batch.mask] = replaced
+    return replace(batch, flat_fields=fields), grid
 
 
 class RTD(Pretrainer):
@@ -105,25 +102,12 @@ class RTD(Pretrainer):
         targets = replaced[rows, cols].astype(np.float64)
         return F.binary_cross_entropy_with_logits(picked_logits, targets)
 
-    def _corrupted(self, batch, rng):
-        """The corrupted twin of ``batch`` plus its replacement targets."""
-        corrupted_fields, replaced = corrupt_batch(
-            batch, self.schema, self.replace_prob, rng
-        )
-        corrupted = type(batch)(
-            fields=corrupted_fields,
-            lengths=batch.lengths,
-            seq_ids=batch.seq_ids,
-            labels=batch.labels,
-            schema=batch.schema,
-        )
-        return corrupted, replaced
-
     def _backward(self, fused_step, batch, rng):
         """Detection loss on a corrupted twin of the batch: the head gets
         its gradients from the autograd graph, which stops at the states
         leaf, and the encoder gets them from the fused BPTT."""
-        corrupted, replaced = self._corrupted(batch, rng)
+        corrupted, replaced = corrupt_batch(batch, self.schema,
+                                            self.replace_prob, rng)
         cache = fused_step.forward(corrupted)
         states = Tensor(cache.states, requires_grad=True)
         loss = self._detection_loss(states, replaced, batch.mask)

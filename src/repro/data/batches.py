@@ -1,14 +1,17 @@
 """Padded batches: the tensor form of a dataset's rows or of event chunks.
 
-Sequences of different lengths are right-padded to the batch maximum.
-Categorical fields pad with the reserved code 0, numerical fields with 0.0,
-and a boolean mask marks real events.  All downstream modules (encoders,
-losses, baselines) consume this structure.
+A batch stores its events as flat per-field arrays, row after row (the
+layout of the dataset's event table), plus the rows' lengths.  The
+padded ``(B, T)`` view — sequences right-padded to the longest row,
+categorical fields with the reserved code 0, numerical fields with 0.0,
+and a boolean mask marking real events — is built on first read.  The
+fused recurrent training step reads the flat arrays only; inference,
+transformers and the autograd modules read the padded view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,25 +23,38 @@ __all__ = ["PaddedBatch", "collate", "iterate_batches"]
 
 @dataclass
 class PaddedBatch:
-    """A batch of padded sequences.
+    """A batch of event sequences, stored flat and padded on demand.
 
     Attributes
     ----------
-    fields:
-        Mapping field name -> array of shape ``(B, T)``.
+    flat_fields:
+        Mapping field name -> array of shape ``(N,)``, ``N =
+        lengths.sum()``: row 0's events, then row 1's, and so on, in the
+        padded view's row-major cell order.
     lengths:
         True sequence lengths, shape ``(B,)``.
     seq_ids:
         Entity ids, shape ``(B,)`` — used to build positive pairs.
     labels:
         Object array of labels (None where unlabeled).
+
+    :attr:`fields` and :attr:`mask` are built from these on first read
+    and cached: change a batch by building a new one, not by writing
+    into either view.
     """
 
-    fields: dict
+    flat_fields: dict
     lengths: np.ndarray
     seq_ids: np.ndarray
     labels: np.ndarray
     schema: object = None  # the EventSchema the batch was collated under
+    # The cached padded views.  Not functools.cached_property: before
+    # Python 3.12 it serialises first reads of all instances on one lock,
+    # and bulk-pass workers each build their own batch's grid.
+    _mask: np.ndarray = field(default=None, init=False, repr=False,
+                              compare=False)
+    _fields: dict = field(default=None, init=False, repr=False,
+                          compare=False)
 
     @property
     def batch_size(self):
@@ -46,13 +62,35 @@ class PaddedBatch:
 
     @property
     def max_length(self):
-        return 0 if not self.fields else next(iter(self.fields.values())).shape[1]
+        """The padded width ``T``, the longest row (builds no grid)."""
+        return int(self.lengths.max()) if len(self.lengths) else 0
 
     @property
     def mask(self):
         """Boolean ``(B, T)``: True at real (non-padded) positions."""
-        steps = np.arange(self.max_length)
-        return steps[None, :] < self.lengths[:, None]
+        if self._mask is None:
+            self._mask = np.arange(self.max_length) < self.lengths[:, None]
+        return self._mask
+
+    @property
+    def fields(self):
+        """Mapping field name -> padded array of shape ``(B, T)``.
+
+        Real events fill each row from the left, so the mask's True
+        cells, in row-major order, take the flat values.  Padding is
+        :data:`PADDING_CODE` for integer fields and 0.0 for the others.
+        """
+        if self._fields is None:
+            mask, grid = self.mask, {}
+            for name, flat in self.flat_fields.items():
+                if flat.dtype.kind in "iu":
+                    padded = np.full(mask.shape, PADDING_CODE, dtype=flat.dtype)
+                else:
+                    padded = np.zeros(mask.shape, dtype=flat.dtype)
+                padded[mask] = flat
+                grid[name] = padded
+            self._fields = grid
+        return self._fields
 
     def label_array(self):
         if any(label is None for label in self.labels):
@@ -61,18 +99,19 @@ class PaddedBatch:
 
 
 def collate(source, schema=None, rows=None, positions=None):
-    """Pad event sequences into one :class:`PaddedBatch`.
+    """Gather event sequences into one :class:`PaddedBatch`.
 
     From a :class:`~repro.data.SequenceDataset` (``schema`` defaults to
     its own) the batch holds ``rows`` (default: all; a row may repeat),
     and with ``positions`` row ``k`` holds only the sorted positions
     ``positions[k]`` of its row (a CoLES view): one take per field.  From
     a list of :class:`~repro.data.EventSequence` chunks (flushes) the
-    chunks' fields are concatenated.  Either way one assignment per field
-    fills the ``(B, T)`` grid: categorical fields as int64 padded with
-    :data:`PADDING_CODE`, others as float64 padded with 0.0.  ``seq_ids``
-    follow the ``_id_array`` rule and ``labels`` is a 1-D object array.
-    Raises ``ValueError`` for no rows or a row without events.
+    chunks' fields are concatenated.  Either way the gathered flat arrays
+    are the batch's storage, categorical fields as int64 and the others
+    as float64; the padded ``(B, T)`` grid is built when first read.
+    ``seq_ids`` follow the ``_id_array`` rule and ``labels`` is a 1-D
+    object array.  Raises ``ValueError`` for no rows or a row without
+    events.
     """
     if not (len(source) if rows is None else len(rows)):
         raise ValueError("cannot collate an empty list of sequences")
@@ -96,20 +135,11 @@ def collate(source, schema=None, rows=None, positions=None):
         labels = np.fromiter((seq.label for seq in source), dtype=object, count=len(source))
     if lengths.min() < 1:
         raise ValueError("cannot collate empty sequences")
-    shape = (len(lengths), int(lengths.max()))
-    # Real events fill each row from the left: in row-major order the
-    # True cells of the mask take the flat field values.
-    mask = np.arange(shape[1]) < lengths[:, None]
-    batch_fields = {}
-    for name, flat in values.items():
-        if name in schema.categorical:
-            padded = np.full(shape, PADDING_CODE, dtype=np.int64)
-        else:
-            padded = np.zeros(shape, dtype=np.float64)
-        padded[mask] = flat
-        batch_fields[name] = padded
-    return PaddedBatch(fields=batch_fields, lengths=lengths, seq_ids=seq_ids,
-                       labels=labels, schema=schema)
+    flat_fields = {name: flat.astype(np.int64 if name in schema.categorical
+                                     else np.float64, copy=False)
+                   for name, flat in values.items()}
+    return PaddedBatch(flat_fields=flat_fields, lengths=lengths,
+                       seq_ids=seq_ids, labels=labels, schema=schema)
 
 
 def iterate_batches(dataset, batch_size, rng=None, shuffle=True,

@@ -62,12 +62,7 @@ class TrxEncoder(Module):
         sequence's first event (used by incremental inference so the
         boundary time-delta matches a full recompute).
         """
-        columns = []
-        for name in self._numeric_fields:
-            values = batch.fields[name]
-            if self.numeric_transform == "log1p":
-                values = np.sign(values) * np.log1p(np.abs(values))
-            columns.append(values)
+        deltas = None
         if self.use_time_delta:
             times = batch.fields[self.schema.time_field]
             if prev_times is None:
@@ -76,6 +71,31 @@ class TrxEncoder(Module):
                 prepend = np.asarray(prev_times, dtype=np.float64).reshape(-1, 1)
             deltas = np.diff(times, axis=1, prepend=prepend)
             deltas = deltas * batch.mask  # zero deltas at padding
+        return self._stack_numeric(batch.fields, deltas)
+
+    def _numeric_cells(self, batch):
+        """``_numeric_array(batch)[batch.mask]`` as ``(N, F)`` rows, read
+        from the batch's flat fields without building its grid."""
+        deltas = None
+        if self.use_time_delta:
+            times = batch.flat_fields[self.schema.time_field]
+            deltas = np.diff(times, prepend=times[:1])
+            # Each row's first event has no predecessor in the row.
+            lengths = batch.lengths
+            firsts = np.cumsum(lengths) - lengths
+            deltas[firsts[lengths > 0]] = 0.0
+        return self._stack_numeric(batch.flat_fields, deltas)
+
+    def _stack_numeric(self, fields, deltas):
+        """The transformed numeric fields and the time deltas, stacked on
+        a new last axis; elementwise, so any layout of ``fields``."""
+        columns = []
+        for name in self._numeric_fields:
+            values = fields[name]
+            if self.numeric_transform == "log1p":
+                values = np.sign(values) * np.log1p(np.abs(values))
+            columns.append(values)
+        if deltas is not None:
             columns.append(np.log1p(np.maximum(deltas, 0.0)))
         return np.stack(columns, axis=-1)
 
@@ -89,7 +109,7 @@ class TrxEncoder(Module):
             raise ValueError(
                 "batch was collated under a different schema than this "
                 "encoder was built for (fields %s vs %s)"
-                % (sorted(batch.fields), list(self.schema.field_names))
+                % (sorted(batch.flat_fields), list(self.schema.field_names))
             )
 
     def forward(self, batch, prev_times=None):

@@ -11,7 +11,7 @@ and per timestep.  These kernels drop to raw numpy instead:
 - padding is never stepped: rows run longest-first and each step
   operates on the *active* row prefix only — the numpy analogue of
   cuDNN's packed sequences.  The training kernels go one step further
-  and never touch a padded cell at all (see below); the inference
+  and never see a padded cell at all (see below); the inference
   forwards project the padded cells of their ``(T, B)`` grid, a few
   percent of a length-bucketed batch, and store nothing per cell.
 
@@ -58,24 +58,27 @@ Two kernel families share those tricks:
 - **inference**: :func:`gru_forward` / :func:`lstm_forward` /
   :func:`rnn_forward` and :func:`encode_events` — forward only, nothing
   retained;
-- **training**: :func:`gru_forward_train` / :func:`lstm_forward_train`
-  stash the per-cell gate blocks and previous states a backward pass
-  needs (in the plan dtype), and :func:`gru_backward` /
-  :func:`lstm_backward` run hand-derived BPTT over that cache — loss
-  gradient in, weight gradients out, no graph ever built.  Both work in
-  one **packed cell layout**: the ``N = lengths.sum()`` real cells of
-  the ``(B, T)`` grid, time-major and longest-first within a step, so
-  step ``t``'s active rows are one contiguous range of every ``(N, ·)``
-  array, and one flat ``row * T + step`` index per call maps each cell
-  back to the caller's grid.  The forward gathers the real cells' events
-  once and projects only them; the state lives in a ``(B, H)`` buffer.
-  Pre-activation gradients fill one ``(N, 4H)`` buffer whose
-  recurrent-side and input-side parts are each one contiguous column
-  range, so the weight, bias and input gradients are a few big GEMMs
-  over the real cells at the end, with no concatenated copy; ``d_x`` is
-  scattered into a zero grid.  Per-step gradients of padded steps read
-  the row's frozen final state, so they fold into the final-state
-  gradient before BPTT starts.
+- **training**: :func:`encode_cells_train` encodes a batch's real
+  cells from its flat fields, :func:`gru_forward_train` /
+  :func:`lstm_forward_train` stash the per-cell gate blocks and previous
+  states a backward pass needs (in the plan dtype), and
+  :func:`gru_backward` / :func:`lstm_backward` run hand-derived BPTT over
+  that cache — loss gradient in, weight gradients out, no graph ever
+  built.  No ``(B, T)`` grid is built on this path.  The training
+  forwards take the ``N = lengths.sum()`` real cells as ``(N, D)`` rows
+  in row-major order (a grid's ``x[mask]``) plus ``lengths``, and gather
+  them once into one **packed cell layout**: time-major and
+  longest-first within a step, so step ``t``'s active rows are one
+  contiguous range of every ``(N, ·)`` array, and ``order`` maps each
+  packed cell back to the caller's row-major cells.  The state lives in
+  a ``(B, H)`` buffer.  Pre-activation gradients fill one ``(N, 4H)``
+  buffer whose recurrent-side and input-side parts are each one
+  contiguous column range, so the weight, bias and input gradients are
+  a few big GEMMs over the real cells at the end, with no concatenated
+  copy; ``d_x`` comes back as ``(N, D)`` rows in the caller's order
+  through one permutation assignment.  Per-step gradients (a ``(B, T,
+  H)`` grid) of padded steps read the row's frozen final state, so they
+  fold into the final-state gradient before BPTT starts.
 
 **Factored BPTT.**  Every gate gradient is the carried state gradient
 ``dh`` (for three LSTM blocks, the cell gradient ``dc``) times a factor
@@ -102,6 +105,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data.schema import PADDING_CODE
+
 __all__ = [
     "PRECISIONS",
     "resolve_precision",
@@ -117,6 +122,7 @@ __all__ = [
     "lstm_forward",
     "encode_events",
     "encode_events_train",
+    "encode_cells_train",
     "RnnTrainCache",
     "rnn_forward_train",
     "gru_forward_train",
@@ -344,7 +350,7 @@ def build_encode_plan(trx_encoder, precision="float64"):
 # ----------------------------------------------------------------------
 
 def _schedule(x, lengths, mask):
-    """The packed schedule of one kernel call: ``(perm, counts)``.
+    """The packed schedule of one inference call: ``(perm, counts)``.
 
     ``perm`` is the stable longest-first row order (None when the rows
     already run longest-first) and ``counts`` the list of active row
@@ -371,6 +377,15 @@ def _schedule(x, lengths, mask):
                 "for the first lengths[b] steps of row b)")
     if lengths is None:
         return None, [batch] * steps
+    return _row_order(lengths, steps)
+
+
+def _row_order(lengths, steps):
+    """``(perm, counts)`` of :func:`_schedule` for ``(B,)`` intp lengths.
+
+    Raises ``ValueError`` unless every length lies in ``[0, steps]``.
+    """
+    batch = len(lengths)
     perm = None
     if batch > 1 and np.any(lengths[1:] > lengths[:-1]):
         perm = np.argsort(-lengths, kind="stable")
@@ -612,20 +627,32 @@ def rnn_forward(weights, x, lengths=None, mask=None, initial=None,
 # training kernels: forward with an activation cache + hand-derived BPTT
 # ----------------------------------------------------------------------
 
-def _pack(x, lengths, mask):
-    """The packed cell layout of one training call: ``(perm, cells, spans)``.
+def _pack(x, lengths):
+    """The packed cell layout of one training call.
 
-    A *cell* is one real ``(row, step)`` of the caller's ``(B, T)`` grid;
-    there are ``N = lengths.sum()`` of them.  ``cells`` holds each one's
-    flat grid index ``row * T + step``, time-major and in the kernel's
-    longest-first row order within a step, and ``spans`` the ``(start,
-    stop)`` cell range of each step that has an active row — so step
-    ``t``'s cells are ``spans[t]``, and they belong to the first ``stop -
-    start`` rows of the kernel order.  ``perm`` is as in
-    :func:`_schedule`.
+    ``x`` holds one row per real cell of the batch, ``N = lengths.sum()``
+    rows in row-major order: row 0's events, then row 1's, as the mask's
+    True cells of a ``(B, T)`` grid run, with ``T`` the longest row.
+    Returns ``(lengths, perm, order, spans)``: the validated ``(B,)``
+    lengths, the kernel row order of :func:`_schedule`, the ``(N,)``
+    row-major index of each cell in kernel order — time-major, and
+    longest-first within a step — and the ``(start, stop)`` kernel-order
+    cell range of each step, whose cells belong to the first ``stop -
+    start`` rows of the kernel order.  Raises ``ValueError`` unless ``x``
+    is 2-D and ``lengths`` is ``(B,)``, non-negative and sums to
+    ``len(x)``.
     """
-    perm, counts = _schedule(x, lengths, mask)
-    counts = [count for count in counts if count]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1:
+        raise ValueError("lengths must have shape (B,), got %s"
+                         % (lengths.shape,))
+    if len(lengths) and lengths.min() < 0:
+        raise ValueError("lengths must be non-negative, got %d"
+                         % lengths.min())
+    if x.ndim != 2 or lengths.sum() != len(x):
+        raise ValueError("x must hold lengths.sum() = %d cells as (N, D) "
+                         "rows, got shape %s" % (lengths.sum(), x.shape))
+    perm, counts = _row_order(lengths, int(lengths.max(initial=0)))
     stops = list(itertools.accumulate(counts))
     starts = [stop - count for stop, count in zip(stops, counts)]
     # Step t's cells are kernel rows 0 .. counts[t] - 1 at step t.
@@ -634,22 +661,8 @@ def _pack(x, lengths, mask):
             - np.repeat(np.array(starts, dtype=np.intp), counts))
     if perm is not None:
         rows = perm[rows]
-    return perm, rows * x.shape[1] + times, list(zip(starts, stops))
-
-
-def _gather_cells(values, cells):
-    """The ``(N, ·)`` rows of a ``(B, T, ·)`` array at the cell index."""
-    batch, steps, width = values.shape
-    return np.take(values.reshape(batch * steps, width), cells, axis=0)
-
-
-def _scatter_cells(values, cells, batch, steps):
-    """Undo :func:`_gather_cells`: a zero ``(B, T, ·)`` array holding the
-    ``(N, ·)`` ``values`` at their cells."""
-    width = values.shape[1]
-    out = np.zeros((batch, steps, width), dtype=values.dtype)
-    out.reshape(batch * steps, width)[cells] = values
-    return out
+    firsts = np.cumsum(lengths) - lengths    # each row's first cell
+    return lengths, perm, firsts[rows] + times, list(zip(starts, stops))
 
 
 @dataclass
@@ -659,24 +672,26 @@ class RnnTrainCache:
     Produced by :func:`gru_forward_train` / :func:`lstm_forward_train` and
     consumed exactly once by the matching backward kernel, which
     overwrites ``cand`` and ``gate_hidden`` (GRU) or ``cand`` and
-    ``tanh_cell`` (LSTM) as scratch; ``x``, ``h_prev``, ``last`` and so
-    the :attr:`states` view stay intact.  Per-cell
-    arrays hold one row per real cell and nothing for padding: ``(N,
-    ·)`` with ``N = lengths.sum()``, packed time-major in the kernel's
-    longest-first row order, so step ``t`` reads the contiguous rows
-    ``spans[t]`` of every one of them (see :func:`_pack`).  ``cells``
-    maps each row back to the caller's ``(B, T)`` grid.  Everything is
-    stored in the plan dtype; ``x`` and ``last`` (and the
-    :attr:`states` view) are in the caller's row order.
+    ``tanh_cell`` (LSTM) as scratch; ``x_cells``, ``h_prev``, ``last``
+    and so the :attr:`states` view stay intact.  Per-cell arrays hold one
+    row per real cell and nothing for padding: ``(N, ·)`` with ``N =
+    lengths.sum()``, packed time-major in the kernel's longest-first row
+    order, so step ``t`` reads the contiguous rows ``spans[t]`` of every
+    one of them (see :func:`_pack`).  ``order`` maps each row back to the
+    caller's row-major cells, and :attr:`cells` to the caller's ``(B,
+    T)`` grid, ``T`` the longest row; no array of the cache has that grid
+    shape.  Everything is stored in the plan dtype; ``lengths`` and
+    ``last`` (and the :attr:`states` view) are in the caller's row
+    order.
     """
 
     kind: str                # "gru" | "lstm"
     plan: WeightPlan         # the plan the forward ran with
+    lengths: np.ndarray      # (B,) the caller's row lengths
     perm: np.ndarray         # kernel row order, or None
-    cells: np.ndarray        # (N,) flat grid index row * T + step per cell
-    spans: list              # (start, stop) cell range of each active step
-    x: np.ndarray            # (B, T, D) events the recurrence consumed
-    x_cells: np.ndarray      # (N, D) the events of the real cells
+    order: np.ndarray        # (N,) caller's row-major index of each cell
+    spans: list              # (start, stop) cell range of each step
+    x_cells: np.ndarray      # (N, D) the events the recurrence consumed
     sig: np.ndarray          # (N, S*H) σ block: r|z (GRU), i|f|o (LSTM)
     cand: np.ndarray         # (N, H) tanh block: n (GRU), g (LSTM)
     h_prev: np.ndarray       # (N, H) hidden state each cell read
@@ -684,6 +699,17 @@ class RnnTrainCache:
     gate_hidden: np.ndarray = None  # (N, H) GRU only: W_hn h + b_hn
     c_prev: np.ndarray = None       # (N, H) LSTM only: cell each cell read
     tanh_cell: np.ndarray = None    # (N, H) LSTM only: tanh(c_t)
+
+    @property
+    def cells(self):
+        """Each cell's flat ``(B, T)`` grid index ``row * T + step``.
+
+        Built on demand, for the per-step grids of :attr:`states` and
+        BPTT's ``d_outputs``: the recurrence itself never needs it.
+        """
+        real = (np.arange(len(self.spans), dtype=np.intp)
+                < self.lengths[:, None])
+        return np.flatnonzero(real)[self.order]
 
     @property
     def states(self):
@@ -695,7 +721,7 @@ class RnnTrainCache:
         for a row's final cell and its padded steps.
         """
         last = self.last[0] if self.kind == "lstm" else self.last
-        (batch, steps), size = self.x.shape[:2], last.shape[1]
+        batch, steps, size = len(self.lengths), len(self.spans), last.shape[1]
         out = np.empty((batch, steps, size), dtype=last.dtype)
         out[...] = last[:, None]
         later = self.spans[0][1] if self.spans else 0   # cells of step >= 1
@@ -704,19 +730,25 @@ class RnnTrainCache:
         return out
 
 
-def gru_forward_train(weights, x, lengths=None, mask=None, initial=None):
-    """GRU forward stashing what :func:`gru_backward` needs.
+def gru_forward_train(weights, x, lengths, initial=None):
+    """GRU forward over a batch's real cells, stashing what
+    :func:`gru_backward` needs.
 
-    Same contract as :func:`gru_forward`, but returns an
-    :class:`RnnTrainCache` whose ``last`` field carries the final
-    ``(B, H)`` state.
+    ``x`` holds the ``N = lengths.sum()`` real cells' events as ``(N,
+    D)`` rows in row-major order (a padded grid's ``x[mask]``), and
+    ``lengths`` the ``(B,)`` rows' lengths in any order; the forward
+    gathers the cells into kernel order once.  ``initial`` is as in
+    :func:`gru_forward`.  Returns an :class:`RnnTrainCache` whose
+    ``last`` field carries the final ``(B, H)`` state.  Raises
+    ``ValueError`` unless ``lengths`` is ``(B,)``, non-negative and sums
+    to ``len(x)``.
     """
     plan = as_plan(weights)
-    batch = x.shape[0]
     size = plan.hidden_size
     x = np.asarray(x, dtype=plan.dtype)
-    perm, cells, spans = _pack(x, lengths, mask)
-    x_cells = _gather_cells(x, cells)
+    lengths, perm, order, spans = _pack(x, lengths)
+    batch = len(lengths)
+    x_cells = np.take(x, order, axis=0)
     sig, cand = _input_gates(plan, x_cells)
     hidden, _ = _initial_states(plan, batch, initial, perm)
     h_prev = np.empty_like(cand)
@@ -745,25 +777,25 @@ def gru_forward_train(weights, x, lengths=None, mask=None, initial=None):
         h -= n
         h *= s[:, size:]
         h += n
-    return RnnTrainCache(kind="gru", plan=plan, perm=perm, cells=cells,
-                         spans=spans, x=x, x_cells=x_cells, sig=sig,
+    return RnnTrainCache(kind="gru", plan=plan, lengths=lengths, perm=perm,
+                         order=order, spans=spans, x_cells=x_cells, sig=sig,
                          cand=cand, h_prev=h_prev,
                          last=_caller_rows(hidden, perm),
                          gate_hidden=gate_hidden)
 
 
-def lstm_forward_train(weights, x, lengths=None, mask=None, initial=None):
+def lstm_forward_train(weights, x, lengths, initial=None):
     """LSTM forward stashing what :func:`lstm_backward` needs.
 
     ``initial`` and ``cache.last`` are ``(h, c)`` pairs; otherwise the
     contract of :func:`gru_forward_train`.
     """
     plan = as_plan(weights)
-    batch = x.shape[0]
     size = plan.hidden_size
     x = np.asarray(x, dtype=plan.dtype)
-    perm, cells, spans = _pack(x, lengths, mask)
-    x_cells = _gather_cells(x, cells)
+    lengths, perm, order, spans = _pack(x, lengths)
+    batch = len(lengths)
+    x_cells = np.take(x, order, axis=0)
     sig, cand = _input_gates(plan, x_cells)
     hidden, cell = _initial_states(plan, batch, initial, perm)
     h_prev = np.empty_like(cand)
@@ -795,28 +827,25 @@ def lstm_forward_train(weights, x, lengths=None, mask=None, initial=None):
         tanh_c = tanh_cell[start:stop]
         np.tanh(c, out=tanh_c)
         np.multiply(s[:, 2 * size:], tanh_c, out=h)
-    return RnnTrainCache(kind="lstm", plan=plan, perm=perm, cells=cells,
-                         spans=spans, x=x, x_cells=x_cells, sig=sig,
+    return RnnTrainCache(kind="lstm", plan=plan, lengths=lengths, perm=perm,
+                         order=order, spans=spans, x_cells=x_cells, sig=sig,
                          cand=cand, h_prev=h_prev,
                          last=(_caller_rows(hidden, perm),
                                _caller_rows(cell, perm)),
                          c_prev=c_prev, tanh_cell=tanh_cell)
 
 
-def rnn_forward_train(weights, x, lengths=None, mask=None, initial=None):
+def rnn_forward_train(weights, x, lengths, initial=None):
     """Dispatch to the GRU or LSTM training forward by ``weights.kind``.
 
-    Same argument contract as :func:`rnn_forward` — ``x`` is ``(B, T,
-    D)``, ``mask`` an optional ``(B, T)`` boolean per-row prefix mask,
-    ``initial`` ``(B, H)`` (pair for LSTM) — but returns the
-    activation-caching forward used by BPTT.
+    ``x`` is the ``(N, D)`` row-major real cells of a batch, ``lengths``
+    its ``(B,)`` row lengths and ``initial`` as in :func:`rnn_forward`;
+    returns the activation-caching forward used by BPTT.
     """
     if weights.kind == "gru":
-        return gru_forward_train(weights, x, lengths=lengths, mask=mask,
-                                 initial=initial)
+        return gru_forward_train(weights, x, lengths, initial=initial)
     if weights.kind == "lstm":
-        return lstm_forward_train(weights, x, lengths=lengths, mask=mask,
-                                  initial=initial)
+        return lstm_forward_train(weights, x, lengths, initial=initial)
     raise ValueError("unknown cell kind %r" % weights.kind)
 
 
@@ -824,21 +853,25 @@ def _backward_setup(cache, d_last, d_outputs):
     """Kernel-order ``d_hidden`` (a fresh ``(B, H)`` buffer) and the real
     cells' per-step gradients as an ``(N, H)`` array, or None.
 
-    A padded step's state is the row's frozen final state, so its
-    ``d_outputs`` fold into ``d_hidden`` up front and BPTT never visits
-    a padded cell.
+    ``d_outputs`` is a ``(B, T, H)`` grid, ``T`` the longest row; any
+    other shape raises ``ValueError``.  A padded step's state is the
+    row's frozen final state, so its ``d_outputs`` fold into
+    ``d_hidden`` up front and BPTT never visits a padded cell.
     """
     dtype, perm = cache.plan.dtype, cache.perm
     d_hidden = _kernel_rows(d_last, dtype, perm)
     if d_outputs is None:
         return d_hidden, None
     d_outputs = np.asarray(d_outputs, dtype=dtype)
-    batch, steps = d_outputs.shape[:2]
-    padded = np.ones(batch * steps, dtype=bool)
-    padded[cache.cells] = False
-    folded = d_outputs.sum(axis=1, where=padded.reshape(batch, steps, 1))
+    shape = (len(cache.lengths), len(cache.spans), d_hidden.shape[1])
+    if d_outputs.shape != shape:
+        raise ValueError("d_outputs must have shape (B, T, H) = %s, got %s"
+                         % (shape, d_outputs.shape))
+    padded = np.arange(shape[1], dtype=np.intp) >= cache.lengths[:, None]
+    folded = d_outputs.sum(axis=1, where=padded[..., None])
     d_hidden += folded if perm is None else folded[perm]
-    return d_hidden, _gather_cells(d_outputs, cache.cells)
+    return d_hidden, np.take(d_outputs.reshape(-1, shape[2]), cache.cells,
+                             axis=0)
 
 
 def _cell_order(grad, rows):
@@ -862,14 +895,15 @@ def _finish_grads(cache, grad, recurrent_cols, input_cols):
     d_rec = grad[:, recurrent_cols]
     d_in = grad[:, input_cols]
     bias = grad.sum(axis=0)
-    batch, steps = cache.x.shape[:2]
+    # d_x back in the caller's row-major cell order: one permutation.
+    d_x = np.empty_like(cache.x_cells)
+    d_x[cache.order] = d_in @ plan.w_ih_grad
     return {
         "weight_ih": _cell_order(d_in.T @ cache.x_cells, inp_rows),
         "bias_ih": _cell_order(bias[input_cols], inp_rows),
         "weight_hh": _cell_order(d_rec.T @ cache.h_prev, rec_rows),
         "bias_hh": _cell_order(bias[recurrent_cols], rec_rows),
-        "d_x": _scatter_cells(d_in @ plan.w_ih_grad, cache.cells, batch,
-                              steps),
+        "d_x": d_x,
     }
 
 
@@ -886,14 +920,15 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
         Loss gradient wrt the final hidden state, ``(B, H)``.
     d_outputs:
         Optional loss gradient wrt every per-step state, ``(B, T, H)``
-        (CPC-style objectives).
+        with ``T`` the longest row (CPC-style objectives).
 
     Both gradients are in the caller's row order and any float dtype.
 
     Returns
     -------
-    dict with ``d_x`` (gradient wrt the event representations, ``(B, T,
-    D)``, caller order, exactly 0 at padded steps) and per-parameter
+    dict with ``d_x`` (gradient wrt the event representations, ``(N,
+    D)``, one row per real cell in the row-major order of the forward's
+    ``x``) and per-parameter
     gradients ``weight_ih``, ``weight_hh``, ``bias_ih``, ``bias_hh``,
     ``init_state`` in :class:`~repro.nn.CellWeights` order — the exact
     quantities the autograd path accumulates, to < 1e-8 under the
@@ -912,7 +947,7 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     d_hidden, d_cells = _backward_setup(cache, d_last, d_outputs)
     # [d_ghn | d_r | d_z | d_an]: the first 3H columns are the recurrent
     # side, the last 3H the input side (d_an = d_gx_n; d_ghn = d_an * r).
-    grad = np.empty((len(cache.cells), 4 * size), dtype=plan.dtype)
+    grad = np.empty((len(cache.order), 4 * size), dtype=plan.dtype)
     d_ghn, d_r, d_z, d_an = (grad[:, gate * size:(gate + 1) * size]
                              for gate in range(4))
     # cand and gate_hidden are read by nothing after this prologue, so
@@ -974,7 +1009,7 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
     d_cell = np.zeros_like(d_hidden)
     # [d_g | d_i | d_f | d_o]: every LSTM bias folds, so the recurrent
     # and input sides share this one range.
-    grad = np.empty((len(cache.cells), 4 * size), dtype=plan.dtype)
+    grad = np.empty((len(cache.order), 4 * size), dtype=plan.dtype)
     d_g, d_i, d_f, d_o = (grad[:, gate * size:(gate + 1) * size]
                           for gate in range(4))
     # cand and tanh_cell are read by nothing after this prologue, so
@@ -1037,21 +1072,24 @@ def rnn_backward(weights, cache, d_last, d_outputs=None):
 # event encoding
 # ----------------------------------------------------------------------
 
-def _embedding_parts(trx_encoder, batch, tables=None):
+def _embedding_parts(trx_encoder, fields, tables=None):
     """Categorical embedding lookups as raw arrays, schema order.
 
-    Ids are range-checked with the same error as ``Embedding.forward`` so
-    the fused paths reject exactly the batches the Tensor path rejects
-    (a negative id must not silently wrap to the table's last row).
-    ``tables`` (an :class:`EncodePlan`'s pre-cast copies) replaces the
-    live float64 tables when a precision policy is active.
+    ``fields`` maps each field to its ids in either layout, the padded
+    ``(B, T)`` grid or the ``(N,)`` real cells; every part has the ids'
+    shape plus the embedding axis.  Ids are range-checked with the same
+    error as ``Embedding.forward`` so the fused paths reject exactly the
+    batches the Tensor path rejects (a negative id must not silently
+    wrap to the table's last row).  ``tables`` (an :class:`EncodePlan`'s
+    pre-cast copies) replaces the live float64 tables when a precision
+    policy is active.
     """
     parts = []
     for name in trx_encoder.schema.categorical:
         module = trx_encoder.embeddings[name]
         # reprolint: disable=RP001 -- categorical ids keep their input
         # integer dtype; the embedding gather never touches the policy.
-        ids = np.asarray(batch.fields[name])
+        ids = np.asarray(fields[name])
         if ids.min() < 0 or ids.max() >= module.num_embeddings:
             raise IndexError(
                 "embedding ids out of range [0, %d): min=%d max=%d"
@@ -1066,15 +1104,18 @@ def _batchnorm_stats(norm, numeric, mask, training):
     """The (mean, var) a ``BatchNorm1d`` would use, updating its buffers.
 
     Mirrors ``BatchNorm1d.forward`` exactly: training mode computes the
-    masked batch statistics and folds them into the running buffers with
-    the module's own momentum/_set_buffer, eval mode reads the running
-    buffers — so checkpoints from the fused step and the autograd modules
-    carry identical statistics.  Always float64: the buffers are part of the
-    checkpoint contract and must not depend on the compute policy.
+    batch statistics over the real cells — ``numeric[mask]`` of a grid,
+    or every row of ``(N, F)`` cells when ``mask`` is None, the same
+    rows in the same order — and folds them into the running buffers
+    with the module's own momentum/_set_buffer, eval mode reads the
+    running buffers — so checkpoints from the fused step and the
+    autograd modules carry identical statistics.  Always float64: the
+    buffers are part of the checkpoint contract and must not depend on
+    the compute policy.
     """
     if not training:
         return norm.running_mean, norm.running_var
-    flat = numeric[np.asarray(mask, dtype=bool)]
+    flat = numeric if mask is None else numeric[np.asarray(mask, dtype=bool)]
     if len(flat) == 0:
         raise ValueError("batch norm received an empty batch")
     mean = flat.mean(axis=0)
@@ -1090,27 +1131,49 @@ def _batchnorm_stats(norm, numeric, mask, training):
     return mean, var
 
 
-def _encode(trx_encoder, batch, prev_times, training, plan=None):
-    """Shared event-encoding pipeline behind both fused entry points."""
+def _normalize(norm, numeric, stats, dtype):
+    """Batch norm of ``numeric`` by ``stats``: ``(scaled, part)``, the
+    pre-affine normalised values and the affine output in ``dtype``."""
+    mean, var = stats
+    scaled = (numeric - mean) / np.sqrt(var + norm.eps)
+    part = scaled * norm.weight.data + norm.bias.data
+    if part.dtype != dtype:
+        part = part.astype(dtype, copy=False)
+    return scaled, part
+
+
+def _encode(trx_encoder, batch, training, plan=None, prev_times=None,
+            cells=False):
+    """Shared event-encoding pipeline behind the fused entry points.
+
+    Encodes the padded grid, or with ``cells`` the batch's ``(N,)`` flat
+    fields, one row per real cell: the per-field code is the same, and
+    only the time delta and the rows the batch statistics run over
+    differ.  Returns ``(x, scaled, stats)``: the events, the pre-affine
+    normalised numerics and the batch-norm ``(mean, var)`` (both None
+    without numeric features).
+    """
     trx_encoder.check_batch_schema(batch)
     dtype = np.float64 if plan is None else plan.dtype
-    parts = _embedding_parts(trx_encoder, batch,
+    parts = _embedding_parts(trx_encoder,
+                             batch.flat_fields if cells else batch.fields,
                              tables=None if plan is None else plan.tables)
-    scaled = None
+    scaled = stats = None
     norm = trx_encoder.numeric_norm
     if norm is not None:
-        numeric = trx_encoder._numeric_array(batch, prev_times=prev_times)
-        mean, var = _batchnorm_stats(norm, numeric, batch.mask,
-                                     training and norm.training)
-        scaled = (numeric - mean) / np.sqrt(var + norm.eps)
-        part = scaled * norm.weight.data + norm.bias.data
-        if part.dtype != dtype:
-            part = part.astype(dtype, copy=False)
+        if cells:
+            numeric, real = trx_encoder._numeric_cells(batch), None
+        else:
+            numeric = trx_encoder._numeric_array(batch, prev_times=prev_times)
+            real = batch.mask
+        stats = _batchnorm_stats(norm, numeric, real,
+                                 training and norm.training)
+        scaled, part = _normalize(norm, numeric, stats, dtype)
         parts.append(part)
     if not parts:
         raise ValueError("schema has no event fields to encode")
     x = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
-    return x, scaled
+    return x, scaled, stats
 
 
 def encode_events(trx_encoder, batch, prev_times=None, plan=None):
@@ -1122,7 +1185,8 @@ def encode_events(trx_encoder, batch, prev_times=None, plan=None):
     serving).  Returns ``(B, T, D)`` — float64 without a ``plan``, the
     plan dtype otherwise.
     """
-    x, _ = _encode(trx_encoder, batch, prev_times, training=False, plan=plan)
+    x, _, _ = _encode(trx_encoder, batch, False, plan=plan,
+                      prev_times=prev_times)
     return x
 
 
@@ -1137,4 +1201,34 @@ def encode_events_train(trx_encoder, batch, plan=None):
     scaled)`` where ``scaled`` is the pre-affine normalised numeric block
     the batch norm backward needs (None without numeric features).
     """
-    return _encode(trx_encoder, batch, None, training=True, plan=plan)
+    x, scaled, _ = _encode(trx_encoder, batch, True, plan=plan)
+    return x, scaled
+
+
+def encode_cells_train(trx_encoder, batch, plan=None):
+    """:func:`encode_events_train` on the batch's real cells only.
+
+    Reads the batch's flat fields and never its padded grid.  Returns
+    ``(x, scaled, padding, scaled_padding)``: ``x`` and ``scaled`` are
+    the grid's ``x[mask]`` and ``scaled[mask]`` as ``(N, ·)`` rows in
+    row-major order, computed without the grid (bitwise equal: the
+    batch statistics run over the same rows in the same order), and
+    ``padding`` and ``scaled_padding`` what every padded cell of the
+    grid holds: the ``(D,)`` encoded padding event and its ``(F,)``
+    pre-affine numerics (None without numeric features).  A padded cell
+    holds :data:`~repro.data.schema.PADDING_CODE` in every categorical
+    field and 0.0 in every numeric feature.
+    """
+    x, scaled, stats = _encode(trx_encoder, batch, True, plan=plan,
+                               cells=True)
+    parts = [(trx_encoder.embeddings[name].weight.data if plan is None
+              else plan.tables[name])[PADDING_CODE]
+             for name in trx_encoder.schema.categorical]
+    pad_scaled = None
+    if stats is not None:
+        # The numerics and their statistics are float64 (see
+        # encode_events_train), so the padding cell's zeros are too.
+        pad_scaled, part = _normalize(trx_encoder.numeric_norm,
+                                      np.zeros_like(stats[0]), stats, x.dtype)
+        parts.append(part)
+    return x, scaled, np.concatenate(parts), pad_scaled

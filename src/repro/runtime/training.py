@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data.schema import PADDING_CODE
 from ..nn.tensor import Tensor
 from . import attention, kernels
 from .engine import FusedEncoderRuntime
@@ -148,7 +149,10 @@ class FusedForwardCache:
     ``embeddings`` (the post-head ``(B, H)`` matrix, batch order) plus
     the :attr:`states` / :attr:`events` views are the only things
     callers should read; the rest is consumed by
-    :meth:`FusedTrainStep.backward` exactly once.
+    :meth:`FusedTrainStep.backward` exactly once.  A recurrent step
+    keeps the batch's real cells only (``bn_scaled`` is ``(N, F)`` in
+    the batch's row-major cell order); the two views build their
+    ``(B, T, ·)`` grids when read.
     """
 
     batch: object            # the PaddedBatch the step ran on
@@ -156,7 +160,10 @@ class FusedForwardCache:
     #                          attention.TransformerTrainCache
     hidden: np.ndarray       # (B, H) final states, batch order, pre-head
     embeddings: np.ndarray   # (B, H) post-head embeddings, batch order
-    bn_scaled: np.ndarray    # (B, T, F) normalised numericals (or None)
+    bn_scaled: np.ndarray    # normalised numericals: (N, F) cells for a
+    #                          recurrent step, (B, T, F) otherwise; or None
+    padding: np.ndarray = None     # (D,) encoded padding event, recurrent
+    bn_padding: np.ndarray = None  # (F,) its normalised numericals, or None
 
     @property
     def states(self):
@@ -173,11 +180,21 @@ class FusedForwardCache:
     def events(self):
         """Trx-encoder event representations ``(B, T, D)``, batch order.
 
-        The same array the recurrence consumed (training-mode batch
-        norm included).  CPC scores its predictions against these;
-        gradients taken wrt them feed back as ``d_events``.
+        The events the encoder consumed (training-mode batch norm
+        included), with the encoded padding event at padded cells, as in
+        the autograd ``trx_encoder(batch)`` output.  CPC scores its
+        predictions against these; gradients taken wrt them feed back as
+        ``d_events``.  A recurrent step builds the grid on each read.
         """
-        return self.rnn_cache.x
+        if self.padding is None:
+            return self.rnn_cache.x
+        cells = self.rnn_cache.x_cells
+        batch, steps = self.batch.batch_size, self.batch.max_length
+        out = np.empty((batch, steps, cells.shape[1]), dtype=cells.dtype)
+        out[...] = self.padding
+        out.reshape(batch * steps, cells.shape[1])[self.rnn_cache.cells] = (
+            cells)
+        return out
 
 
 class FusedTrainStep:
@@ -195,11 +212,13 @@ class FusedTrainStep:
 
     Training batches from the CoLES augmentation pipeline arrive
     unsorted, and their random slices leave much of the ``(B, T)`` grid
-    padded.  The recurrent kernels sort the rows longest-first and pack
-    the batch's real cells themselves, so the input projection, the
-    recurrence, its activation cache and its BPTT touch only the real
-    cells, on shrinking active row prefixes, while batch statistics,
-    loss inputs and all gradients stay in the batch's own row order.
+    padded.  A recurrent step never builds that grid: it encodes the
+    batch's flat fields (one row per real cell), and the recurrent
+    kernels sort the rows longest-first and pack those cells themselves,
+    so the encoding, the input projection, the recurrence, its
+    activation cache and its BPTT touch only the real cells, on
+    shrinking active row prefixes, while batch statistics, loss inputs
+    and all gradients stay in the batch's own row order.
 
     The packed plans come from a
     :class:`~repro.runtime.FusedEncoderRuntime` of the same encoder and
@@ -248,15 +267,21 @@ class FusedTrainStep:
         Training-mode semantics match ``encoder.embed(batch)`` with the
         encoder in train mode: batch norm uses (and updates) the masked
         batch statistics.  In eval mode the running statistics are used,
-        exactly like the autograd modules.
+        exactly like the autograd modules.  A recurrent encoder reads
+        the batch's flat fields only, from the encoding to the
+        recurrence, and never builds its padded grid.
         """
-        x, bn_scaled = kernels.encode_events_train(
-            self.encoder.trx_encoder, batch, plan=self.runtime.encode_plan())
+        trx, encode_plan = self.encoder.trx_encoder, self.runtime.encode_plan()
+        padding = bn_padding = None
         if self.is_recurrent:
+            x, bn_scaled, padding, bn_padding = kernels.encode_cells_train(
+                trx, batch, plan=encode_plan)
             cache = kernels.rnn_forward_train(
-                self.runtime.weight_plan(), x, lengths=batch.lengths)
+                self.runtime.weight_plan(), x, batch.lengths)
             hidden = cache.last[0] if cache.kind == "lstm" else cache.last
         else:
+            x, bn_scaled = kernels.encode_events_train(trx, batch,
+                                                       plan=encode_plan)
             cache = attention.transformer_forward_train(
                 self.runtime.weight_plan(), x, mask=batch.mask)
             hidden = cache.pooled
@@ -267,7 +292,8 @@ class FusedTrainStep:
             # kernel's policy dtype by construction.
             embeddings = np.array(hidden, copy=True)
         return FusedForwardCache(batch=batch, rnn_cache=cache, hidden=hidden,
-                                 embeddings=embeddings, bn_scaled=bn_scaled)
+                                 embeddings=embeddings, bn_scaled=bn_scaled,
+                                 padding=padding, bn_padding=bn_padding)
 
     # ------------------------------------------------------------------
     # backward
@@ -311,10 +337,9 @@ class FusedTrainStep:
                 plan, cache.rnn_cache, d_hidden, d_states=d_states)
         for name, param in self.runtime.plan_parameters().items():
             _accumulate(param, grads.get(name))
-        d_x = grads["d_x"]
         if d_events is not None:
-            d_x = d_x + np.asarray(d_events, dtype=self.dtype)
-        self._encode_events_backward(cache.batch, d_x, cache.bn_scaled)
+            d_events = np.asarray(d_events, dtype=self.dtype)
+        self._encode_events_backward(cache, grads["d_x"], d_events)
 
     def backward_classification(self, cache, head, targets):
         """Supervised fine-tuning backward: softmax head + cross-entropy.
@@ -332,31 +357,57 @@ class FusedTrainStep:
         self.backward(cache, d_embeddings)
         return loss
 
-    def _encode_events_backward(self, batch, d_x, bn_scaled):
+    def _encode_events_backward(self, cache, d_x, d_events):
         """Route ``dLoss/dx`` into the embedding tables and batch norm.
 
         Splits the event-representation gradient along the concat layout
-        of ``_encode_events_train``: per-field scatter-adds into the
-        embedding tables (the ``take_rows`` gradient) and the affine batch
-        norm gradients.  The batch statistics are constants in the
-        autograd path, so — exactly like there — no gradient flows into
-        the raw numeric features.
+        of the encoding: per-field scatter-adds into the embedding tables
+        (the ``take_rows`` gradient) and the affine batch norm gradients.
+        The batch statistics are constants in the autograd path, so —
+        exactly like there — no gradient flows into the raw numeric
+        features.  ``d_x`` has the layout of the forward's events:
+        ``(N, D)`` real cells over the batch's flat ids for a recurrent
+        step, the ``(B, T, D)`` grid otherwise.  ``d_events`` (a ``(B,
+        T, D)`` grid, or None) adds in; on the cells its padded entries
+        fold into the table row :data:`~repro.data.schema.PADDING_CODE`
+        and the affine gradients at the padding event's numericals.
         """
         trx = self.encoder.trx_encoder
+        batch, d_padded = cache.batch, None
+        if not self.is_recurrent:
+            ids = batch.fields
+            if d_events is not None:
+                d_x = d_x + d_events
+        else:
+            ids = batch.flat_fields
+            if d_events is not None:
+                real = batch.mask
+                d_x = d_x + d_events[real]
+                d_padded = d_events[~real]
         offset = 0
         for name in trx.schema.categorical:
             weight = trx.embeddings[name].weight
             dim = weight.data.shape[1]
             d_table = np.zeros_like(weight.data)
-            _scatter_add_rows(d_table, batch.fields[name],
+            _scatter_add_rows(d_table, ids[name],
                               d_x[..., offset:offset + dim])
+            if d_padded is not None:
+                d_table[PADDING_CODE] += d_padded[:, offset:offset + dim].sum(
+                    axis=0, dtype=np.float64)
             _accumulate(weight, d_table)
             offset += dim
         norm = trx.numeric_norm
         if norm is not None:
+            axes = tuple(range(d_x.ndim - 1))
             d_out = d_x[..., offset:]
-            _accumulate(norm.weight, (d_out * bn_scaled).sum(axis=(0, 1)))
-            _accumulate(norm.bias, d_out.sum(axis=(0, 1)))
+            d_weight = (d_out * cache.bn_scaled).sum(axis=axes)
+            d_bias = d_out.sum(axis=axes)
+            if d_padded is not None:
+                d_pad = d_padded[:, offset:]
+                d_weight = d_weight + (d_pad * cache.bn_padding).sum(axis=0)
+                d_bias = d_bias + d_pad.sum(axis=0)
+            _accumulate(norm.weight, d_weight)
+            _accumulate(norm.bias, d_bias)
 
 
 def _scatter_add_rows(table, indices, grads):

@@ -218,7 +218,8 @@ class TestRTD:
     def test_corrupt_batch_properties(self, dataset):
         batch = collate(dataset.sequences[:6], dataset.schema)
         rng = np.random.default_rng(0)
-        fields, replaced = corrupt_batch(batch, dataset.schema, 0.3, rng)
+        corrupted, replaced = corrupt_batch(batch, dataset.schema, 0.3, rng)
+        fields = corrupted.fields
         # Times untouched, replacements only at valid positions.
         np.testing.assert_array_equal(fields["event_time"],
                                       batch.fields["event_time"])
@@ -230,7 +231,8 @@ class TestRTD:
     def test_corrupt_actually_changes_fields(self, dataset):
         batch = collate(dataset.sequences[:6], dataset.schema)
         rng = np.random.default_rng(1)
-        fields, replaced = corrupt_batch(batch, dataset.schema, 0.3, rng)
+        corrupted, replaced = corrupt_batch(batch, dataset.schema, 0.3, rng)
+        fields = corrupted.fields
         rows, cols = np.nonzero(replaced)
         changed = 0
         for r, c in zip(rows, cols):
@@ -268,7 +270,8 @@ class TestRTD:
         counts = np.zeros(mask.shape)
         for trial in range(200):
             rng = np.random.default_rng(1000 + trial)
-            fields, replaced = corrupt_batch(batch, dataset.schema, 0.3, rng)
+            corrupted, replaced = corrupt_batch(batch, dataset.schema, 0.3, rng)
+            fields = corrupted.fields
             np.testing.assert_array_equal(fields["event_time"],
                                           batch.fields["event_time"])
             assert not replaced[~mask].any()
@@ -313,16 +316,19 @@ class TestRTD:
         by the redraw loop.
         """
         source = collate(dataset.sequences[:2], dataset.schema)
+        first = source.lengths[0]
         batch = type(source)(
-            fields=source.fields,
+            flat_fields={name: values[first:]
+                         for name, values in source.flat_fields.items()},
             lengths=np.array([0, source.lengths[1]]),
             seq_ids=source.seq_ids,
             labels=source.labels,
             schema=source.schema,
         )
-        fields, replaced = corrupt_batch(batch, dataset.schema, 0.5,
-                                         np.random.default_rng(0))
+        corrupted, replaced = corrupt_batch(batch, dataset.schema, 0.5,
+                                            np.random.default_rng(0))
         assert not replaced.any()
+        fields = corrupted.fields
         for name in fields:
             np.testing.assert_array_equal(fields[name], batch.fields[name])
 

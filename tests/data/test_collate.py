@@ -1,10 +1,12 @@
 """``collate`` against the per-row padding loop it replaced.
 
 The loop below is the reference: one slice assignment per sequence and
-field.  ``collate`` must produce equal arrays with equal dtypes on
-ragged batches — one row, length-1 rows, narrow int32/float32 inputs —
-from both of its sources: a list of chunks, and a dataset's table
-gathered by rows, by contiguous positions and by non-contiguous ones.
+field.  ``collate`` must produce equal arrays with equal dtypes — its
+flat fields (the real cells, row-major) and the padded grid it builds on
+first read — on ragged batches (one row, length-1 rows, narrow
+int32/float32 inputs) from both of its sources: a list of chunks, and a
+dataset's table gathered by rows, by contiguous positions and by
+non-contiguous ones.
 """
 
 import numpy as np
@@ -48,6 +50,14 @@ def _sequence(seq_id, length, rng, narrow):
 
 def _assert_batch_matches(batch, sequences):
     fields, lengths = reference_collate(sequences, SCHEMA)
+    # The flat fields are the storage: the grid waits for its first read.
+    assert batch._fields is None and batch._mask is None
+    assert batch.max_length == lengths.max()
+    for name, expected in fields.items():
+        flat = batch.flat_fields[name]
+        assert flat.dtype == expected.dtype, name
+        np.testing.assert_array_equal(
+            flat, expected[np.arange(lengths.max()) < lengths[:, None]])
     assert list(batch.fields) == list(fields)
     for name, expected in fields.items():
         assert batch.fields[name].dtype == expected.dtype, name

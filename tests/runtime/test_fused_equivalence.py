@@ -128,7 +128,8 @@ def test_forward_invariant_to_row_order(cell_cls):
 
 def test_non_prefix_mask_raises():
     """Only per-row prefix masks, and only ``(B,)`` lengths in ``[0, T]``,
-    describe a packed schedule."""
+    describe a packed schedule; the training kernels take ``(N, D)``
+    real cells and only ``(B,)`` non-negative lengths summing to ``N``."""
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 3))
     gap = np.ones((2, 5), dtype=bool)
@@ -143,12 +144,20 @@ def test_non_prefix_mask_raises():
         (dict(lengths=[7, 5]), r"\[0, T\]"),     # beyond T, longest-first
         (dict(lengths=[3, 6]), r"\[0, T\]"),     # beyond T, unsorted
     ]
+    cells = rng.standard_normal((9, 3))
+    train_cases = [
+        ([[5, 4]], "shape"),                     # not (B,)
+        ([10, -1], "non-negative"),              # negative, sums to 9
+        ([5, 3], "cells"),                       # sums to 8, not len(x)
+    ]
     for cell in (GRU(3, 4, rng=rng), LSTM(3, 4, rng=rng)):
         weights = cell.export_weights()
-        for kernel in (kernels.rnn_forward, kernels.rnn_forward_train):
-            for kwargs, match in cases:
-                with pytest.raises(ValueError, match=match):
-                    kernel(weights, x, **kwargs)
+        for kwargs, match in cases:
+            with pytest.raises(ValueError, match=match):
+                kernels.rnn_forward(weights, x, **kwargs)
+        for lengths, match in train_cases:
+            with pytest.raises(ValueError, match=match):
+                kernels.rnn_forward_train(weights, cells, lengths)
 
 
 @pytest.fixture(scope="module")

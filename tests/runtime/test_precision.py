@@ -56,10 +56,10 @@ F32_ATOL = 1e-5
 F32_STEP_RTOL = 1e-5
 
 #: Train-cache fields that are not in the plan dtype by design: the
-#: batch-norm stash ``bn_scaled`` (batch statistics always run in
-#: float64, see ``kernels.encode_events_train``) and ``batch`` (the
-#: caller's input).
-NOT_PLAN_DTYPE = ("bn_scaled", "batch")
+#: batch-norm stashes ``bn_scaled`` and ``bn_padding`` (batch statistics
+#: always run in float64, see ``kernels.encode_events_train``) and
+#: ``batch`` (the caller's input).
+NOT_PLAN_DTYPE = ("bn_scaled", "bn_padding", "batch")
 
 
 @pytest.fixture(scope="module")
@@ -461,8 +461,8 @@ def test_sigmoid_saturates_without_warnings():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with np.errstate(all="raise"):
-                    cache = kernels.rnn_forward_train(plan,
-                                                      np.ones((2, steps, 1)))
+                    cache = kernels.rnn_forward_train(
+                        plan, np.ones((2 * steps, 1)), [steps, steps])
             gates = cache.sig
             assert gates.dtype == np.dtype(precision)
             expected = (signs[sig_rows] > 0).astype(gates.dtype)
