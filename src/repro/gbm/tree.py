@@ -100,47 +100,46 @@ class RegressionTree:
 
     def _best_split(self, binned, gradients, hessians, indices,
                     grad_sum, hess_sum):
-        """Histogram split search; returns (feature, bin, gain) or None."""
+        """Histogram split search; returns (feature, bin, gain) or None.
+
+        One feature-major histogram per node, bin ``code + feature *
+        width``; ``argmax`` keeps the lowest feature, then bin, on ties.
+        """
         params = self.params
         reg = params.reg_lambda
         parent_score = grad_sum * grad_sum / (hess_sum + reg)
-        best = None
-        best_gain = params.min_gain
         rows = binned[indices]
-        node_grad = gradients[indices]
-        node_hess = hessians[indices]
-        for feature in range(binned.shape[1]):
-            codes = rows[:, feature]
-            top = int(codes.max())
-            if top == 0:
-                continue  # constant feature in this node
-            grad_hist = np.bincount(codes, weights=node_grad, minlength=top + 1)
-            hess_hist = np.bincount(codes, weights=node_hess, minlength=top + 1)
-            count_hist = np.bincount(codes, minlength=top + 1)
-
-            grad_left = np.cumsum(grad_hist)[:-1]
-            hess_left = np.cumsum(hess_hist)[:-1]
-            count_left = np.cumsum(count_hist)[:-1]
-            grad_right = grad_sum - grad_left
-            hess_right = hess_sum - hess_left
-            count_right = len(indices) - count_left
-
-            valid = (count_left >= params.min_samples_leaf) & (
-                count_right >= params.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            gains = (
-                grad_left**2 / (hess_left + reg)
-                + grad_right**2 / (hess_right + reg)
-                - parent_score
-            )
-            gains[~valid] = -np.inf
-            pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = gains[pick]
-                best = (feature, pick, float(gains[pick]))
-        return best
+        count, features = rows.shape
+        width = int(rows.max()) + 1
+        bins = (rows + np.arange(0, features * width, width)).ravel()
+        size = features * width
+        grad_left, hess_left, count_left = (
+            np.cumsum(hist.reshape(features, width), axis=1)[:, :-1]
+            for hist in (
+                np.bincount(bins, np.repeat(gradients[indices], features),
+                            size),
+                np.bincount(bins, np.repeat(hessians[indices], features),
+                            size),
+                np.bincount(bins, minlength=size)))
+        valid = (count_left >= params.min_samples_leaf) & (
+            count - count_left >= params.min_samples_leaf
+        )
+        if not valid.any():
+            return None
+        grad_left, hess_left = grad_left[valid], hess_left[valid]
+        grad_right = grad_sum - grad_left
+        hess_right = hess_sum - hess_left
+        gains = (
+            grad_left**2 / (hess_left + reg)
+            + grad_right**2 / (hess_right + reg)
+            - parent_score
+        )
+        gains[np.isnan(gains)] = -np.inf
+        pick = int(np.argmax(gains))
+        if not gains[pick] > params.min_gain:
+            return None
+        feature, bin_ = divmod(int(np.flatnonzero(valid)[pick]), width - 1)
+        return feature, bin_, float(gains[pick])
 
     # ------------------------------------------------------------------
     def predict(self, binned):

@@ -15,7 +15,24 @@ import numpy as np
 
 from ..data.sequences import EventSequence
 
-__all__ = ["MicroBatcher", "coalesce_chunks"]
+__all__ = ["MicroBatcher", "chunk_size", "coalesce_chunks"]
+
+
+def chunk_size(events):
+    """Event count of one ingest chunk, checked where the chunk enters.
+
+    Raises ``TypeError`` for anything but an
+    :class:`~repro.data.EventSequence` and ``ValueError`` for an empty
+    chunk.  The service and the async pipeline size each chunk once with
+    this and pass the size on, so nothing downstream counts it again.
+    """
+    if not isinstance(events, EventSequence):
+        raise TypeError("ingest expects EventSequence chunks, got %s"
+                        % type(events).__name__)
+    size = len(events)
+    if size == 0:
+        raise ValueError("cannot ingest an empty event chunk")
+    return size
 
 
 def coalesce_chunks(chunks):
@@ -72,13 +89,15 @@ class MicroBatcher:
         self._pending_events = 0
 
     # ------------------------------------------------------------------
-    def add(self, events):
-        """Buffer one entity's new events; returns pending-event count."""
-        if not isinstance(events, EventSequence):
-            raise TypeError("ingest expects EventSequence chunks, got %s"
-                            % type(events).__name__)
-        if len(events) == 0:
-            raise ValueError("cannot ingest an empty event chunk")
+    def add(self, events, size=None):
+        """Buffer one entity's new events; returns pending-event count.
+
+        ``size`` is the chunk's event count from :func:`chunk_size`, when
+        the caller already checked and sized the chunk where it entered
+        (the service does); None checks and sizes it here.
+        """
+        if size is None:
+            size = chunk_size(events)
         queue = self._chunks.get(events.seq_id)
         if self.time_field is not None:
             # The append-only contract: a chunk may not start before the
@@ -104,7 +123,7 @@ class MicroBatcher:
         if queue is None:
             queue = self._chunks[events.seq_id] = []
         queue.append(events)
-        self._pending_events += len(events)
+        self._pending_events += size
         return self._pending_events
 
     # ------------------------------------------------------------------

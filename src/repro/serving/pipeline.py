@@ -24,6 +24,19 @@ batches, which keeps results within the runtime's precision drift
 bounds (float32 ~1e-5, float64 ~1e-10) instead of bit-identical — the
 same caveat the synchronous service has.
 
+**Handoff.** ``submit`` sizes each chunk once and queues it as
+``(chunk, size)``; the size travels on to the service's buffer append,
+so the flusher counts no events itself.  Per chunk the flusher takes
+the pipeline's condition twice (to take the chunk, then to settle it:
+counters, freed room, wake-ups) and the service lock once.  Chunks are
+applied one per service-lock hold on purpose: a query that wants the
+lock waits for at most one chunk's buffer append, and each chunk's room
+is freed as soon as it is applied.  Applying every queued chunk
+under one hold, or freeing the room of a taken batch only after the
+whole batch, both lengthened the query tail.  ``submit`` times each
+chunk with ``perf_counter`` and records the sample in a ``finally``,
+so a rejected or failed submit still records one.
+
 **Threading.** Plain ``threading.Thread``, no ``asyncio``: the heavy
 work (fused kernels through BLAS) releases the GIL, the service's lock
 guards its buffer, store and cache (a flush computes with it released,
@@ -35,9 +48,11 @@ contract holds with zero suppressions.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 
 from ..data.sequences import EventSequence
+from .microbatch import chunk_size
 
 __all__ = ["AsyncIngestPipeline", "BackpressureError"]
 
@@ -122,20 +137,19 @@ class AsyncIngestPipeline:
         """
         chunks = [events] if isinstance(events, EventSequence) else events
         accepted = 0
+        record, clock = self.service.latency.record, time.perf_counter
         for chunk in chunks:
-            if not isinstance(chunk, EventSequence):
-                raise TypeError("submit expects EventSequence chunks, got %s"
-                                % type(chunk).__name__)
-            if len(chunk) == 0:
-                raise ValueError("cannot ingest an empty event chunk")
-            with self.service.latency.time("ingest"):
-                self._enqueue(chunk)
-            accepted += len(chunk)
+            size = chunk_size(chunk)
+            start = clock()
+            try:
+                self._enqueue(chunk, size)
+            finally:
+                record("ingest", clock() - start)
+            accepted += size
         return accepted
 
-    def _enqueue(self, chunk):
-        """Admit one validated chunk, honouring the backpressure policy."""
-        size = len(chunk)
+    def _enqueue(self, chunk, size):
+        """Queue one validated ``size``-event chunk, honouring backpressure."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("pipeline is closed")
@@ -160,7 +174,7 @@ class AsyncIngestPipeline:
                 if self._closed:
                     raise RuntimeError("pipeline closed while submit was "
                                        "blocked on backpressure")
-            self._queue.append(chunk)
+            self._queue.append((chunk, size))
             self._pending_events += size
             self.submitted_chunks += 1
             self.submitted_events += size
@@ -170,31 +184,40 @@ class AsyncIngestPipeline:
     # consumer side (the flusher thread)
     # ------------------------------------------------------------------
     def _drain_loop(self):
-        """Apply queued chunks in FIFO order until closed and empty."""
+        """Apply queued chunks in FIFO order until closed and empty.
+
+        Two ``_cond`` holds per chunk: one takes it off the queue, one
+        settles it (the applied or deferred-error counter, its pending
+        room, and the wake-up of blocked producers and ``drain``).
+        """
+        cond, queue = self._cond, self._queue
+        apply = self.service._apply_chunk
         while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue:
+            with cond:
+                while not queue and not self._closed:
+                    cond.wait()
+                if not queue:
                     return  # closed, nothing left to apply
-                chunk = self._queue.popleft()
-                self._inflight = len(chunk)
+                chunk, size = queue.popleft()
+                self._inflight = size
+            # The service's own lock guards this against every
+            # synchronous ingest/flush/query — the pipeline never
+            # touches store, batcher or cache directly.  One chunk per
+            # service-lock hold: a query waits for at most one chunk.
+            error = None
             try:
-                # The service's own lock guards this against every
-                # synchronous ingest/flush/query — the pipeline never
-                # touches store, batcher or cache directly.
-                self.service._apply_chunk(chunk)
-                with self._cond:
+                apply(chunk, size)
+            except Exception as caught:  # deferred, surfaced at drain()
+                error = caught
+            with cond:
+                if error is None:
                     self.applied_chunks += 1
-            except Exception as error:  # deferred, surfaced at drain()
-                with self._cond:
+                else:
                     self._errors.append(error)
                     self.errors_seen += 1
-            finally:
-                with self._cond:
-                    self._pending_events -= self._inflight
-                    self._inflight = 0
-                    self._cond.notify_all()
+                self._pending_events -= size
+                self._inflight = 0
+                cond.notify_all()
 
     # ------------------------------------------------------------------
     # barriers and lifecycle

@@ -49,7 +49,7 @@ import numpy as np
 from ..data.sequences import EventSequence
 from ..runtime.store import advance_entities
 from .cache import EmbeddingCache
-from .microbatch import MicroBatcher
+from .microbatch import MicroBatcher, chunk_size
 from .sharding import ShardedEmbeddingStore
 from .telemetry import LatencyRecorder
 
@@ -162,33 +162,38 @@ class EmbeddingService:
         """
         chunks = [events] if isinstance(events, EventSequence) else events
         accepted = 0
+        record, clock = self.latency.record, time.perf_counter
         for chunk in chunks:
             # Counters advance per accepted chunk so a rejected chunk
             # mid-iterable leaves telemetry consistent with the buffer;
             # the threshold check runs per chunk too, keeping the buffer
-            # bounded even when one call ingests a whole stream.
-            with self.latency.time("ingest"):
-                accepted += self._apply_chunk(chunk)
+            # bounded even when one call ingests a whole stream.  A
+            # chunk that raises still records its sample.
+            start = clock()
+            try:
+                accepted += self._apply_chunk(chunk, chunk_size(chunk))
+            finally:
+                record("ingest", clock() - start)
         return accepted
 
-    def _apply_chunk(self, chunk):
-        """Buffer one chunk, auto-flushing past the threshold.
+    def _apply_chunk(self, chunk, size):
+        """Buffer one ``size``-event chunk, auto-flushing past the threshold.
 
         The single write entry point shared by synchronous
         :meth:`ingest` and the
         :class:`~repro.serving.AsyncIngestPipeline` flusher thread —
         both replay the exact same ``batcher.add`` / threshold-flush
         sequence, which is what makes a drained async ingest
-        bit-identical to the synchronous path.  Returns the chunk's
-        event count.
+        bit-identical to the synchronous path.  The caller sized the
+        chunk where it entered.  Returns ``size``.
         """
         with self._lock:
-            self.batcher.add(chunk)
+            self.batcher.add(chunk, size)
             self.chunks_ingested += 1
-            self.events_ingested += len(chunk)
+            self.events_ingested += size
             if self.batcher.should_flush:
                 self._flush_locked()
-        return len(chunk)
+        return size
 
     def flush(self, entity_ids=None):
         """Apply buffered updates as fused micro-batches.
@@ -281,8 +286,8 @@ class EmbeddingService:
         ``lock_wait``.
         """
         entity_ids = list(entity_ids)
-        with self.latency.time("query"):
-            entered = time.perf_counter()
+        entered = time.perf_counter()
+        try:
             with self._lock:
                 self.queries += len(entity_ids)
                 while True:
@@ -314,6 +319,8 @@ class EmbeddingService:
                                                          missing_ids, fresh):
                         out[row] = embedding
                         self.cache.put(entity_id, embedding)
+        finally:
+            self.latency.record("query", time.perf_counter() - entered)
         return out
 
     def query_one(self, entity_id):

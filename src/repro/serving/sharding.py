@@ -193,8 +193,17 @@ class ShardedEmbeddingStore:
         return sorted(merged)
 
     def last_time(self, entity_id):
-        """Timestamp of the entity's most recent folded event (or None)."""
-        return self.shard_for(entity_id).last_time(entity_id)
+        """Timestamp of the entity's most recent folded event (or None).
+
+        The append-only check calls this for every ingested chunk of an
+        entity with nothing buffered, so a plain ``int`` id hashes inline
+        as in :func:`route_entities`.
+        """
+        if type(entity_id) is int:
+            shard = zlib.crc32(str(entity_id).encode()) % self.num_shards
+        else:
+            shard = route_entity(entity_id, self.num_shards)
+        return self.shards[shard].backend.last_time(entity_id)
 
     def state_of(self, entity_id):
         """``(hidden, cell, last_time)`` from the owning shard, else None."""

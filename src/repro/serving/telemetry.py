@@ -4,11 +4,15 @@ Production feature stores state their SLOs in *tail* latency — the p99
 of a query issued while ingest pressure is high — not in mean
 throughput.  :class:`LatencyRecorder` is the measurement side of that
 contract: every service operation (``ingest`` / ``flush`` / ``query``)
-wraps itself in :meth:`LatencyRecorder.time`, and
-:meth:`EmbeddingService.stats` exposes the reduced percentiles as its
-``latency_ms`` subtree — the same numbers the million-entity stress
+records its wall-clock duration with :meth:`LatencyRecorder.record`,
+and :meth:`EmbeddingService.stats` exposes the reduced percentiles as
+its ``latency_ms`` subtree — the same numbers the million-entity stress
 benchmark records into ``BENCH_serving.json`` and CI gates
 (``latency_ms.query.p99=lower``).
+
+Each operation has its own lock, so the producer's per-chunk ``ingest``
+samples never hold the lock a query takes for its ``query`` and
+``lock_wait`` samples.
 """
 
 from __future__ import annotations
@@ -22,6 +26,18 @@ import numpy as np
 __all__ = ["LatencyRecorder"]
 
 
+class _Series:
+    """One operation's samples: a ring, lifetime count and total, a lock."""
+
+    __slots__ = ("lock", "ring", "count", "total")
+
+    def __init__(self, capacity):
+        self.lock = threading.Lock()
+        self.ring = np.zeros(capacity, dtype=np.float64)
+        self.count = 0
+        self.total = 0.0
+
+
 class LatencyRecorder:
     """Thread-safe per-operation latency samples with percentile summaries.
 
@@ -31,8 +47,10 @@ class LatencyRecorder:
     (microseconds) to sit on the hot serving path.  Lifetime sample
     count and total are kept alongside, so :meth:`summary` reports an
     exact ``count``/``mean`` while the percentiles describe the retained
-    window.  All methods are safe to call from any thread (one internal
-    lock; no sample is ever torn or lost).
+    window.  All methods are safe to call from any thread: each
+    operation's samples have their own lock, and one more guards only
+    the map from operation to samples, so no sample is ever torn or
+    lost and recording one operation never waits for another.
     """
 
     #: Percentiles reported by :meth:`summary` (as ``p50``/``p95``/``p99``).
@@ -42,24 +60,22 @@ class LatencyRecorder:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._rings = {}    # op -> (capacity,) float64 seconds ring
-        self._counts = {}   # op -> lifetime sample count
-        self._totals = {}   # op -> lifetime seconds
+        self._lock = threading.Lock()  # guards the map, not the samples
+        self._series = {}              # op -> _Series
 
     def record(self, op, seconds):
         """Add one sample: ``seconds`` (a float scalar) spent in ``op``."""
         seconds = float(seconds)
-        with self._lock:
-            ring = self._rings.get(op)
-            if ring is None:
-                ring = self._rings[op] = np.zeros(self.capacity,
-                                                  dtype=np.float64)
-                self._counts[op] = 0
-                self._totals[op] = 0.0
-            ring[self._counts[op] % self.capacity] = seconds
-            self._counts[op] += 1
-            self._totals[op] += seconds
+        series = self._series.get(op)
+        if series is None:
+            with self._lock:
+                series = self._series.get(op)
+                if series is None:
+                    series = self._series[op] = _Series(self.capacity)
+        with series.lock:
+            series.ring[series.count % self.capacity] = seconds
+            series.count += 1
+            series.total += seconds
 
     @contextmanager
     def time(self, op):
@@ -77,7 +93,8 @@ class LatencyRecorder:
     def operations(self):
         """Sorted names of every operation with at least one sample."""
         with self._lock:
-            return sorted(self._rings)
+            return sorted(op for op, series in self._series.items()
+                          if series.count)
 
     def summary(self):
         """Millisecond statistics per operation.
@@ -86,27 +103,32 @@ class LatencyRecorder:
         — floats in milliseconds, except ``count`` (lifetime sample
         count).  ``mean`` is exact over the lifetime; the percentiles
         and ``max`` cover the retained window of up to ``capacity`` most
-        recent samples.
+        recent samples.  Each operation's lock is held only to copy its
+        window; the percentiles are computed outside it.
         """
         with self._lock:
-            out = {}
-            for op, ring in self._rings.items():
-                count = self._counts[op]
-                window = ring[:min(count, self.capacity)]
-                quantiles = np.percentile(window, self.PERCENTILES)
-                stats = {
-                    "count": int(count),
-                    "mean": float(self._totals[op] / count) * 1e3,
-                    "max": float(window.max()) * 1e3,
-                }
-                for tag, value in zip(self.PERCENTILES, quantiles):
-                    stats["p%d" % tag] = float(value) * 1e3
-                out[op] = stats
-            return out
+            series_of = list(self._series.items())
+        out = {}
+        for op, series in series_of:
+            with series.lock:
+                count, total = series.count, series.total
+                window = series.ring[:min(count, self.capacity)].copy()
+            if not count:
+                continue  # created by a record that has not written yet
+            top = float(window.max())
+            quantiles = np.percentile(window, self.PERCENTILES,
+                                      overwrite_input=True)
+            stats = {
+                "count": int(count),
+                "mean": float(total / count) * 1e3,
+                "max": top * 1e3,
+            }
+            for tag, value in zip(self.PERCENTILES, quantiles):
+                stats["p%d" % tag] = float(value) * 1e3
+            out[op] = stats
+        return out
 
     def reset(self):
         """Drop every sample and counter (e.g. after a warm-up phase)."""
         with self._lock:
-            self._rings = {}
-            self._counts = {}
-            self._totals = {}
+            self._series = {}

@@ -15,10 +15,11 @@ if ROOT not in sys.path:
 from repro.runtime import FusedTrainStep  # noqa: E402
 from tests.oracles import STEP_SITES  # noqa: E402
 
-#: Test directories that drive the fused kernels (forward, train forward,
-#: BPTT): an overflow, invalid or divide-by-zero ``RuntimeWarning`` there
-#: fails the test instead of printing a warning.
-KERNEL_TEST_DIRS = ("runtime", "core", "baselines")
+#: Test directories held to strict floating point: the fused kernels
+#: (forward, train forward, BPTT), the downstream GBM's split search and
+#: the serving path.  An overflow, invalid or divide-by-zero
+#: ``RuntimeWarning`` there fails the test instead of printing a warning.
+KERNEL_TEST_DIRS = ("runtime", "core", "baselines", "gbm", "serving")
 
 
 def pytest_collection_modifyitems(items):

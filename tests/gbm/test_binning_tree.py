@@ -134,3 +134,65 @@ class TestRegressionTree:
         with pytest.raises(ValueError):
             RegressionTree().fit(np.zeros((5, 1), dtype=np.uint8),
                                  np.zeros(4), np.ones(5))
+
+    def test_split_search_matches_the_per_feature_loop(self):
+        """The feature-major split search returns exactly what one
+        histogram per feature, scanned in feature order, returns: the
+        same sums in the same order, and ties to the lowest feature,
+        then the lowest bin.  Codes are sparse (some bins, low ones
+        too, are empty), some features copy feature 0 (tied gains) and
+        some are constant."""
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            rows, features = rng.integers(10, 200), rng.integers(1, 12)
+            width = int(rng.integers(2, 65))
+            levels = np.sort(rng.choice(64, width, replace=False))
+            binned = levels[rng.integers(0, width, size=(rows, features))]
+            binned[:, rng.random(features) < 0.2] = binned[:, :1]
+            binned[:, rng.random(features) < 0.1] = rng.integers(0, 3)
+            binned = binned.astype(np.uint8)
+            gradients = np.round(rng.standard_normal(rows), rng.integers(1, 4))
+            hessians = rng.uniform(0.05, 0.25, rows)
+            indices = np.flatnonzero(rng.random(rows) < 0.8)
+            if len(indices) < 2:
+                continue
+            params = TreeParams(min_samples_leaf=int(rng.integers(1, 6)),
+                                reg_lambda=float(rng.choice([0.0, 0.5, 1.0])))
+            grad_sum = gradients[indices].sum()
+            hess_sum = hessians[indices].sum()
+            assert RegressionTree(params)._best_split(
+                binned, gradients, hessians, indices, grad_sum, hess_sum
+            ) == _loop_best_split(params, binned, gradients, hessians,
+                                  indices, grad_sum, hess_sum)
+
+
+def _loop_best_split(params, binned, gradients, hessians, indices,
+                     grad_sum, hess_sum):
+    """Reference split search: one histogram per feature, in a loop."""
+    reg = params.reg_lambda
+    parent_score = grad_sum * grad_sum / (hess_sum + reg)
+    best, best_gain = None, params.min_gain
+    for feature in range(binned.shape[1]):
+        codes = binned[indices, feature]
+        top = int(codes.max())
+        if top == 0:
+            continue  # constant feature in this node
+        grad_left = np.cumsum(
+            np.bincount(codes, gradients[indices], top + 1))[:-1]
+        hess_left = np.cumsum(
+            np.bincount(codes, hessians[indices], top + 1))[:-1]
+        count_left = np.cumsum(np.bincount(codes, minlength=top + 1))[:-1]
+        valid = ((count_left >= params.min_samples_leaf)
+                 & (len(indices) - count_left >= params.min_samples_leaf))
+        if not valid.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = (grad_left**2 / (hess_left + reg)
+                     + (grad_sum - grad_left)**2 / (hess_sum - hess_left + reg)
+                     - parent_score)
+        gains[~valid] = -np.inf
+        pick = int(np.argmax(gains))
+        if gains[pick] > best_gain:
+            best_gain = gains[pick]
+            best = (feature, pick, float(gains[pick]))
+    return best

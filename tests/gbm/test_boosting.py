@@ -126,6 +126,24 @@ class TestBinaryBoosting:
         model.fit(x, y)
         assert (model.predict(x) == y).mean() > 0.8
 
+    def test_unregularised_fit_with_an_empty_low_bin(self):
+        """``reg_lambda=0`` where a feature's lowest bin holds no rows.
+
+        A quarter of column 0 ties at its minimum, so the first quantile
+        edges equal it and the tied rows take code 1, leaving code 0
+        empty.  A gain there would be 0/0: the split search computes
+        gains only at valid splits, so no ``RuntimeWarning`` fires
+        (``tests/conftest.py`` makes one fail this test).
+        """
+        x, y = binary_problem(200)
+        x[:50, 0] = x[:, 0].min()
+        model = GradientBoostingClassifier(
+            GBMConfig(num_rounds=10, max_depth=3, reg_lambda=0.0)
+        ).fit(x, y)
+        assert (model.mapper_.transform(x)[:, 0] > 0).all()
+        assert np.isfinite(model.predict_proba(x)).all()
+        assert (model.predict(x) == y).mean() > 0.8
+
     def test_deterministic_given_seed(self):
         x, y = binary_problem(200)
         probs = []

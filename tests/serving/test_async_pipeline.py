@@ -8,6 +8,7 @@ service's counters/cache/latency stay consistent while a background
 flusher races producers and query threads.
 """
 
+import sys
 import threading
 import time
 
@@ -321,6 +322,91 @@ class TestErrorsAndLifecycle:
             assert 0.0 <= summary["p50"] <= summary["p95"] <= summary["p99"]
 
 
+class CountingLock:
+    """A service-lock stand-in that numbers its holds.
+
+    ``holds`` counts acquisitions; a ``Condition`` built on it counts
+    each wake-up from ``wait`` as a new hold, since ``wait`` releases
+    the lock.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.holds = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        acquired = self._lock.acquire(blocking, timeout)
+        if acquired:
+            self.holds += 1
+        return acquired
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+class TestHandoff:
+    def test_one_chunk_per_service_lock_hold(self, dataset):
+        """The flusher applies each queued chunk under its own service-lock
+        hold, so a query waits for at most one chunk's append.  Chunks
+        queue up behind a held lock; no hold may span two ``add`` calls."""
+        service = _service(dataset, "gru", flush_events=10_000)
+        lock = service._lock = CountingLock()
+        service._published = threading.Condition(lock)
+        holds = []
+        add = service.batcher.add
+
+        def counted_add(*args):
+            holds.append(lock.holds)
+            return add(*args)
+
+        service.batcher.add = counted_add
+        chunks = [_chunk("e%d" % (index % 3), [float(index)], dataset.schema)
+                  for index in range(12)]
+        with AsyncIngestPipeline(service) as pipeline:
+            with lock:  # the flusher blocks; every later chunk queues
+                pipeline.submit(chunks)
+                assert _wait_until(lambda: pipeline.stats()["queued_chunks"]
+                                   == len(chunks))
+            pipeline.drain()
+        assert len(holds) == len(chunks)
+        assert len(set(holds)) == len(holds)
+        assert service.chunks_ingested == len(chunks)
+
+    def test_raising_submit_and_ingest_record_one_sample_each(self, dataset):
+        """A rejected, refused or failed chunk still records its ``ingest``
+        latency sample."""
+        service = _service(dataset, "gru", flush_events=10_000)
+        schema = dataset.schema
+
+        def samples():
+            return service.latency.summary().get("ingest", {}).get("count", 0)
+
+        pipeline = AsyncIngestPipeline(service, max_pending_events=2,
+                                       on_full="reject")
+        try:
+            with service._lock:  # keeps the first chunk's room taken
+                pipeline.submit(_chunk("a", [1.0, 2.0], schema))
+                with pytest.raises(BackpressureError):
+                    pipeline.submit(_chunk("b", [1.0], schema))
+                assert samples() == 2
+            pipeline.drain()
+        finally:
+            pipeline.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            pipeline.submit(_chunk("c", [1.0], schema))
+        assert samples() == 3
+        with pytest.raises(ValueError, match="out-of-order"):
+            service.ingest(_chunk("a", [0.5], schema))
+        assert samples() == 4
+        assert service.events_ingested == 2
+
+
 class TestLatencyRecorder:
     def test_percentiles_on_known_samples(self):
         recorder = LatencyRecorder()
@@ -371,6 +457,58 @@ class TestLatencyRecorder:
         for thread in threads:
             thread.join(WAIT)
         assert recorder.summary()["op"]["count"] == 2000
+
+    def test_two_operations_recorded_concurrently_lose_no_samples(self):
+        """Each operation has its own lock: two threads per operation,
+        all starting on a fresh recorder (so they also race to create
+        the operations' series), lose no sample of either."""
+        recorder = LatencyRecorder(capacity=64)
+        jobs = [("ingest", 0.001), ("query", 0.002)] * 2
+        start = threading.Barrier(len(jobs))
+
+        def hammer(op, seconds):
+            start.wait()
+            for _ in range(2500):
+                recorder.record(op, seconds)
+
+        threads = [threading.Thread(target=hammer, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(WAIT)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        summary = recorder.summary()
+        assert summary["ingest"]["count"] == summary["query"]["count"] == 5000
+        assert summary["ingest"]["mean"] == pytest.approx(1.0)
+        assert summary["query"]["mean"] == pytest.approx(2.0)
+        assert summary["query"]["p50"] == summary["query"]["max"] == 2.0
+
+    def test_one_operation_never_waits_for_another(self):
+        """While the ``ingest`` samples' lock is held, a query still
+        records its ``lock_wait`` and ``query`` samples (the first of
+        each creates its operation's series)."""
+        recorder = LatencyRecorder()
+        recorder.record("ingest", 0.001)
+        recorded = threading.Event()
+
+        def query():
+            recorder.record("lock_wait", 0.001)
+            recorder.record("query", 0.002)
+            recorded.set()
+
+        with recorder._series["ingest"].lock:
+            thread = threading.Thread(target=query)
+            thread.start()
+            assert recorded.wait(WAIT)
+        thread.join(WAIT)
+        assert not thread.is_alive()
+        assert [recorder.summary()[op]["count"]
+                for op in ("ingest", "lock_wait", "query")] == [1, 1, 1]
 
     def test_validates_capacity(self):
         with pytest.raises(ValueError):

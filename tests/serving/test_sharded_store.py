@@ -14,7 +14,7 @@ import pytest
 from repro.data import SequenceDataset
 from repro.data.synthetic import make_churn_dataset
 from repro.encoders import build_encoder
-from repro.runtime import EmbeddingStore
+from repro.runtime import EmbeddingStore, bulk_load_states
 from repro.serving import ShardedEmbeddingStore, route_entity
 from tests.oracles import tensor_embed
 
@@ -75,6 +75,40 @@ class TestRouting:
             np.testing.assert_array_equal(
                 store.embedding(int(seq.seq_id)),
                 store.embedding(np.int64(seq.seq_id)))
+
+    def test_last_time_routes_like_route_entity(self, dataset):
+        """``last_time`` hashes plain ``int`` ids inline; every id type
+        must still land on the shard :func:`route_entity` names, so an
+        id reads back under any equal id of another type."""
+        encoder = _encoder(dataset, "gru")
+        store = ShardedEmbeddingStore(encoder, num_shards=5)
+        hidden = np.zeros(encoder.output_dim)
+        ids = [7, True, np.int64(12), 3.0, np.float64(40.0), "client-9"]
+        equal = [np.int64(7), 1, 12, 3, 40, "client-9"]
+        for when, entity_id in enumerate(ids, start=1):
+            store.put_state(entity_id, hidden, last_time=float(when))
+        for when, (entity_id, other) in enumerate(zip(ids, equal), start=1):
+            owner = store.shards[route_entity(entity_id, 5)]
+            assert owner.last_time(entity_id) == when
+            assert store.last_time(entity_id) == when
+            assert store.last_time(other) == when
+        assert store.last_time(8) is None
+        assert store.last_time("client-8") is None
+
+        # A bulk load under numpy ids, read back with plain ints.
+        numpy_ids = ShardedEmbeddingStore(encoder, num_shards=5)
+        bulk_load_states(
+            numpy_ids.runtime, dataset,
+            lambda ids, *state: numpy_ids.scatter(
+                [np.int64(entity_id) for entity_id in ids], *state))
+        time_field = dataset.schema.time_field
+        for seq in dataset:
+            end = float(seq.fields[time_field][-1])
+            assert numpy_ids.last_time(int(seq.seq_id)) == end
+            assert numpy_ids.last_time(np.int64(seq.seq_id)) == end
+        stored = [key for shard in numpy_ids.shards
+                  for key in shard.backend.entity_ids()]
+        assert {type(key) for key in stored} == {np.int64}
 
     def test_rejects_bad_shard_counts(self, dataset):
         with pytest.raises(ValueError):
